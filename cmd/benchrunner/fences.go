@@ -298,7 +298,7 @@ func fenceSpill1() (fenceSpillResult, error) {
 	}
 	c := d.SelfConn()
 	defer c.Close()
-	for i := 0; i < 150; i++ {
+	for i := 0; i < 600; i++ { // ≈ 170 B of image per pool+puddle pair: ~100 KiB
 		resp, err := c.RoundTrip(&proto.Request{
 			Op: proto.OpCreatePool, Name: fmt.Sprintf("spill-%d", i),
 		})

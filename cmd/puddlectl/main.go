@@ -81,6 +81,8 @@ func main() {
 		fmt.Printf("persist errors   %d\n", s.PersistErrors)
 		fmt.Printf("dispatch panics  %d\n", s.DispatchPanics)
 		fmt.Printf("journal bytes    %d\n", s.JournalBytes)
+		fmt.Printf("last boot        checkpoint load %dus, journal replay %dus (%d entries, %d undecodable)\n",
+			s.BootLoadNs/1e3, s.BootReplayNs/1e3, s.JournalReplayed, s.JournalDecodeErrors)
 		fmt.Printf("checkpoints      %d (seq %d, %d chunks, %d bytes)\n",
 			s.Checkpoints, s.CheckpointSeq, s.CheckpointChunks, s.CheckpointBytes)
 		fmt.Printf("ckpt spills      %d (registry gen %d)\n", s.CheckpointSpills, s.RegistryGen)

@@ -98,8 +98,10 @@ func main() {
 		logger.Fatalf("boot: %v", err)
 	}
 	st := d.Stats()
-	logger.Printf("booted: %d pools, %d puddles; recovery passes so far: %d; checkpoint seq %d (%d chunks streamed)",
-		st.Pools, st.Puddles, st.Recoveries, st.CheckpointSeq, st.CheckpointChunks)
+	logger.Printf("booted: %d pools, %d puddles; recovery passes so far: %d; checkpoint seq %d (%d chunks streamed); "+
+		"checkpoint load %v, journal replay %v (%d entries)",
+		st.Pools, st.Puddles, st.Recoveries, st.CheckpointSeq, st.CheckpointChunks,
+		time.Duration(st.BootLoadNs), time.Duration(st.BootReplayNs), st.JournalReplayed)
 
 	// Front ends: inherited fds from a predecessor (SIGHUP restart), or
 	// fresh binds from the flags.

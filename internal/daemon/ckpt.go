@@ -17,16 +17,16 @@
 // protocol:
 //
 //   - Quiesce (exclusive opMu, O(1)): swap out the pending delta list
-//     (pre-encoded journal records accumulated by markDirty), capture
-//     the counter block, and switch journal appends to the standby
-//     region. No gob encoding, no device writes, no state copying —
+//     (the journal records accumulated by markDirty), capture the
+//     counter block, and switch journal appends to the standby
+//     region. No encoding, no device writes, no state copying —
 //     the registry itself is a copy-on-write image (d.img) that the
 //     plan phase never touches, so the pause is independent of
 //     registry size.
 //
 //   - Stream (request path running): compose the next immutable image
-//     from the committed image plus the captured deltas, gob-encode
-//     the records into chunks, and append them to the chain. Each
+//     from the committed image plus the captured deltas, encode the
+//     records into chunks (codec.go), and append them to the chain. Each
 //     chunk persists payload+terminator before publishing its header;
 //     the checkpoint as a whole becomes visible only when its final
 //     commit chunk lands, so a crash mid-stream leaves the previous
@@ -81,9 +81,10 @@ import (
 const (
 	ckHdrSize = 32
 
+	// Every chunk payload opens with the metaFormat byte (codec.go).
 	ckFull   uint32 = 1 // first chunk of a full checkpoint: reset composed state
-	ckRecs   uint32 = 2 // entity records (gob jbatch)
-	ckCommit uint32 = 3 // checkpoint commit marker (gob ckptTrailer)
+	ckRecs   uint32 = 2 // entity records (one batch)
+	ckCommit uint32 = 3 // checkpoint commit marker: full:u8
 	ckJump   uint32 = 4 // cross-half continuation: payload is the target offset
 
 	// Spill-region chunk kinds: the same stream states as 1–3, branded
@@ -96,10 +97,11 @@ const (
 	ckSRecs   uint32 = 6
 	ckSCommit uint32 = 7
 
-	// ckJumpPayload is the jump chunk payload: u64 target offset in the
-	// other half (the seq/gen of the spilling checkpoint ride in the
-	// chunk header and must match the first chunk at the target).
-	ckJumpPayload = 8
+	// ckJumpPayload is the jump chunk payload: the format byte and the
+	// u64 target offset in the other half (the seq/gen of the spilling
+	// checkpoint ride in the chunk header and must match the first chunk
+	// at the target).
+	ckJumpPayload = 1 + 8
 
 	// ckJumpNeed is the arena room a jump chunk occupies; full
 	// checkpoints reserve it below their head-half limit so the jump
@@ -122,11 +124,6 @@ const (
 // of wedging at the old 32 MiB half ceiling.
 var errCkptFull = errors.New("daemon: checkpoint arena full")
 
-// ckptTrailer is the commit chunk payload.
-type ckptTrailer struct {
-	Full bool
-}
-
 // chainState is the volatile view of the committed checkpoint chain.
 // Guarded by ckptMu (plus exclusive opMu at plan time; boot is
 // single-threaded). A chain occupies a head extent [0, headEnd) in its
@@ -147,8 +144,8 @@ type chainState struct {
 // regImage is one immutable copy-on-write generation of the metadata
 // registry (the PR 6 range-index pattern applied to the daemon): a
 // composed state whose records are never mutated after Store, so the
-// streaming phase gob-encodes them with zero locks and the request
-// path running. Published behind Daemon.img under ckptMu.
+// streaming phase encodes them with zero locks and the request path
+// running. Published behind Daemon.img under ckptMu.
 type regImage struct {
 	st  *state
 	gen uint64
@@ -159,7 +156,7 @@ type regImage struct {
 // delta records and the counter block — no entity is read or copied.
 type ckptPlan struct {
 	full   bool
-	deltas []entRec // pre-encoded journal records since the image; merged back on failure
+	deltas []entRec // journal records since the image; merged back on failure
 	seq    uint64   // d.seq at quiesce: the sequence this checkpoint covers
 	gen    uint64   // commit generation (chain.gen + 1)
 	half   int      // half the stream starts in (full: the new head half)
@@ -177,9 +174,9 @@ func (d *Daemon) ckptHalfBase(half int) pmem.Addr {
 	return pmem.MetaCkptBase + pmem.Addr(uint64(half)*d.ckptHalf)
 }
 
-// markDirty accumulates the (already gob-encoded, immutable) records
-// of one durable journal batch as deltas on top of the committed
-// registry image. The caller still holds the locks of every entity
+// markDirty accumulates the (immutable — see entRec) records of one
+// durable journal batch as deltas on top of the committed registry
+// image. The caller still holds the locks of every entity
 // named in recs — the same guarantee that orders the journal — so the
 // pending list replays per entity in journal order.
 func (d *Daemon) markDirty(recs []entRec) {
@@ -290,10 +287,12 @@ func cloneState(src *state) *state {
 	for id, s := range src.Sessions {
 		dst.Sessions[id] = s.clone()
 	}
-	// Migration records are immutable after their journal append (every
-	// phase change writes a fresh record), so sharing by pointer is safe.
+	// Moved and done records never change; out, standby and replica
+	// records do (phase flips, epoch bumps, owner-address updates replace
+	// fields in place), so the image gets its own copy of those.
 	for u, m := range src.MigsOut {
-		dst.MigsOut[u] = m
+		cp := *m
+		dst.MigsOut[u] = &cp
 	}
 	for name, m := range src.Moved {
 		dst.Moved[name] = m
@@ -302,10 +301,12 @@ func cloneState(src *state) *state {
 		dst.MigsDone[u] = m
 	}
 	for name, s := range src.Standbys {
-		dst.Standbys[name] = s
+		cp := *s
+		dst.Standbys[name] = &cp
 	}
 	for name, r := range src.Replicas {
-		dst.Replicas[name] = r
+		cp := *r
+		dst.Replicas[name] = &cp
 	}
 	dst.Types = append([]ptypes.TypeInfo(nil), src.Types...)
 	return dst
@@ -313,10 +314,12 @@ func cloneState(src *state) *state {
 
 // composeImage builds the next registry image: a fresh state whose
 // maps start as shallow copies of prev (sharing the immutable records)
-// and then absorb the delta records in order. Records decoded from
-// delta blobs are fresh values; a pool touched by a membership delta
-// is cloned before mutation, so prev is never written — it stays a
-// valid published image throughout.
+// and then absorb the delta records in order. A delta's value is
+// installed by pointer — nothing is decoded or copied on this path — and
+// a pool touched by a membership delta is cloned before its first edit
+// (applyRec), so neither prev, which stays a valid published image
+// throughout, nor a delta, which may be composed again after a failed
+// stream, is ever written.
 func composeImage(prev *state, deltas []entRec, seq uint64) *state {
 	next := newState()
 	next.Seq = seq
@@ -353,37 +356,9 @@ func composeImage(prev *state, deltas []entRec, seq uint64) *state {
 		next.Replicas[name] = r
 	}
 	next.Types = prev.Types
-	cloned := make(map[string]bool)
-	for _, r := range deltas {
-		switch r.Kind {
-		case recPoolLink, recPoolUnlink:
-			pool := next.Pools[r.Key]
-			u, ok := keyUUID(string(r.Blob))
-			if pool == nil || !ok {
-				continue
-			}
-			if !cloned[r.Key] {
-				pool = pool.snapshot()
-				next.Pools[r.Key] = pool
-				cloned[r.Key] = true
-			}
-			if r.Kind == recPoolLink {
-				pool.Puddles = append(pool.Puddles, u)
-				continue
-			}
-			for i, pu := range pool.Puddles {
-				if pu == u {
-					pool.Puddles = append(pool.Puddles[:i], pool.Puddles[i+1:]...)
-					break
-				}
-			}
-		case recPool:
-			// A whole-record replacement makes the entry freshly owned.
-			cloned[r.Key] = !r.Del
-			applyBatchTo(next, &jbatch{Recs: []entRec{r}})
-		default:
-			applyBatchTo(next, &jbatch{Recs: []entRec{r}})
-		}
+	owned := make(map[string]bool)
+	for i := range deltas {
+		applyRec(next, &deltas[i], owned)
 	}
 	return next
 }
@@ -555,8 +530,7 @@ func (w *ckptWriter) finish() error {
 	if spillOff < w.spillMin {
 		return errCkptFull // would overwrite the live chain's bytes
 	}
-	jp := make([]byte, ckJumpPayload)
-	binary.LittleEndian.PutUint64(jp, spillOff)
+	jp := binary.LittleEndian.AppendUint64([]byte{metaFormat}, spillOff)
 	next, err := w.d.writeChunk(w.half, w.off, ckJump, w.seq, w.gen, jp)
 	if err != nil {
 		return err
@@ -585,7 +559,7 @@ func (w *ckptWriter) finish() error {
 // records into chunks, append them to the planned chain position, and
 // commit. The caller holds ckptMu; the request path may be running —
 // nothing here reads live daemon state: every record encoded belongs
-// to an immutable image or is a pre-encoded journal delta.
+// to an immutable image or is an immutable journal delta.
 func (d *Daemon) streamCheckpoint(p *ckptPlan) error {
 	img := d.img.Load()
 	next := composeImage(img.st, p.deltas, p.seq)
@@ -598,104 +572,78 @@ func (d *Daemon) streamCheckpoint(p *ckptPlan) error {
 	if p.full {
 		kind = ckFull // first chunk resets the composed state at boot
 	}
-	var buf []entRec
-	bufBytes := 0
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
+	// Records append straight into the chunk being filled; the first
+	// write error latches and turns the remaining emits into no-ops.
+	var werr error
+	chunk := []byte{metaFormat}
+	flush := func() {
+		if werr != nil || len(chunk) == 1 {
+			return
 		}
-		payload, err := gobBytes(&jbatch{Recs: buf})
-		if err != nil {
-			panic(fmt.Sprintf("daemon: encoding checkpoint chunk: %v", err))
-		}
-		if werr := w.write(kind, payload); werr != nil {
-			return werr
-		}
+		werr = w.write(kind, chunk)
 		kind = ckRecs
-		buf, bufBytes = nil, 0
-		return nil
+		// A fresh buffer, as big as the last one grew: the writer may be
+		// holding that one for a spill.
+		chunk = append(make([]byte, 0, cap(chunk)), metaFormat)
 	}
-	emit := func(er entRec) error {
-		buf = append(buf, er)
-		bufBytes += len(er.Blob) + len(er.Key) + 16
-		if bufBytes >= d.ckptChunk {
-			return flush()
+	emit := func(er entRec) {
+		if werr != nil {
+			return
 		}
-		return nil
+		chunk = appendRec(chunk, &er)
+		if len(chunk) >= d.ckptChunk {
+			flush()
+		}
 	}
 	if p.full {
 		for name, pr := range next.Pools {
-			if err := emit(putRec(recPool, name, pr)); err != nil {
-				return err
-			}
+			emit(putRec(recPool, name, pr))
 		}
 		for u, rec := range next.Puddles {
-			if err := emit(putRec(recPuddle, uuidKey(u), rec)); err != nil {
-				return err
-			}
+			emit(putRec(recPuddle, uuidKey(u), rec))
 		}
 		for u, ls := range next.LogSpaces {
-			if err := emit(putRec(recLogSpace, uuidKey(u), ls)); err != nil {
-				return err
-			}
+			emit(putRec(recLogSpace, uuidKey(u), ls))
 		}
 		for id, s := range next.Sessions {
-			if err := emit(putRec(recSession, strconv.FormatUint(id, 10), s)); err != nil {
-				return err
-			}
+			emit(putRec(recSession, strconv.FormatUint(id, 10), s))
 		}
 		for u, m := range next.MigsOut {
-			if err := emit(putRec(recMigOut, uuidKey(u), m)); err != nil {
-				return err
-			}
+			emit(putRec(recMigOut, uuidKey(u), m))
 		}
 		for name, m := range next.Moved {
-			if err := emit(putRec(recMoved, name, m)); err != nil {
-				return err
-			}
+			emit(putRec(recMoved, name, m))
 		}
 		for u, m := range next.MigsDone {
-			if err := emit(putRec(recMigDone, uuidKey(u), m)); err != nil {
-				return err
-			}
+			emit(putRec(recMigDone, uuidKey(u), m))
 		}
 		for name, s := range next.Standbys {
-			if err := emit(putRec(recStandby, name, s)); err != nil {
-				return err
-			}
+			emit(putRec(recStandby, name, s))
 		}
 		for name, r := range next.Replicas {
-			if err := emit(putRec(recReplica, name, r)); err != nil {
-				return err
-			}
+			emit(putRec(recReplica, name, r))
 		}
-		if err := emit(putRec(recTypes, "", next.Types)); err != nil {
-			return err
-		}
+		emit(putRec(recTypes, "", typeList(next.Types)))
 	} else {
 		for _, er := range dedupDeltas(p.deltas) {
-			if er.Kind == recCounters {
-				continue // superseded by the plan's capture, emitted below
-			}
-			if err := emit(er); err != nil {
-				return err
+			if er.Kind != recCounters { // superseded by the plan's capture, emitted below
+				emit(er)
 			}
 		}
 	}
 	// Counters stream last and unconditionally (recovery mutates them
 	// without journaling), which also guarantees a full checkpoint of
 	// an empty registry still opens its section.
-	if err := emit(putRec(recCounters, "", &p.ctrs)); err != nil {
-		return err
+	emit(putRec(recCounters, "", &p.ctrs))
+	flush()
+	if werr != nil {
+		return werr
 	}
-	if err := flush(); err != nil {
-		return err
+	commit := []byte{metaFormat, 0}
+	if p.full {
+		commit[1] = 1
 	}
-	trailer, err := gobBytes(&ckptTrailer{Full: p.full})
-	if err != nil {
-		panic(fmt.Sprintf("daemon: encoding checkpoint trailer: %v", err))
-	}
-	if err := w.write(ckCommit, trailer); err != nil {
+	if err := w.write(ckCommit, commit); err != nil {
 		return err
 	}
 	if err := w.finish(); err != nil {
@@ -771,14 +719,18 @@ type scanResult struct {
 // strictly monotonic across commits). Chunks after the last commit —
 // a checkpoint that was still streaming at the crash — are ignored;
 // any torn chunk, out-of-place kind, or second jump ends the scan
-// exactly like a torn journal entry.
-func (d *Daemon) scanHalf(half int) (scanResult, bool) {
+// exactly like a torn journal entry, and so does a chunk whose CRC
+// holds but whose payload does not decode (logged and counted, like
+// its journal twin in replayRegion) — a chunk applies whole or not at
+// all. A CRC-valid chunk in another metadata format is not the end of
+// a chain but an image this daemon must refuse: ErrMetaFormat.
+func (d *Daemon) scanHalf(half int) (scanResult, bool, error) {
 	var (
 		sr         scanResult
 		h          = half
 		off        uint64
 		cur        *state
-		pending    []*jbatch
+		pending    [][]entRec
 		pendFull   bool
 		opened     bool // a ckFull chunk has been seen (chains start full)
 		inSpill    bool
@@ -814,8 +766,18 @@ scan:
 		if crc64.Checksum(payload, crcTable) != d.dev.LoadU64(base+8) {
 			break
 		}
+		if payload[0] != metaFormat {
+			return scanResult{}, false, fmt.Errorf("%w: checkpoint chunk in half %d at offset %d has format byte %#x, want %#x",
+				ErrMetaFormat, h, off, payload[0], metaFormat)
+		}
+		body := payload[1:]
 		seq := d.dev.LoadU64(base + 16)
 		genHdr := d.dev.LoadU64(base + 24)
+		undecodable := func(err error) {
+			d.jDecodeErrs.Add(1)
+			d.logf("boot: checkpoint chunk in half %d at offset %d seq %d does not decode (%v); chain ends there",
+				h, off, seq, err)
+		}
 		if verify {
 			if seq != jSeq || genHdr != jGen {
 				break // stale spill from a different checkpoint lineage
@@ -827,7 +789,7 @@ scan:
 				break
 			}
 			headEnd = off + ckHdrSize + n
-			spillStart = binary.LittleEndian.Uint64(payload)
+			spillStart = binary.LittleEndian.Uint64(body)
 			if spillStart >= d.ckptHalf {
 				break
 			}
@@ -845,13 +807,18 @@ scan:
 			if !opened {
 				break scan // records with no chain start: not a chain
 			}
-			var b jbatch
-			if gobValue(payload, &b) != nil {
+			recs, err := decodeBatch(body, nil)
+			if err != nil {
+				undecodable(err)
 				break scan
 			}
-			pending = append(pending, &b)
+			pending = append(pending, recs)
 		case ckCommit:
 			if !opened {
+				break scan
+			}
+			if len(body) != 1 || body[0] > 1 || (body[0] == 1) != pendFull {
+				undecodable(errRange)
 				break scan
 			}
 			if pendFull {
@@ -863,8 +830,8 @@ scan:
 				}
 				sr.incs++
 			}
-			for _, b := range pending {
-				applyBatchTo(cur, b)
+			for _, recs := range pending {
+				applyBatchTo(cur, recs)
 			}
 			cur.Seq = seq
 			sr.gen = genHdr
@@ -880,10 +847,10 @@ scan:
 		off += ckHdrSize + n
 	}
 	if cur == nil {
-		return scanResult{}, false
+		return scanResult{}, false, nil
 	}
 	sr.st = cur
-	return sr, true
+	return sr, true, nil
 }
 
 func newState() *state {
@@ -1035,58 +1002,5 @@ func (d *Daemon) checkpointSync(full bool) error {
 		d.abandonCheckpoint(p, err)
 		return err
 	}
-	return nil
-}
-
-// writeCheckpointLegacy writes a whole-state v1 snapshot into a
-// legacy A/B slot and resets journal 0 on top of it. The v1 write
-// path is kept so migration tests and the ckpt benchmark can generate
-// and measure old-generation images (WithLegacyCheckpoints) — with
-// the two v1 landmines fixed:
-//
-//   - The slot alternates away from the last valid slot. The original
-//     picked by Seq%2 parity while journal appends bump the same
-//     sequence, so two consecutive checkpoints could target the SAME
-//     slot; a crash mid-write then destroyed the only good snapshot,
-//     boot fell back to a stale slot, and the journal-base guard
-//     discarded the journal on top — silently losing acked state.
-//
-//   - A snapshot too large for the slot fails without side effects:
-//     the original bumped d.seq before the size check, desequencing
-//     the journal on every failed compaction.
-//
-// The caller holds opMu exclusively (or is the single boot goroutine).
-func (d *Daemon) writeCheckpointLegacy() error {
-	prevSeq := d.st.Seq
-	d.st.Seq = d.seq + 1
-	data, err := gobBytes(&d.st)
-	if err != nil {
-		panic(fmt.Sprintf("daemon: encoding snapshot: %v", err)) // programming error
-	}
-	if uint64(len(data))+32 > d.legacySlotCap {
-		d.st.Seq = prevSeq // side-effect-free failure: sequencing untouched
-		d.persistErrs.Add(1)
-		return fmt.Errorf("daemon: snapshot %d bytes exceeds slot", len(data))
-	}
-	d.seq++
-	slot := slotA
-	if d.legacySlot == slotA {
-		slot = slotB
-	}
-	// Header last: a torn snapshot write is invisible because the other
-	// slot still decodes and carries the highest committed seq.
-	d.dev.Store(slot+32, data)
-	d.dev.Flush(slot+32, len(data))
-	d.dev.Fence()
-	d.dev.StoreU64(slot+8, uint64(len(data)))
-	d.dev.StoreU64(slot+16, crc64.Checksum(data, crcTable))
-	d.dev.StoreU64(slot, d.st.Seq)
-	d.dev.Persist(slot, 32)
-	d.legacySlot = slot
-	// Only after the checkpoint is durable may the journal restart; a
-	// crash in between replays the old journal against the old slot.
-	d.resetJournalRegion(pmem.MetaJournal0, d.st.Seq)
-	d.ckptCount.Add(1)
-	d.ckptSeq.Store(d.st.Seq)
 	return nil
 }

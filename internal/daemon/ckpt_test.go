@@ -336,10 +336,10 @@ func TestCompactionUnderLoad(t *testing.T) {
 // failing; and once the registry shrinks, a full fits in the head
 // room the right-justified spill preserved — the arena un-wedges.
 func TestFullCheckpointSpillsAcrossHalves(t *testing.T) {
-	// 64 KiB halves: 150 pool+puddle pairs are a ~100 KiB image —
-	// bigger than one half, comfortably inside the 128 KiB arena.
+	// 64 KiB halves: 600 pool+puddle pairs (≈ 170 B each) are a ~100 KiB
+	// image — bigger than one half, comfortably inside the 128 KiB arena.
 	arena := []Option{WithCheckpointArena(128 << 10), WithCheckpointChunkBytes(2 << 10)}
-	const pools = 150
+	const pools = 600
 	dev := pmem.New()
 	d, err := New(dev, arena...)
 	if err != nil {

@@ -18,7 +18,6 @@ package daemon
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -90,8 +89,8 @@ type PuddleRec struct {
 // mu is the pool's shard of the old global daemon lock: it guards the
 // mutable fields (Mode, Puddles) and, held across a mutation plus its
 // journal append, keeps this pool's per-entity records in the same
-// order in the journal as in memory. It is volatile (gob skips
-// unexported fields) and springs back to life zero-valued on boot.
+// order in the journal as in memory. It is volatile (no encoder
+// sees it) and springs back to life zero-valued on boot.
 type PoolRec struct {
 	Name     string
 	UUID     uid.UUID
@@ -104,8 +103,9 @@ type PoolRec struct {
 	mu sync.Mutex
 }
 
-// snapshot returns a copy safe to gob-encode outside mu (the Puddles
-// slice is otherwise shared with concurrent appends). Caller holds mu.
+// snapshot returns a copy safe to encode outside mu and to publish in
+// a registry image (the Puddles slice is otherwise shared with
+// concurrent appends). Caller holds mu.
 func (p *PoolRec) snapshot() *PoolRec {
 	cp := &PoolRec{
 		Name: p.Name, UUID: p.UUID, Root: p.Root,
@@ -157,7 +157,9 @@ type ImportSession struct {
 	Puddles  []ImportPuddle
 }
 
-// state is the gob-persisted daemon snapshot.
+// state is the daemon's metadata registry: live as Daemon.st,
+// immutable inside a regImage, and (gob-encoded whole) the payload of a
+// legacy v1 snapshot slot.
 type state struct {
 	Seq         uint64
 	Pools       map[string]*PoolRec
@@ -250,6 +252,7 @@ type Daemon struct {
 	jTailApprox atomic.Uint64 // journal tail mirror for the compaction check
 	needCompact atomic.Bool   // set when an append failed for space
 	persistErrs atomic.Uint64 // metadata appends/checkpoints that failed
+	jDecodeErrs atomic.Uint64 // CRC-valid journal entries/chunks that did not decode (boot)
 	panics      atomic.Uint64 // request handlers that panicked (recovered)
 	closed      atomic.Bool
 
@@ -269,6 +272,11 @@ type Daemon struct {
 	ckptHalf        uint64 // arena half size (tests shrink it)
 	legacySlotCap   uint64 // legacy slot byte budget (tests shrink it)
 	legacySlot      pmem.Addr
+
+	// Where boot time went; written once by boot, before New returns.
+	bootLoadNs   uint64 // checkpoint selection and composition (loadMeta)
+	bootReplayNs uint64 // journal replay on top of it
+	bootReplayed uint64 // journal entries that replay applied
 
 	// Transport session layer (session.go). tenMu guards the tenant
 	// session registry; it nests like sessMu in the lock order (taken
@@ -430,16 +438,22 @@ func (d *Daemon) boot() error {
 		// whole-state slot (images written by old daemon generations
 		// boot unchanged) — then fold in the per-entity journal batches
 		// appended since, from both journal regions in base order.
+		t0 := time.Now()
 		if err := d.loadMeta(); err != nil {
 			return fmt.Errorf("daemon: restoring metadata: %w", err)
 		}
+		t1 := time.Now()
 		// The freshly composed state is exactly what the winning chain
 		// covers; journal replay and recovery mutate it from here.
 		d.chainCounters = *d.countersVal()
 		d.seq = d.st.Seq
-		if n := d.replayJournals(d.st.Seq); n > 0 {
-			d.logf("boot: applied %d journal batches on top of checkpoint %d", n, d.st.Seq)
+		n, err := d.replayJournals(d.st.Seq)
+		if err != nil {
+			return fmt.Errorf("daemon: restoring metadata: %w", err)
 		}
+		load, replay := t1.Sub(t0), time.Since(t1)
+		d.bootLoadNs, d.bootReplayNs, d.bootReplayed = uint64(load), uint64(replay), uint64(n)
+		d.logf("boot: checkpoint %d loaded in %v, %d journal batches replayed in %v", d.st.Seq, load, n, replay)
 	}
 	// Seed the COW registry image with the composed state. Every
 	// mutation from here on (recovery included) journals through
@@ -557,8 +571,9 @@ func (d *Daemon) Shutdown() {
 // standing in for DAX mappings).
 func (d *Daemon) Device() *pmem.Device { return d.dev }
 
-// --- checkpoint selection (chunked chains + legacy A/B slots);
-// the write side lives in ckpt.go ---
+// --- checkpoint selection (chunked chains + legacy A/B slots). The
+// chunked write side lives in ckpt.go; the v1 slot reader and writer
+// below are the only metadata persistence still on encoding/gob ---
 
 // readSlot decodes one legacy v1 whole-state snapshot slot.
 func (d *Daemon) readSlot(slot pmem.Addr) (*state, uint64, bool) {
@@ -573,10 +588,63 @@ func (d *Daemon) readSlot(slot pmem.Addr) (*state, uint64, bool) {
 		return nil, 0, false
 	}
 	var st state
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	if err := gobValue(data, &st); err != nil {
 		return nil, 0, false
 	}
 	return &st, seq, true
+}
+
+// writeCheckpointLegacy writes a whole-state v1 snapshot into a
+// legacy A/B slot and resets journal 0 on top of it. The v1 write
+// path is kept so migration tests and the ckpt benchmark can generate
+// and measure old-generation images (WithLegacyCheckpoints) — with
+// the two v1 landmines fixed:
+//
+//   - The slot alternates away from the last valid slot. The original
+//     picked by Seq%2 parity while journal appends bump the same
+//     sequence, so two consecutive checkpoints could target the SAME
+//     slot; a crash mid-write then destroyed the only good snapshot,
+//     boot fell back to a stale slot, and the journal-base guard
+//     discarded the journal on top — silently losing acked state.
+//
+//   - A snapshot too large for the slot fails without side effects:
+//     the original bumped d.seq before the size check, desequencing
+//     the journal on every failed compaction.
+//
+// The caller holds opMu exclusively (or is the single boot goroutine).
+func (d *Daemon) writeCheckpointLegacy() error {
+	prevSeq := d.st.Seq
+	d.st.Seq = d.seq + 1
+	data, err := gobBytes(&d.st)
+	if err != nil {
+		panic(fmt.Sprintf("daemon: encoding snapshot: %v", err)) // programming error
+	}
+	if uint64(len(data))+32 > d.legacySlotCap {
+		d.st.Seq = prevSeq // side-effect-free failure: sequencing untouched
+		d.persistErrs.Add(1)
+		return fmt.Errorf("daemon: snapshot %d bytes exceeds slot", len(data))
+	}
+	d.seq++
+	slot := slotA
+	if d.legacySlot == slotA {
+		slot = slotB
+	}
+	// Header last: a torn snapshot write is invisible because the other
+	// slot still decodes and carries the highest committed seq.
+	d.dev.Store(slot+32, data)
+	d.dev.Flush(slot+32, len(data))
+	d.dev.Fence()
+	d.dev.StoreU64(slot+8, uint64(len(data)))
+	d.dev.StoreU64(slot+16, crc64.Checksum(data, crcTable))
+	d.dev.StoreU64(slot, d.st.Seq)
+	d.dev.Persist(slot, 32)
+	d.legacySlot = slot
+	// Only after the checkpoint is durable may the journal restart; a
+	// crash in between replays the old journal against the old slot.
+	d.resetJournalRegion(pmem.MetaJournal0, d.st.Seq)
+	d.ckptCount.Add(1)
+	d.ckptSeq.Store(d.st.Seq)
+	return nil
 }
 
 // loadMeta restores the best available checkpoint: every readable
@@ -601,7 +669,10 @@ func (d *Daemon) loadMeta() error {
 	d.chain = chainState{half: -1}
 	d.legacySlot = 0
 	for half := 0; half < 2; half++ {
-		sr, ok := d.scanHalf(half)
+		sr, ok, err := d.scanHalf(half)
+		if err != nil {
+			return err
+		}
 		if ok && better(sr.st.Seq, sr.gen) {
 			best, bestSeq, bestGen, found = sr.st, sr.st.Seq, sr.gen, true
 			d.chain = chainState{
@@ -1179,6 +1250,11 @@ func (d *Daemon) Stats() proto.Stats {
 		PersistErrors:  d.persistErrs.Load(),
 		DispatchPanics: d.panics.Load(),
 		JournalBytes:   d.jTailApprox.Load(),
+
+		JournalReplayed:     d.bootReplayed,
+		BootLoadNs:          d.bootLoadNs,
+		BootReplayNs:        d.bootReplayNs,
+		JournalDecodeErrors: d.jDecodeErrs.Load(),
 
 		Checkpoints:      d.ckptCount.Load(),
 		CheckpointChunks: d.ckptChunks.Load(),

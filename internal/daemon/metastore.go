@@ -30,14 +30,15 @@
 //     demand (WithLegacyCheckpoints, for tests and benchmarks that
 //     need to produce or measure the old format).
 //
-// The journal write is a few hundred bytes regardless of how many
+// The journal write is around a hundred bytes regardless of how many
 // pools and puddles exist, so metadata persistence cost is
-// proportional to the operation, not to the daemon's total state.
+// proportional to the operation, not to the daemon's total state. What
+// the bytes are is codec.go's business: both layers persist batches of
+// entRec in its one record format, which also keeps boot-time replay —
+// on every application's critical path — at a few allocations per entry.
 package daemon
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -46,7 +47,6 @@ import (
 	"sync/atomic"
 
 	"puddles/internal/pmem"
-	"puddles/internal/ptypes"
 	"puddles/internal/uid"
 )
 
@@ -57,7 +57,8 @@ const (
 	journalBase = pmem.MetaJournal0 // the region v1 images already carry
 	journalSize = pmem.MetaJournalSize
 
-	journalMagic = 0x314c_4e52_4a50 // "PJRNL1"
+	journalStem  = 0x4c_4e52_4a50                      // "PJRNL"
+	journalMagic = journalStem | ('0'+metaVersion)<<40 // "PJRNL2": codec.go's format version rides in the magic
 	jrnOffMagic  = 0
 	jrnOffBase   = 8  // checkpoint seq this journal builds on
 	jrnHdrSize   = 64 // first entry starts here (cacheline aligned)
@@ -67,7 +68,7 @@ const (
 	// flushed, so a torn append leaves an invalid header and replay
 	// stops there (a header torn across cachelines fails its CRC; the
 	// entry was never acked, so dropping it is correct). Keeping the
-	// seq in the header rather than the payload lets the gob encode and
+	// seq in the header rather than the payload lets the encode and the
 	// CRC run outside jMu — only the slot reservation serializes there;
 	// even the device writes run outside the lock (see reserveGroup).
 	entHdrSize = 24
@@ -93,7 +94,7 @@ const (
 	recTypes
 	recCounters
 	// recPoolLink / recPoolUnlink are membership deltas: Key is the
-	// pool name, Blob the raw member puddle UUID. Puddle churn journals
+	// pool name, Val the member puddle (memberRef). Puddle churn journals
 	// one of these instead of the pool's whole member list, keeping the
 	// append O(operation) even for pools with huge membership; replay
 	// composes them onto the checkpointed pool record in order.
@@ -114,21 +115,24 @@ const (
 	recReplica
 )
 
-// entRec is one per-entity record inside a journal batch: a full
-// replacement value for the entity (or a tombstone).
+// entRec is one per-entity record of a journal batch or checkpoint
+// chunk: a full replacement value for the entity, a tombstone, or a
+// pool-membership delta. Batches are the unit of journal append and
+// replay — and of checkpoint chunking (ckpt.go): all records of one
+// daemon operation (or one chunk), applied atomically; a batch's
+// sequence number lives in the entry header.
+//
+// Val is an immutable snapshot. The record outlives the append — it
+// waits in d.pending as a delta on the committed registry image and is
+// installed into the next image by pointer — so whoever builds a record
+// hands over a value nothing will write again: puddle and log-space
+// records never change after creation, everything else is copied by
+// its constructor (PoolRec.rec, sessRec, migOutRec, ...).
 type entRec struct {
 	Kind recKind
-	Key  string // pool name, raw 16-byte UUID, or session id
 	Del  bool
-	Blob []byte // gob of the entity value; empty for tombstones
-}
-
-// jbatch is the unit of journal append and replay — and of checkpoint
-// chunking (ckpt.go): all records of one daemon operation (or one
-// checkpoint chunk), applied atomically. Its sequence number lives in
-// the entry header.
-type jbatch struct {
-	Recs []entRec
+	Key  string   // pool name, raw 16-byte UUID, or decimal session id
+	Val  recValue // nil for tombstones
 }
 
 // counters is the journal-persisted slice of the daemon's cumulative
@@ -141,27 +145,10 @@ type counters struct {
 	Imports        uint64
 }
 
-func gobBytes(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobValue(blob []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(blob)).Decode(v)
-}
-
-// putRec builds a replacement record for one entity.
-func putRec(kind recKind, key string, v any) entRec {
-	blob, err := gobBytes(v)
-	if err != nil {
-		// Entities are plain gob-able structs; failure is a programming
-		// error, exactly like the old snapshot encoder panic.
-		panic(fmt.Sprintf("daemon: encoding %d record: %v", kind, err))
-	}
-	return entRec{Kind: kind, Key: key, Blob: blob}
+// putRec builds a replacement record for one entity; v must never be
+// written again (see entRec).
+func putRec(kind recKind, key string, v recValue) entRec {
+	return entRec{Kind: kind, Key: key, Val: v}
 }
 
 // delRec builds a tombstone for one entity.
@@ -171,22 +158,22 @@ func delRec(kind recKind, key string) entRec {
 
 func uuidKey(u uid.UUID) string { return string(u[:]) }
 
-// linkRec / unlinkRec build pool-membership delta records.
-func linkRec(pool string, member uid.UUID) entRec {
-	return entRec{Kind: recPoolLink, Key: pool, Blob: append([]byte(nil), member[:]...)}
+// keyUUIDOf is uuidKey's inverse, for a key already known to be 16
+// bytes (decodeBatch checks; the record constructors build it so).
+func keyUUIDOf(key string) (u uid.UUID) {
+	copy(u[:], key)
+	return u
 }
 
-func unlinkRec(pool string, member uid.UUID) entRec {
-	return entRec{Kind: recPoolUnlink, Key: pool, Blob: append([]byte(nil), member[:]...)}
+// linkRec / unlinkRec build pool-membership delta records. The record
+// points at the member's (immutable) puddle record rather than copying
+// its UUID: one allocation less on the grant/free path.
+func linkRec(pool string, member *PuddleRec) entRec {
+	return putRec(recPoolLink, pool, (*memberRef)(&member.UUID))
 }
 
-func keyUUID(k string) (uid.UUID, bool) {
-	var u uid.UUID
-	if len(k) != len(u) {
-		return uid.Nil, false
-	}
-	copy(u[:], k)
-	return u, true
+func unlinkRec(pool string, member *PuddleRec) entRec {
+	return putRec(recPoolUnlink, pool, (*memberRef)(&member.UUID))
 }
 
 // countersVal snapshots the counter block. The caller holds sessMu,
@@ -247,10 +234,7 @@ type jreq struct {
 // — or steps down — and persists its group without holding one
 // client's response hostage to everyone else's churn.
 func (d *Daemon) appendBatch(recs []entRec) error {
-	payload, err := gobBytes(&jbatch{Recs: recs})
-	if err != nil {
-		panic(fmt.Sprintf("daemon: encoding journal batch: %v", err))
-	}
+	payload := encodeBatch(make([]byte, 0, 64*len(recs)), recs)
 	r := &jreq{
 		payload: payload, crc: crc64.Checksum(payload, crcTable),
 		done: make(chan struct{}), lead: make(chan struct{}),
@@ -504,18 +488,23 @@ func (d *Daemon) initJournals() {
 // A region whose base exceeds the sequence reached so far was built
 // on top of state we failed to recover (it can only appear after
 // media corruption); its batches — membership deltas especially —
-// must not be composed onto an older base, so it is skipped.
-func (d *Daemon) replayJournals(ckptSeq uint64) int {
+// must not be composed onto an older base, so it is skipped. A region
+// in another journal format version is not skipped but refused: its
+// entries are acknowledged metadata this daemon cannot read.
+func (d *Daemon) replayJournals(ckptSeq uint64) (int, error) {
 	type region struct {
 		addr pmem.Addr
 		base uint64
 	}
 	var regs []region
 	for _, a := range []pmem.Addr{pmem.MetaJournal0, pmem.MetaJournal1} {
-		if d.dev.LoadU64(a+jrnOffMagic) != journalMagic {
-			continue // pre-journal image or invalidated standby
-		}
-		regs = append(regs, region{addr: a, base: d.dev.LoadU64(a + jrnOffBase)})
+		switch magic := d.dev.LoadU64(a + jrnOffMagic); {
+		case magic == journalMagic:
+			regs = append(regs, region{addr: a, base: d.dev.LoadU64(a + jrnOffBase)})
+		case magic&(1<<40-1) == journalStem:
+			return 0, fmt.Errorf("%w: journal at %#x has magic PJRNL%c, want PJRNL%d",
+				ErrMetaFormat, uint64(a), byte(magic>>40), metaVersion)
+		} // anything else: pre-journal image or invalidated standby
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].base < regs[j].base })
 	applied := 0
@@ -528,38 +517,51 @@ func (d *Daemon) replayJournals(ckptSeq uint64) int {
 		}
 		applied += d.replayRegion(rg.addr, ckptSeq, &reached)
 	}
-	return applied
+	return applied, nil
 }
 
 // replayRegion scans one journal region and applies every decodable
 // batch with Seq > ckptSeq, advancing reached past every valid entry.
+// A batch applies whole or not at all: an entry whose CRC holds but
+// whose payload does not decode ends the replay right there, exactly
+// like a torn one (and unlike a torn one is worth a log line and a
+// JournalDecodeErrors tick — the CRC says these are the bytes we
+// wrote). The payload buffer and the record slice are reused across
+// entries; decoded records alias neither.
 func (d *Daemon) replayRegion(base pmem.Addr, ckptSeq uint64, reached *uint64) int {
-	applied := 0
-	off := uint64(jrnHdrSize)
-	for {
-		if off+entHdrSize > journalSize {
-			break
-		}
+	var (
+		applied int
+		buf     []byte
+		recs    []entRec
+		off     = uint64(jrnHdrSize)
+	)
+	for off+entHdrSize <= journalSize {
 		ent := base + pmem.Addr(off)
 		n := uint64(d.dev.LoadU32(ent))
 		if n == 0 || off+entHdrSize+n > journalSize {
 			break
 		}
-		payload := make([]byte, n)
+		if uint64(cap(buf)) < n {
+			buf = make([]byte, n, 2*n)
+		}
+		payload := buf[:n]
 		d.dev.Load(ent+entHdrSize, payload)
 		if crc64.Checksum(payload, crcTable) != d.dev.LoadU64(ent+8) {
 			break // torn append: the batch never happened
 		}
 		seq := d.dev.LoadU64(ent + 16)
-		var b jbatch
-		if err := gobValue(payload, &b); err != nil {
+		var err error
+		if recs, err = decodeBatch(payload, recs[:0]); err != nil {
+			d.jDecodeErrs.Add(1)
+			d.logf("boot: journal at %#x offset %d seq %d does not decode (%v); replay ends there",
+				uint64(base), off, seq, err)
 			break
 		}
 		if seq > *reached {
 			*reached = seq
 		}
 		if seq > ckptSeq {
-			applyBatchTo(&d.st, &b)
+			applyBatchTo(&d.st, recs)
 			if seq > d.seq {
 				d.seq = seq
 			}
@@ -570,143 +572,82 @@ func (d *Daemon) replayRegion(base pmem.Addr, ckptSeq uint64, reached *uint64) i
 	return applied
 }
 
-// applyBatchTo folds one journal batch (or checkpoint chunk) into st.
-// Records are whole-entity replacements, so application is idempotent
-// and last-writer-wins per key.
-func applyBatchTo(st *state, b *jbatch) {
-	for _, r := range b.Recs {
-		switch r.Kind {
-		case recPool:
-			if r.Del {
-				delete(st.Pools, r.Key)
-				continue
-			}
-			var p PoolRec
-			if gobValue(r.Blob, &p) == nil {
-				st.Pools[r.Key] = &p
-			}
-		case recPuddle:
-			u, ok := keyUUID(r.Key)
-			if !ok {
-				continue
-			}
-			if r.Del {
-				delete(st.Puddles, u)
-				continue
-			}
-			var p PuddleRec
-			if gobValue(r.Blob, &p) == nil {
-				st.Puddles[u] = &p
-			}
-		case recLogSpace:
-			u, ok := keyUUID(r.Key)
-			if !ok {
-				continue
-			}
-			if r.Del {
-				delete(st.LogSpaces, u)
-				continue
-			}
-			var ls LogSpaceRec
-			if gobValue(r.Blob, &ls) == nil {
-				st.LogSpaces[u] = &ls
-			}
-		case recSession:
-			id, err := strconv.ParseUint(r.Key, 10, 64)
-			if err != nil {
-				continue
-			}
-			if r.Del {
-				delete(st.Sessions, id)
-				continue
-			}
-			var s ImportSession
-			if gobValue(r.Blob, &s) == nil {
-				st.Sessions[id] = &s
-			}
-		case recPoolLink, recPoolUnlink:
-			pool := st.Pools[r.Key]
-			u, ok := keyUUID(string(r.Blob))
-			if pool == nil || !ok {
-				continue
-			}
-			if r.Kind == recPoolLink {
-				pool.Puddles = append(pool.Puddles, u)
-				continue
-			}
-			for i, pu := range pool.Puddles {
-				if pu == u {
-					pool.Puddles = append(pool.Puddles[:i], pool.Puddles[i+1:]...)
-					break
-				}
-			}
-		case recMigOut:
-			u, ok := keyUUID(r.Key)
-			if !ok {
-				continue
-			}
-			if r.Del {
-				delete(st.MigsOut, u)
-				continue
-			}
-			var m MigOutRec
-			if gobValue(r.Blob, &m) == nil {
-				st.MigsOut[u] = &m
-			}
-		case recMoved:
-			if r.Del {
-				delete(st.Moved, r.Key)
-				continue
-			}
-			var m MovedRec
-			if gobValue(r.Blob, &m) == nil {
-				st.Moved[r.Key] = &m
-			}
-		case recMigDone:
-			u, ok := keyUUID(r.Key)
-			if !ok {
-				continue
-			}
-			if r.Del {
-				delete(st.MigsDone, u)
-				continue
-			}
-			var m MigDoneRec
-			if gobValue(r.Blob, &m) == nil {
-				st.MigsDone[u] = &m
-			}
-		case recStandby:
-			if r.Del {
-				delete(st.Standbys, r.Key)
-				continue
-			}
-			var s StandbyRec
-			if gobValue(r.Blob, &s) == nil {
-				st.Standbys[r.Key] = &s
-			}
-		case recReplica:
-			if r.Del {
-				delete(st.Replicas, r.Key)
-				continue
-			}
-			var rp ReplicaRec
-			if gobValue(r.Blob, &rp) == nil {
-				st.Replicas[r.Key] = &rp
-			}
-		case recTypes:
-			var ts []ptypes.TypeInfo
-			if gobValue(r.Blob, &ts) == nil {
-				st.Types = ts
-			}
-		case recCounters:
-			var c counters
-			if gobValue(r.Blob, &c) == nil {
-				st.NextSession = c.NextSession
-				st.Recoveries = c.Recoveries
-				st.LogsReplayed = c.LogsReplayed
-				st.EntriesApplied = c.EntriesApplied
-				st.Imports = c.Imports
+// applyBatchTo folds one decoded journal batch (or checkpoint chunk)
+// into st, which the caller owns outright (boot-time composition).
+func applyBatchTo(st *state, recs []entRec) {
+	for i := range recs {
+		applyRec(st, &recs[i], nil)
+	}
+}
+
+// applyRec folds one record into st. Records are whole-entity
+// replacements, so application is idempotent and last-writer-wins per
+// key; values are installed by pointer and never written afterwards,
+// with one exception: a membership delta edits its pool's member list
+// in place. At boot that is fine — replay owns everything it decoded.
+// composeImage instead passes owned, the set of pools it has already
+// copied for the image under construction, and any other pool is
+// cloned before its first edit, so neither the previous image nor a
+// pending record's value is ever written.
+func applyRec(st *state, r *entRec, owned map[string]bool) {
+	switch r.Kind {
+	case recPool:
+		delete(owned, r.Key) // a replaced pool is the record's, not ours
+		putOrDel(st.Pools, r.Key, r)
+	case recPoolLink, recPoolUnlink:
+		pool := st.Pools[r.Key]
+		if pool == nil {
+			return
+		}
+		if owned != nil && !owned[r.Key] {
+			pool = pool.snapshot()
+			st.Pools[r.Key], owned[r.Key] = pool, true
+		}
+		u := uid.UUID(*r.Val.(*memberRef))
+		if r.Kind == recPoolLink {
+			pool.Puddles = append(pool.Puddles, u)
+			return
+		}
+		for i, pu := range pool.Puddles {
+			if pu == u {
+				pool.Puddles = append(pool.Puddles[:i], pool.Puddles[i+1:]...)
+				break
 			}
 		}
+	case recPuddle:
+		putOrDel(st.Puddles, keyUUIDOf(r.Key), r)
+	case recLogSpace:
+		putOrDel(st.LogSpaces, keyUUIDOf(r.Key), r)
+	case recSession:
+		id, _ := strconv.ParseUint(r.Key, 10, 64)
+		putOrDel(st.Sessions, id, r)
+	case recMigOut:
+		putOrDel(st.MigsOut, keyUUIDOf(r.Key), r)
+	case recMoved:
+		putOrDel(st.Moved, r.Key, r)
+	case recMigDone:
+		putOrDel(st.MigsDone, keyUUIDOf(r.Key), r)
+	case recStandby:
+		putOrDel(st.Standbys, r.Key, r)
+	case recReplica:
+		putOrDel(st.Replicas, r.Key, r)
+	case recTypes:
+		st.Types = r.Val.(typeList)
+	case recCounters:
+		c := r.Val.(*counters)
+		st.NextSession = c.NextSession
+		st.Recoveries = c.Recoveries
+		st.LogsReplayed = c.LogsReplayed
+		st.EntriesApplied = c.EntriesApplied
+		st.Imports = c.Imports
+	}
+}
+
+// putOrDel installs r's value under k, or removes k for a tombstone.
+func putOrDel[K comparable, V any](m map[K]*V, k K, r *entRec) {
+	if r.Del {
+		delete(m, k)
+	} else {
+		m[k] = any(r.Val).(*V)
 	}
 }

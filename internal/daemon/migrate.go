@@ -39,7 +39,9 @@
 package daemon
 
 import (
+	"bytes"
 	"crypto/tls"
+	"encoding/gob"
 	"fmt"
 	"hash/crc64"
 	"net"
@@ -180,6 +182,42 @@ type migIn struct {
 	man   *MigManifest
 	addrs map[uid.UUID]uint64 // puddle UUID -> assigned local address
 	sizes map[uid.UUID]uint64
+}
+
+// Journal records of the migration entities that change after they are
+// first journaled (phase flips, epoch bumps, owner-address updates):
+// a record's value must never be written again (entRec), so these
+// carry a copy. The slices inside a StandbyRec are only ever replaced
+// whole, so a shallow copy is enough.
+func migOutRec(m *MigOutRec) entRec {
+	cp := *m
+	return putRec(recMigOut, uuidKey(m.ID), &cp)
+}
+
+func standbyRec(s *StandbyRec) entRec {
+	cp := *s
+	return putRec(recStandby, s.Pool, &cp)
+}
+
+func replicaRec(r *ReplicaRec) entRec {
+	cp := *r
+	return putRec(recReplica, r.Pool, &cp)
+}
+
+// gobBytes / gobValue encode the blobs that still travel or rest as
+// gob: the migration wire payloads (manifest, attach) and the legacy v1
+// snapshot slot (daemon.go). The journal and the checkpoint arena do
+// not — see codec.go.
+func gobBytes(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func gobValue(blob []byte, v any) error {
+	return gob.NewDecoder(bytes.NewReader(blob)).Decode(v)
 }
 
 // --- options ---
@@ -530,7 +568,7 @@ func (d *Daemon) beginOutbound(creds Creds, pool *PoolRec, mig *MigOutRec, stand
 	d.poolsMu.Lock()
 	d.st.MigsOut[mig.ID] = mig
 	d.poolsMu.Unlock()
-	if resp := d.persistOrFail(putRec(recMigOut, uuidKey(mig.ID), mig)); resp != nil {
+	if resp := d.persistOrFail(migOutRec(mig)); resp != nil {
 		d.poolsMu.Lock()
 		delete(d.st.MigsOut, mig.ID)
 		d.poolsMu.Unlock()
@@ -548,7 +586,7 @@ func (d *Daemon) persistMigOut(mig *MigOutRec) *proto.Response {
 	}
 	d.poolsMu.Lock()
 	defer d.poolsMu.Unlock()
-	return d.persistOrFail(putRec(recMigOut, uuidKey(mig.ID), mig))
+	return d.persistOrFail(migOutRec(mig))
 }
 
 // rootAddr finds the root puddle's address among members.
@@ -660,7 +698,7 @@ func (d *Daemon) cedePool(pool *PoolRec, mig *MigOutRec, members []*PuddleRec, l
 		for _, ls := range logSpaces {
 			standby.LogSpaces = append(standby.LogSpaces, *ls)
 		}
-		recs = append(recs, putRec(recStandby, pool.Name, standby))
+		recs = append(recs, standbyRec(standby))
 	}
 	if resp := d.persistOrFail(recs...); resp != nil {
 		return resp
@@ -916,7 +954,7 @@ func (d *Daemon) opMigrateCommit(creds Creds, req *proto.Request) *proto.Respons
 		recs = append(recs, delRec(recMoved, man.Pool))
 	}
 	if replica != nil {
-		recs = append(recs, putRec(recReplica, man.Pool, replica))
+		recs = append(recs, replicaRec(replica))
 	}
 	if resp := d.persistOrFail(recs...); resp != nil {
 		d.poolsMu.Lock()
@@ -1049,7 +1087,7 @@ func (d *Daemon) opReplicaAttach(creds Creds, req *proto.Request) *proto.Respons
 	if req.Target != "" {
 		s.Owner = req.Target
 	}
-	if resp := d.persistOrFail(putRec(recStandby, req.Name, s)); resp != nil {
+	if resp := d.persistOrFail(standbyRec(s)); resp != nil {
 		return resp
 	}
 	return &proto.Response{Size: s.Epoch}
@@ -1069,7 +1107,7 @@ func (d *Daemon) opReplicaAck(creds Creds, req *proto.Request) *proto.Response {
 	}
 	if req.Size > s.Epoch {
 		s.Epoch = req.Size
-		if resp := d.persistOrFail(putRec(recStandby, req.Name, s)); resp != nil {
+		if resp := d.persistOrFail(standbyRec(s)); resp != nil {
 			return resp
 		}
 	}
@@ -1445,7 +1483,7 @@ func (d *Daemon) syncReplica(name string, fullResync bool) error {
 	d.poolsMu.Lock()
 	rep.Epoch++
 	epoch := rep.Epoch
-	err = d.appendBatch([]entRec{putRec(recReplica, name, rep)})
+	err = d.appendBatch([]entRec{replicaRec(rep)})
 	d.poolsMu.Unlock()
 	d.opMu.RUnlock()
 	if err != nil {

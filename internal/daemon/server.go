@@ -736,7 +736,7 @@ func (d *Daemon) opGetNewPuddle(creds Creds, req *proto.Request) *proto.Response
 	pool.Puddles = append(pool.Puddles, rec.UUID)
 	// A membership delta, not the whole pool record: the journal write
 	// stays O(operation) however many puddles the pool has.
-	if resp := d.persistOrFail(putRec(recPuddle, uuidKey(rec.UUID), rec), linkRec(pool.Name, rec.UUID)); resp != nil {
+	if resp := d.persistOrFail(putRec(recPuddle, uuidKey(rec.UUID), rec), linkRec(pool.Name, rec)); resp != nil {
 		pool.Puddles = pool.Puddles[:len(pool.Puddles)-1]
 		d.poolsMu.Lock()
 		delete(d.st.Puddles, rec.UUID)
@@ -793,7 +793,7 @@ func (d *Daemon) opFreePuddle(creds Creds, req *proto.Request) *proto.Response {
 	// Persist first, remove after (see opDeletePool): pool.mu keeps any
 	// same-pool mutation out until the free is durable, so the failure
 	// path needs no unwind.
-	recs := []entRec{delRec(recPuddle, uuidKey(rec.UUID)), unlinkRec(pool.Name, rec.UUID)}
+	recs := []entRec{delRec(recPuddle, uuidKey(rec.UUID)), unlinkRec(pool.Name, rec)}
 	// A registered log space on this puddle dies with it, atomically.
 	d.lsMu.Lock()
 	_, hadLS := d.st.LogSpaces[rec.UUID]
@@ -908,7 +908,7 @@ func (d *Daemon) persistTypes() *proto.Response {
 	d.typesMu.Lock()
 	defer d.typesMu.Unlock()
 	merged := d.types.All()
-	if resp := d.persistOrFail(putRec(recTypes, "", merged)); resp != nil {
+	if resp := d.persistOrFail(putRec(recTypes, "", typeList(merged))); resp != nil {
 		return resp
 	}
 	d.st.Types = merged
@@ -1062,10 +1062,10 @@ func (d *Daemon) opImportPool(creds Creds, req *proto.Request) *proto.Response {
 	}
 }
 
-// sessRec builds an import session's journal record. Caller holds
-// sessMu.
+// sessRec builds an import session's journal record — of a copy: the
+// session keeps mutating under sessMu. Caller holds sessMu.
 func sessRec(s *ImportSession) entRec {
-	return putRec(recSession, strconv.FormatUint(s.ID, 10), s)
+	return putRec(recSession, strconv.FormatUint(s.ID, 10), s.clone())
 }
 
 // resolveImport assigns a global-space address to ip: its old address

@@ -202,6 +202,11 @@ type Stats struct {
 	DispatchPanics uint64 // request handlers that panicked (recovered per request)
 	JournalBytes   uint64 // current metadata journal tail
 
+	JournalReplayed     uint64 // journal entries the last boot replayed
+	BootLoadNs          uint64 // last boot: checkpoint selection + composition
+	BootReplayNs        uint64 // last boot: journal replay on top of the checkpoint
+	JournalDecodeErrors uint64 // CRC-valid journal entries or checkpoint chunks that did not decode
+
 	Checkpoints      uint64 // committed metadata checkpoints (full + incremental)
 	CheckpointChunks uint64 // chunks streamed into the checkpoint arena
 	CheckpointBytes  uint64 // bytes streamed into the checkpoint arena

@@ -5,12 +5,13 @@
 //
 // A Scenario describes a workload in three phases: Setup builds
 // initial state, Mutate runs transactions, Check validates an
-// invariant. Sweep executes the scenario once per crash offset: the
-// device is armed to fail at the k-th persistence event inside Mutate,
-// the "machine" reboots (fresh daemon on the surviving bytes — which
-// runs recovery before serving), and Check runs against a fresh
-// client. Any invariant violation at any crash point is a
-// crash-consistency bug.
+// invariant. Sweep executes the scenario once per crash offset (and,
+// when the scenario asks for it, per chaos seed and once more with
+// every unflushed line lost): the device is armed to fail at the k-th
+// persistence event inside Mutate, the "machine" reboots (fresh daemon
+// on the surviving bytes — which runs recovery before serving), and
+// Check runs against a fresh client. Any invariant violation at any
+// crash point is a crash-consistency bug.
 package chaos
 
 import (
@@ -47,6 +48,13 @@ type Scenario struct {
 	// both the pre-Mutate and post-Mutate states (and for multi-tx
 	// mutations, any prefix of committed transactions).
 	Check func(e *Env) error
+	// Seeds is how many chaos seeds each crash offset runs under: the
+	// seed decides which unflushed lines survive the crash, so one seed
+	// samples one of the 2^n outcomes of an offset. 0 means 1.
+	Seeds int
+	// DropVolatile adds, per offset, the run in which no unflushed line
+	// survives.
+	DropVolatile bool
 }
 
 // Result summarizes a sweep.
@@ -62,13 +70,23 @@ type Result struct {
 // (later offsets cannot crash either).
 func Sweep(s Scenario, maxOffset, stride int64) (Result, error) {
 	res := Result{Scenario: s.Name}
+	seeds := max(s.Seeds, 1)
+	runs := seeds
+	if s.DropVolatile {
+		runs++ // the last run of an offset is the dropping one
+	}
 	for off := int64(1); off < maxOffset; off += stride {
-		crashed, err := runOnce(s, off, &res)
-		if err != nil {
-			return res, fmt.Errorf("chaos %s @%d: %w", s.Name, off, err)
+		anyCrashed := false
+		for i := 0; i < runs; i++ {
+			// Seed 0 of an offset is the offset, as before there were more.
+			crashed, err := runOnce(s, off, off+int64(i)*maxOffset, i == seeds, &res)
+			if err != nil {
+				return res, fmt.Errorf("chaos %s @%d seed %d: %w", s.Name, off, i, err)
+			}
+			res.Probes++
+			anyCrashed = anyCrashed || crashed
 		}
-		res.Probes++
-		if !crashed {
+		if !anyCrashed {
 			res.Completed++
 			break
 		}
@@ -76,8 +94,8 @@ func Sweep(s Scenario, maxOffset, stride int64) (Result, error) {
 	return res, nil
 }
 
-func runOnce(s Scenario, off int64, res *Result) (crashed bool, err error) {
-	dev := pmem.NewChaos(off)
+func runOnce(s Scenario, off, seed int64, drop bool, res *Result) (crashed bool, err error) {
+	dev := pmem.NewChaos(seed)
 	d, err := daemon.New(dev)
 	if err != nil {
 		return false, fmt.Errorf("boot: %w", err)
@@ -94,7 +112,11 @@ func runOnce(s Scenario, off int64, res *Result) (crashed bool, err error) {
 	}
 
 	crashesBefore := dev.Stats().Crashes
-	dev.CrashAtEvent(dev.Events() + off)
+	if drop {
+		dev.CrashAtEventDropping(dev.Events() + off)
+	} else {
+		dev.CrashAtEvent(dev.Events() + off)
+	}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -117,7 +139,12 @@ func runOnce(s Scenario, off int64, res *Result) (crashed bool, err error) {
 	}
 	if !crashed {
 		dev.CrashAtEvent(0) // disarm
-		dev.CrashNow()      // still power-fail after completion
+		// Still power-fail after completion.
+		if drop {
+			dev.DropVolatile()
+		} else {
+			dev.CrashNow()
+		}
 	}
 
 	// Reboot: recovery happens inside daemon.New, before any client.
@@ -134,7 +161,7 @@ func runOnce(s Scenario, off int64, res *Result) (crashed bool, err error) {
 	env2 := &Env{Dev: dev, Client: c2, Pool: pool2, Vars: env.Vars}
 	if err := s.Check(env2); err != nil {
 		res.Violations = append(res.Violations,
-			fmt.Sprintf("offset %d (crashed=%v): %v", off, crashed, err))
+			fmt.Sprintf("offset %d seed %d drop=%v (crashed=%v): %v", off, seed, drop, crashed, err))
 	}
 	return crashed, nil
 }

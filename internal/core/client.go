@@ -245,6 +245,25 @@ type txLog struct {
 	log   *plog.Log
 	uuid  uid.UUID
 	shard int
+	// old is the before-image staging buffer of Tx.Add. A log has one
+	// owner at a time and Append copies the image to media before it
+	// returns, so the buffer is reused from one undo range to the next
+	// and from one transaction to the next.
+	old []byte
+}
+
+// maxKeptImage bounds the staging buffer a parked log keeps.
+const maxKeptImage = 64 << 10
+
+// beforeImage returns an n-byte buffer, valid until the next call.
+func (l *txLog) beforeImage(n int) []byte {
+	if n > maxKeptImage {
+		return make([]byte, n)
+	}
+	if cap(l.old) < n {
+		l.old = make([]byte, n)
+	}
+	return l.old[:n]
 }
 
 // Connect wraps an established daemon connection. dev must be the
@@ -1169,18 +1188,25 @@ func (c *Client) unregisterLog(st *logState, l *txLog) error {
 // CachedLogs reports how many transaction logs are parked across the
 // per-shard caches (the cached-log census: steady state is one per
 // active worker, capped at LogShards()).
-func (c *Client) CachedLogs() int {
+func (c *Client) CachedLogs() int { return len(c.CachedLogHeads()) }
+
+// CachedLogHeads returns the head-segment addresses of the parked
+// logs, the ones the next transactions will reuse. Crash tests open
+// them after a reboot to see what state the protocol left a log in.
+func (c *Client) CachedLogHeads() []pmem.Addr {
 	st := c.logSt.Load()
 	if st == nil {
-		return 0
+		return nil
 	}
-	n := 0
+	var heads []pmem.Addr
 	for _, sh := range st.shards {
 		sh.mu.Lock()
-		n += len(sh.free)
+		for _, l := range sh.free {
+			heads = append(heads, l.log.Head())
+		}
 		sh.mu.Unlock()
 	}
-	return n
+	return heads
 }
 
 // ReleaseErrors reports how many transaction-log releases have failed

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log"
 	"testing"
 
 	"puddles/internal/daemon"
+	"puddles/internal/plog"
 	"puddles/internal/pmem"
 )
 
@@ -478,5 +480,88 @@ func TestErrTxDoneAfterCommit(t *testing.T) {
 	}
 	if err := tx.Commit(); !errors.Is(err, ErrTxDone) {
 		t.Fatalf("double Commit = %v", err)
+	}
+}
+
+func TestOlderBuildImageBootsAndRuns(t *testing.T) {
+	// What a build before the fence-minimal commit leaves on media: idle
+	// logs reset to range (0,0) (its Reset closed the range; ours rests
+	// at (0,2)), and, for a process that died mid-transaction, a log at
+	// range (0,2) holding live undo entries — the one state both builds
+	// share. The words, offsets and checksums did not change, so such an
+	// image must boot, recover and run transactions.
+	dev := pmem.NewChaos(7)
+	d, err := daemon.New(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ConnectLocal(d)
+	pool, root, _ := setupValueRoot(t, c, 256)
+	// Two transactions in flight at once put two logs in the cache.
+	tx1, tx2 := c.Begin(pool), c.Begin(pool)
+	if err := tx1.SetU64(root, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.SetU64(root+64, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	heads := c.CachedLogHeads()
+	if len(heads) != 2 {
+		t.Fatalf("%d parked logs, want 2", len(heads))
+	}
+	restParkedLogsAt(c, 0, 0) // as the older Reset persisted it
+	// The same client goes on to use one of those logs (a live process
+	// across an in-place upgrade does not exist, but the log cache does
+	// not know that): the transaction reopens the undo window itself...
+	if err := c.Run(pool, func(tx *Tx) error { return tx.SetU64(root+128, 3) }); err != nil {
+		t.Fatal(err)
+	}
+	// ...and a transaction parks in flight: logged, stored, never committed.
+	parked := c.Begin(pool)
+	if err := parked.SetU64(root, 99); err != nil {
+		t.Fatal(err)
+	}
+	dev.Persist(root, 8)
+	dev.DropVolatile() // power failure; the client is gone with it
+
+	var out bytes.Buffer
+	d2, err := daemon.New(dev, daemon.WithLogger(log.New(&out, "", 0)))
+	if err != nil {
+		t.Fatalf("boot on the older image: %v", err)
+	}
+	if s := d2.Stats(); s.LogsReplayed != 1 || s.EntriesApplied != 1 {
+		t.Fatalf("recovery replayed %d logs, %d entries; want the one parked transaction\n%s", s.LogsReplayed, s.EntriesApplied, out.String())
+	}
+	if a, b, e := dev.LoadU64(root), dev.LoadU64(root+64), dev.LoadU64(root+128); a != 1 || b != 2 || e != 3 {
+		t.Fatalf("after recovery: %d %d %d, want 1 2 3", a, b, e)
+	}
+	// Recovery left every log it visited at rest, the (0,0) one included.
+	for _, h := range heads {
+		l, err := plog.OpenLog(dev, h, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !l.AtRest() {
+			lo, hi := l.Range()
+			t.Fatalf("log %#x not at rest after recovery: range (%d,%d)", uint64(h), lo, hi)
+		}
+	}
+	c2 := ConnectLocal(d2)
+	defer c2.Close()
+	pool2, err := c2.OpenPool("txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Run(pool2, func(tx *Tx) error { return tx.SetU64(root, 5) }); err != nil {
+		t.Fatal(err)
+	}
+	if v := dev.LoadU64(root); v != 5 {
+		t.Fatalf("transaction on the recovered image wrote %d", v)
 	}
 }

@@ -63,6 +63,7 @@ type Tx struct {
 	// (re-logging a covered range is a no-op, PMDK-style) and the exact
 	// byte set stage 1 of commit must flush.
 	undo    []pmem.Range
+	undoBuf [2]pmem.Range // backs undo until a third disjoint range
 	redo    []redoRec
 	fresh   []pmem.Range // freshly allocated payloads: flush at commit
 	touched map[*alloc.Heap]*Pool
@@ -126,7 +127,9 @@ func (c *Client) Begin(pool *Pool) *Tx {
 }
 
 func (c *Client) beginTS(pool *Pool, ts uint64) *Tx {
-	return &Tx{c: c, pool: pool, ts: ts}
+	t := &Tx{c: c, pool: pool, ts: ts}
+	t.undo = t.undoBuf[:0]
+	return t
 }
 
 // Run executes fn inside a transaction: commit on nil return, abort on
@@ -197,9 +200,10 @@ func (c *Client) runOnce(pool *Pool, fn func(tx *Tx) error, ts uint64) (err erro
 	return nil
 }
 
-// ensureLog lazily acquires the per-thread cached log on first use and
-// opens the undo window (sequence range (0,2): a crash from here rolls
-// the transaction back).
+// ensureLog lazily acquires the per-thread cached log on first use. A
+// log rests with the undo window open (sequence range (0,2), no valid
+// entry), so beginning a transaction persists nothing: the first Append
+// is what a crash from here rolls back.
 func (t *Tx) ensureLog() error {
 	if t.log != nil {
 		return nil
@@ -222,7 +226,11 @@ func (t *Tx) ensureLog() error {
 		return err
 	}
 	t.log = l
-	t.log.log.SetRange(plog.RangeUndoOnly[0], plog.RangeUndoOnly[1])
+	// Only a log formatted or last reset by an older build rests anywhere
+	// else (range (0,0)); it is brought to rest once, here.
+	if lo, hi := l.log.Range(); lo != plog.RangeUndoOnly[0] || hi != plog.RangeUndoOnly[1] {
+		l.log.SetRange(plog.RangeUndoOnly[0], plog.RangeUndoOnly[1])
+	}
 	return nil
 }
 
@@ -294,11 +302,12 @@ func (t *Tx) Add(addr pmem.Addr, size int) error {
 		return nil
 	}
 	r := pmem.Range{Start: addr, End: addr + pmem.Addr(size)}
-	for _, g := range rangeGaps(t.undo, r) {
+	var gapBuf [4]pmem.Range
+	for _, g := range rangeGaps(gapBuf[:0], t.undo, r) {
 		if err := t.ensureLog(); err != nil {
 			return err
 		}
-		old := make([]byte, g.Size())
+		old := t.log.beforeImage(int(g.Size()))
 		t.c.device().Load(g.Start, old)
 		if err := t.log.log.Append(plog.Entry{
 			Addr: g.Start, Seq: plog.SeqUndo, Order: plog.OrderBackward, Data: old,
@@ -310,11 +319,10 @@ func (t *Tx) Add(addr pmem.Addr, size int) error {
 	return nil
 }
 
-// rangeGaps returns the subranges of r not covered by set. set must be
-// sorted by start and non-overlapping.
-func rangeGaps(set []pmem.Range, r pmem.Range) []pmem.Range {
+// rangeGaps appends to gaps the subranges of r not covered by set. set
+// must be sorted by start and non-overlapping.
+func rangeGaps(gaps, set []pmem.Range, r pmem.Range) []pmem.Range {
 	i := sort.Search(len(set), func(i int) bool { return set[i].End > r.Start })
-	var gaps []pmem.Range
 	at := r.Start
 	for ; i < len(set) && set[i].Start < r.End; i++ {
 		if set[i].Start > at {
@@ -357,7 +365,7 @@ func (t *Tx) AddVolatile(addr pmem.Addr, size int) error {
 	if err := t.ensureLog(); err != nil {
 		return err
 	}
-	old := make([]byte, size)
+	old := t.log.beforeImage(size)
 	t.c.device().Load(addr, old)
 	return t.log.log.Append(plog.Entry{
 		Addr: addr, Seq: plog.SeqUndo, Order: plog.OrderBackward,
@@ -864,11 +872,15 @@ func (t *Tx) markHeap(h *alloc.Heap, pool *Pool) {
 	t.touched[h] = pool
 }
 
-// Commit runs the three-stage commit of paper Figure 7, releases the
-// transaction's heap leases and returns its log. It is a no-op for
-// transactions that logged nothing. An error wrapping ErrLogRelease
-// means the transaction committed durably and only the log-puddle
-// release failed (cache-ablated mode).
+// Commit runs the commit of paper Figure 7 with no ordering point the
+// data does not need, releases the transaction's heap leases and
+// returns its log. With k undo-logged ranges (each Append fenced once)
+// it costs k + 2 fences when nothing was redo-logged — stage 1, then the
+// log reset, which is the commit point — and k + r + 4 with r redo
+// entries, whose commit point is the range switch to (2,4). It is a
+// no-op for transactions that logged nothing. An error wrapping
+// ErrLogRelease means the transaction committed durably and only the
+// log-puddle release failed (cache-ablated mode).
 func (t *Tx) Commit() error {
 	if t.done {
 		return ErrTxDone
@@ -899,10 +911,11 @@ func (t *Tx) Commit() error {
 	}
 	fs.Flush(dev)
 	dev.Fence()
-	// Commit point: disable undo entries, enable redo entries.
-	t.log.log.SetRange(plog.RangeRedoOnly[0], plog.RangeRedoOnly[1])
-	// Stage 2: apply the redo log, again with coalesced flushes.
 	if len(t.redo) > 0 {
+		// Commit point of a hybrid transaction: one store disables the
+		// undo entries and enables the redo entries.
+		t.log.log.SetRange(plog.RangeRedoOnly[0], plog.RangeRedoOnly[1])
+		// Stage 2: apply the redo log, again with coalesced flushes.
 		for _, r := range t.redo {
 			dev.Store(r.addr, r.data)
 			fs.Add(r.addr, len(r.data))
@@ -910,7 +923,9 @@ func (t *Tx) Commit() error {
 		fs.Flush(dev)
 		dev.Fence()
 	}
-	// Stage 3: the transaction is complete; invalidate the log.
+	// Stage 3: invalidate the log and return it to rest. With no redo
+	// entry there was nothing for a range switch to enable, and this
+	// fence is the commit point.
 	t.log.log.Reset()
 	err := t.c.releaseLog(t.log)
 	t.log = nil

@@ -154,10 +154,15 @@ func TestCommitFlushCoalescing(t *testing.T) {
 	if co := after.CoalescedFlushes - before.CoalescedFlushes; co != 2 {
 		t.Fatalf("CoalescedFlushes delta = %d, want 2 (4 ranges -> 2 line runs)", co)
 	}
-	// Total commit-path flushes: 2 coalesced data flushes + 1 SetRange
-	// publish + 2 log Reset persists. Without the coalescer this is 7.
-	if fl := after.Flushes - before.Flushes; fl != 5 {
-		t.Fatalf("commit issued %d flushes, want 5", fl)
+	// Total commit-path flushes: 2 coalesced data flushes + the one
+	// flush of the log header line in Reset, which is the commit point.
+	// An undo-only commit publishes no range, and Reset persists epoch
+	// and used counter together. Without the coalescer this is 5.
+	if fl := after.Flushes - before.Flushes; fl != 3 {
+		t.Fatalf("commit issued %d flushes, want 3", fl)
+	}
+	if fe := after.Fences - before.Fences; fe != 2 {
+		t.Fatalf("commit issued %d fences, want 2 (stage 1, reset)", fe)
 	}
 }
 
@@ -194,12 +199,12 @@ func TestRangeGapsAndInsert(t *testing.T) {
 	set = rangeInsert(set, pmem.Range{Start: 100, End: 200})
 	set = rangeInsert(set, pmem.Range{Start: 300, End: 400})
 
-	gaps := rangeGaps(set, pmem.Range{Start: 50, End: 350})
+	gaps := rangeGaps(nil, set, pmem.Range{Start: 50, End: 350})
 	want := []pmem.Range{{Start: 50, End: 100}, {Start: 200, End: 300}}
 	if len(gaps) != len(want) || gaps[0] != want[0] || gaps[1] != want[1] {
 		t.Fatalf("gaps = %v, want %v", gaps, want)
 	}
-	if gaps := rangeGaps(set, pmem.Range{Start: 120, End: 180}); gaps != nil {
+	if gaps := rangeGaps(nil, set, pmem.Range{Start: 120, End: 180}); gaps != nil {
 		t.Fatalf("covered range produced gaps %v", gaps)
 	}
 

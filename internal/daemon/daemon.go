@@ -1072,8 +1072,9 @@ func (d *Daemon) replayTargets(ls *LogSpaceRec) map[uid.UUID]bool {
 		return out
 	}
 	var last *PuddleRec
+	bounds := d.logBounds(ls)
 	for _, head := range space.Logs() {
-		l, err := plog.OpenLog(d.dev, head)
+		l, err := plog.OpenLog(d.dev, head, bounds)
 		if err != nil || !l.Pending() {
 			continue
 		}
@@ -1136,24 +1137,71 @@ func (d *Daemon) recoverLogSpace(ls *LogSpaceRec, shard int, space *plog.Sharded
 	filter := func(e plog.Entry) bool {
 		return d.credsCanWriteAddr(ls.Creds, e.Addr, len(e.Data))
 	}
+	bounds := d.logBounds(ls)
+	rewound := false
 	for _, head := range heads {
 		if halt != nil && halt.Load() {
 			return logs, entries
 		}
-		l, err := plog.OpenLog(d.dev, head)
+		l, err := plog.OpenLog(d.dev, head, bounds)
 		if err != nil {
 			d.logf("recovery: log at %#x unreadable: %v", uint64(head), err)
 			continue
 		}
+		if l.AtRest() {
+			continue // the common case, decided in a few loads
+		}
 		if !l.Pending() {
+			// Off rest with nothing to replay: a crash inside Reset, a
+			// log an older build reset to range (0,0), or a malformed
+			// entry that ended the scan, which is worth a line. Recovery
+			// leaves every log it visits at rest.
+			if _, err := l.Scan(); err != nil {
+				d.logf("recovery: log at %#x skipped: %v", uint64(head), err)
+			}
+			l.Reset()
+			rewound = true
 			continue
 		}
 		n := l.Replay(true, filter)
+		rewound = true
 		logs++
 		entries += uint64(n)
 		d.logf("recovery: replayed log at %#x (%d entries)", uint64(head), n)
 	}
+	if rewound {
+		// Reset rewinds tail segments flush-only, for a transaction's next
+		// Append to fence. Nobody appends here: one fence makes "at rest"
+		// durable for every log of this pass. (A crash before it only
+		// repeats the rewind.)
+		d.dev.Fence()
+	}
 	return logs, entries
+}
+
+// logBounds is the plog.BoundsFunc recovery opens ls's logs with: a log
+// segment must lie inside one registered log puddle of the pool that
+// holds the log space, whatever size or next pointer the
+// (application-written) headers claim. A chain led into another pool's
+// puddle, or into a data puddle of the same pool, is cut there, so
+// recovery neither scans nor rewinds anything but the space's own logs.
+func (d *Daemon) logBounds(ls *LogSpaceRec) plog.BoundsFunc {
+	home := d.puddleRec(ls.UUID)
+	return func(base pmem.Addr) (pmem.Range, bool) {
+		r, ok := d.space.Lookup(base)
+		if !ok || home == nil {
+			return pmem.Range{}, false
+		}
+		id, err := uid.Parse(r.Owner) // reservations are owned by their puddle's UUID
+		if err != nil {
+			return pmem.Range{}, false
+		}
+		rec := d.puddleRec(id)
+		if rec == nil || puddle.Kind(rec.Kind) != puddle.KindLog || rec.Pool != home.Pool {
+			return pmem.Range{}, false
+		}
+		return r.Range, true
+	}
 }
 
 // credsCanWriteAddr reports whether creds could write [addr, addr+n):

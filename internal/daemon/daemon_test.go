@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"bytes"
+	"log"
 	"strings"
 	"testing"
 
@@ -185,10 +187,11 @@ func TestStateSurvivesRestart(t *testing.T) {
 
 // setupCrashedTx builds a pool with a registered log space and a log
 // holding a live undo entry (as if the writer crashed mid-transaction),
-// then returns the device and the address whose value must roll back.
+// then returns the device, the address whose value must roll back and
+// the head of that log.
 // A non-zero chmodAfter changes the pool mode once the crashed state is
 // in place (modelling credentials that expired before recovery, §2.1).
-func setupCrashedTx(t *testing.T, creds Creds, mode uint32, chmodAfter uint32) (*pmem.Device, pmem.Addr) {
+func setupCrashedTx(t *testing.T, creds Creds, mode uint32, chmodAfter uint32) (*pmem.Device, pmem.Addr, pmem.Addr) {
 	t.Helper()
 	dev := pmem.New()
 	d, err := New(dev)
@@ -202,7 +205,19 @@ func setupCrashedTx(t *testing.T, creds Creds, mode uint32, chmodAfter uint32) (
 			t.Fatal(err)
 		}
 	}
-	pool := rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "app", Mode: mode})
+	target, head := parkCrashedTx(t, dev, c, "app", mode)
+	if chmodAfter != 0 {
+		rt(t, c, &proto.Request{Op: proto.OpChmodPool, Name: "app", Mode: chmodAfter})
+	}
+	// The daemon process "dies" here: no Shutdown, dirty flag stays set.
+	return dev, target, head
+}
+
+// parkCrashedTx creates pool name with a log space and one log of its
+// own, and leaves a transaction on that log in flight.
+func parkCrashedTx(t *testing.T, dev *pmem.Device, c *proto.Conn, name string, mode uint32) (target, head pmem.Addr) {
+	t.Helper()
+	pool := rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: name, Mode: mode})
 	lsp := rt(t, c, &proto.Request{Op: proto.OpGetNewPuddle, Pool: pool.Pool, Size: puddle.MinSize, Kind: uint64(puddle.KindLogSpace)})
 	logp := rt(t, c, &proto.Request{Op: proto.OpGetNewPuddle, Pool: pool.Pool, Size: puddle.DefaultSize, Kind: uint64(puddle.KindLog)})
 
@@ -226,7 +241,7 @@ func setupCrashedTx(t *testing.T, creds Creds, mode uint32, chmodAfter uint32) (
 
 	// Simulate a mid-transaction crash: target holds 42, the tx undo-
 	// logged the old value, overwrote with 99, and died before commit.
-	target := pmem.Addr(pool.Addr) + 8192
+	target = pmem.Addr(pool.Addr) + 8192
 	dev.StoreU64(target, 42)
 	dev.Persist(target, 8)
 	var old [8]byte
@@ -237,15 +252,11 @@ func setupCrashedTx(t *testing.T, creds Creds, mode uint32, chmodAfter uint32) (
 	l.SetRange(plog.RangeUndoOnly[0], plog.RangeUndoOnly[1])
 	dev.StoreU64(target, 99)
 	dev.Persist(target, 8)
-	if chmodAfter != 0 {
-		rt(t, c, &proto.Request{Op: proto.OpChmodPool, Name: "app", Mode: chmodAfter})
-	}
-	// The daemon process "dies" here: no Shutdown, dirty flag stays set.
-	return dev, target
+	return target, l.Head()
 }
 
 func TestApplicationIndependentRecovery(t *testing.T) {
-	dev, target := setupCrashedTx(t, Superuser, 0o600, 0)
+	dev, target, _ := setupCrashedTx(t, Superuser, 0o600, 0)
 	// Reboot the daemon. The writing application never comes back —
 	// recovery must happen anyway, before anything is served.
 	d2, err := New(dev)
@@ -277,13 +288,105 @@ func TestRecoveryHonoursWritePermission(t *testing.T) {
 	// then lost write access (pool chmod'ed to 0o400 — the expired-
 	// credentials scenario of paper §2.1). Recovery must refuse to
 	// apply its entries rather than write through a read-only mode.
-	dev, target := setupCrashedTx(t, Creds{UID: 500, GID: 50}, 0o600, 0o400)
+	dev, target, _ := setupCrashedTx(t, Creds{UID: 500, GID: 50}, 0o600, 0o400)
 	if _, err := New(dev); err != nil {
 		t.Fatal(err)
 	}
 	if v := dev.LoadU64(target); v != 99 {
 		t.Fatalf("recovery wrote through a read-only permission: target = %d", v)
 	}
+}
+
+func TestRecoverySurvivesHostileLog(t *testing.T) {
+	// Recovery reads logs their applications wrote. One 8-byte store
+	// into an entry's size field — ^uint64(7), whose rounded span wraps
+	// to 24 and used to reach make([]byte, size) — must cost that
+	// application its own log and nobody a daemon: boot succeeds, says
+	// why it skipped the log, and leaves the log's target alone.
+	const logHdr, entrySizeOff = 64, 24 // plog's segment header and the entry's size field
+	for _, c := range []struct {
+		name  string
+		spoil func(dev *pmem.Device, head pmem.Addr)
+		says  string
+	}{
+		{"wild entry size", func(dev *pmem.Device, head pmem.Addr) {
+			dev.StoreU64(head+logHdr+entrySizeOff, ^uint64(7))
+		}, "entry size exceeds its segment"},
+		{"wild capacity, used and size", func(dev *pmem.Device, head pmem.Addr) {
+			dev.StoreU64(head+40, 1<<40) // capacity
+			dev.StoreU64(head+24, 1<<40) // used
+			dev.StoreU64(head+logHdr+entrySizeOff, 1<<39)
+		}, "entry size exceeds its segment"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dev, target, head := setupCrashedTx(t, Superuser, 0o600, 0)
+			c.spoil(dev, head)
+			var out bytes.Buffer
+			d2, err := New(dev, WithLogger(log.New(&out, "", 0)))
+			if err != nil {
+				t.Fatalf("boot: %v", err)
+			}
+			if st := d2.Stats(); st.Recoveries != 1 || st.LogsReplayed != 0 || st.EntriesApplied != 0 {
+				t.Fatalf("stats = %+v", st)
+			}
+			if v := dev.LoadU64(target); v != 99 {
+				t.Fatalf("target = %d: the malformed entry was applied", v)
+			}
+			if !strings.Contains(out.String(), "skipped") || !strings.Contains(out.String(), c.says) {
+				t.Fatalf("boot log does not name the skipped log:\n%s", out.String())
+			}
+		})
+	}
+	// A chain pointer is application-written too. Led into a victim's
+	// log it made recovery scan that log as a tail of the hostile one
+	// and rewind its used counter, hiding the victim's parked undo entry.
+	t.Run("next into another pool's log", func(t *testing.T) {
+		const lOffNext = 32
+		dev := pmem.New()
+		d, err := New(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := d.SelfConn()
+		victim, victimHead := parkCrashedTx(t, dev, c, "victim", 0o600)
+		hostile, hostileHead := parkCrashedTx(t, dev, c, "hostile", 0o600)
+		c.Close()
+		dev.StoreU64(hostileHead+lOffNext, uint64(victimHead))
+		dev.Persist(hostileHead+lOffNext, 8)
+
+		d2, err := New(dev)
+		if err != nil {
+			t.Fatalf("boot: %v", err)
+		}
+		if st := d2.Stats(); st.LogsReplayed != 2 || st.EntriesApplied != 2 {
+			t.Fatalf("stats = %+v: each log must be replayed as its own", st)
+		}
+		if v, h := dev.LoadU64(victim), dev.LoadU64(hostile); v != 42 || h != 42 {
+			t.Fatalf("victim = %d, hostile = %d after recovery, want both rolled back to 42", v, h)
+		}
+		// Each space's bounds vouch for its own log puddle only: not the
+		// other pool's log, not a data puddle of its own pool.
+		for _, ls := range d2.st.LogSpaces {
+			bounds := d2.logBounds(ls)
+			_, okV := bounds(victimHead)
+			_, okH := bounds(hostileHead)
+			if okV == okH {
+				t.Fatalf("log space %v: victim log in bounds = %v, hostile log in bounds = %v", ls.UUID, okV, okH)
+			}
+			if _, ok := bounds(victim); ok {
+				t.Fatalf("log space %v vouches for a data puddle", ls.UUID)
+			}
+			if _, ok := bounds(hostile); ok {
+				t.Fatalf("log space %v vouches for a data puddle", ls.UUID)
+			}
+			if okH {
+				l, err := plog.OpenLog(dev, hostileHead, bounds)
+				if err != nil || l.Segments() != 1 {
+					t.Fatalf("hostile log opened with %d segments (%v), want the chain cut at its own puddle", l.Segments(), err)
+				}
+			}
+		}
+	})
 }
 
 func TestRecoverNowOp(t *testing.T) {

@@ -4,14 +4,67 @@
 // A log is a sequence of self-validating entries plus metadata that
 // controls recovery. Each entry carries the target address, a sequence
 // number, a replay order (forward for redo, backward for undo), flags,
-// and a checksum; each log carries a sequence range [lo, hi). An entry
-// is live iff lo ≤ seq < hi, which lets the committer atomically
-// enable and disable whole classes of entries (the three hybrid-commit
-// stages publish ranges (0,2) → (2,4) → (4,4) with a single 8-byte
-// store). The format is expressive enough for undo, redo, and hybrid
-// logging, and structured enough that the daemon can replay it safely
-// with no application involvement — replay is a plain copy of entry
-// data to the entry address.
+// and a checksum; each log carries an epoch, mixed into every checksum,
+// and a sequence range [lo, hi). An entry is live iff its checksum
+// matches under the current epoch and lo ≤ seq < hi. The format is
+// expressive enough for undo, redo, and hybrid logging, and structured
+// enough that the daemon can replay it safely with no application
+// involvement — replay is a plain copy of entry data to the entry
+// address.
+//
+// # At rest
+//
+// An idle log has range (0,2) (RangeUndoOnly), an epoch no entry was
+// ever written under, and used = 0 in every segment. Nothing is live,
+// and nothing has to be persisted to begin a transaction: the first
+// Append is already a recoverable undo entry. FormatLog and Reset both
+// leave a log in this state.
+//
+// # One commit point per discipline
+//
+//   - Undo-only transaction (k ranges): k Appends, one fence over the
+//     logged locations, then Reset. Reset's fence is the commit point:
+//     before it recovery rolls the transaction back, after it the log
+//     is empty. k + 2 fences.
+//   - Hybrid transaction (k undo ranges, r redo entries): the commit
+//     point is the single 8-byte range store (0,2) → (2,4) (SetRange),
+//     which disables the undo entries and enables the redo entries at
+//     once; the redo entries are applied and fenced, then Reset retires
+//     the log. k + r + 4 fences.
+//
+// # Nothing shrinks under the old epoch
+//
+// Reset stores, in this order, epoch+1, range (0,2) and used = 0 into
+// the head segment's header — three words of one cacheline (FormatLog
+// and OpenLog refuse a head whose words straddle two) — and persists
+// them with one flush and one fence. Stores to one cacheline reach
+// persistence in program order (x86-TSO; the chaos device persists a
+// line as it stood at some store boundary), so whatever prefix of the
+// three survives a crash, the epoch bump is part of it. That ordering
+// is the safety argument: the epoch bump invalidates every entry of the
+// transaction at once, whereas used = 0, a rewound tail segment or a
+// reopened range (0,2) on their own would each hide or re-enable only
+// some entries, and recovery would replay a strict subset of a
+// committed transaction's undo log over its data. So everything that
+// shrinks or re-labels the visible entry set is either ordered behind
+// the epoch in the same line or issued after the fence: the used
+// counters of chained tail segments rewind only after it, flush-only,
+// and ride the next Append's fence (a stale tail counter exposes only
+// old-epoch entries, which no checksum accepts).
+//
+// The tear table for a crash inside Reset (head line as persisted):
+//
+//	epoch   range   head used  tail used   recovery sees
+//	old     old     old        old         the whole transaction: undo
+//	                                       rolls it back, or (range
+//	                                       (2,4)) redo re-applies it
+//	new     old     old        old         nothing (checksums fail)
+//	new     (0,2)   old        old         nothing
+//	new     (0,2)   0          old         nothing
+//	new     (0,2)   0          0           nothing — the at-rest state
+//
+// "old epoch with any of range, head used or tail used already new" is
+// the row that must not exist, and does not.
 //
 // Logs live in designated log puddles and can chain across several
 // puddles when they outgrow one (Figure 5). A log space is a directory
@@ -23,6 +76,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"slices"
 
 	"puddles/internal/pmem"
 	"puddles/internal/puddle"
@@ -51,12 +105,17 @@ const (
 	SeqRedo uint32 = 3
 )
 
-// Conventional sequence ranges for the three commit stages.
+// Conventional sequence ranges. A log rests at RangeUndoOnly; a hybrid
+// commit publishes RangeRedoOnly at its commit point and Reset returns
+// the log to RangeUndoOnly under a fresh epoch.
 var (
-	RangeUndoOnly = [2]uint32{0, 2} // stage 1: replay undo only
-	RangeRedoOnly = [2]uint32{2, 4} // stage 2: replay redo only
-	RangeNone     = [2]uint32{4, 4} // stage 3: complete, replay nothing
+	RangeUndoOnly = [2]uint32{0, 2} // at rest and while logging: replay undo only
+	RangeRedoOnly = [2]uint32{2, 4} // after a hybrid commit point: replay redo only
+	RangeNone     = [2]uint32{4, 4} // replay nothing
 )
+
+// restRange is RangeUndoOnly as the on-media word.
+const restRange = uint64(0)<<32 | 2
 
 const (
 	logMagic = 0x31474f4c50 // "PLOG1"
@@ -88,6 +147,16 @@ var (
 	ErrBadLog   = errors.New("plog: not a formatted log")
 	ErrLogFull  = errors.New("plog: log is full and no grow function was provided")
 	ErrTooSmall = errors.New("plog: region too small for a log segment")
+	// ErrMisaligned rejects a head segment whose epoch, range and used
+	// words do not share a cacheline; Reset's single fence depends on it.
+	ErrMisaligned = errors.New("plog: log header straddles a cacheline")
+	// ErrOutOfBounds reports a segment that does not lie inside a region
+	// the opener's BoundsFunc vouches for.
+	ErrOutOfBounds = errors.New("plog: log segment outside its puddle")
+	// ErrBadEntry reports an entry whose size field runs past the bytes
+	// its segment holds. The scan of that segment ends there, as it does
+	// at a bad checksum.
+	ErrBadEntry = errors.New("plog: entry size exceeds its segment")
 )
 
 // Entry is one log record.
@@ -113,33 +182,75 @@ type Log struct {
 	segs []pmem.Range // segs[0] holds the epoch and sequence range
 }
 
-// FormatLog initialises a log over region and returns a handle.
+// headAligned reports whether the words Reset persists together (epoch,
+// range, used) of a head segment at base share one cacheline.
+func headAligned(base pmem.Addr) bool {
+	return (base+lOffEpoch)/pmem.LineSize == (base+lOffUsed+7)/pmem.LineSize
+}
+
+// FormatLog initialises a log over region, at rest, and returns a handle.
 func FormatLog(dev *pmem.Device, region pmem.Range) (*Log, error) {
 	if region.Size() < lHdrSize+EntryHdrSize+8 {
 		return nil, ErrTooSmall
 	}
 	base := region.Start
+	if !headAligned(base) {
+		return nil, ErrMisaligned
+	}
 	dev.Zero(base, lHdrSize)
 	dev.StoreU64(base+lOffCap, region.Size()-lHdrSize)
 	dev.StoreU64(base+lOffEpoch, 1)
+	dev.StoreU64(base+lOffRange, restRange)
 	dev.Persist(base, lHdrSize)
 	dev.StoreU64(base+lOffMagic, logMagic)
 	dev.Persist(base+lOffMagic, 8)
 	return &Log{dev: dev, segs: []pmem.Range{region}}, nil
 }
 
+// BoundsFunc names the region a log segment whose header sits at base
+// may occupy — for the daemon, the registered log puddle containing
+// base. ok = false means no such region exists.
+type BoundsFunc func(base pmem.Addr) (region pmem.Range, ok bool)
+
 // OpenLog opens a formatted log at base, following the segment chain.
-func OpenLog(dev *pmem.Device, base pmem.Addr) (*Log, error) {
+// Every segment, the head and each one a next pointer names, must sit
+// inside the region bounds returns for it, and a capacity field that
+// claims more is clamped to that region, the same way Scan clamps used
+// to the capacity: whoever wrote the log can make its reader neither
+// read nor allocate beyond the regions bounds vouches for. A nil bounds
+// is for a log's own writer, who trusts its headers; segments are then
+// bounded by the device only.
+func OpenLog(dev *pmem.Device, base pmem.Addr, bounds BoundsFunc) (*Log, error) {
 	l := &Log{dev: dev}
 	for base != 0 {
+		region, ok := pmem.Range{Start: base, End: pmem.MaxAddr}, true
+		if bounds != nil {
+			region, ok = bounds(base)
+		}
+		if !ok || !region.Contains(base) || region.End > pmem.MaxAddr || uint64(region.End-base) < lHdrSize {
+			if len(l.segs) > 0 {
+				break // wild next pointer: ignore the tail, as for a torn extension
+			}
+			return nil, ErrOutOfBounds
+		}
 		if dev.LoadU64(base+lOffMagic) != logMagic {
 			if len(l.segs) > 0 {
 				break // torn chain extension: ignore the unformatted tail
 			}
 			return nil, ErrBadLog
 		}
+		if len(l.segs) == 0 && !headAligned(base) {
+			return nil, ErrMisaligned
+		}
 		capacity := dev.LoadU64(base + lOffCap)
-		l.segs = append(l.segs, pmem.Range{Start: base, End: base + pmem.Addr(lHdrSize+capacity)})
+		if room := uint64(region.End-base) - lHdrSize; capacity > room {
+			capacity = room
+		}
+		seg := pmem.Range{Start: base, End: base + pmem.Addr(lHdrSize+capacity)}
+		if slices.ContainsFunc(l.segs, seg.Overlaps) {
+			break // next pointer back into the chain: one region is never scanned twice
+		}
+		l.segs = append(l.segs, seg)
 		base = pmem.Addr(dev.LoadU64(base + lOffNext))
 		if len(l.segs) > 1024 {
 			return nil, fmt.Errorf("plog: segment chain too long (corrupt next pointer?)")
@@ -237,18 +348,28 @@ func (l *Log) Append(e Entry, grow GrowFunc) error {
 	return nil
 }
 
-// Entries returns all structurally valid entries (current epoch, good
-// checksum) in append order. Sequence-range filtering is the replayer's
-// job. Partially persisted entries are detected by checksum and end the
-// scan of their segment, exactly like PMDK (paper §4.1).
-func (l *Log) Entries() []Entry {
+// Scan is the log's one decoder. It returns all structurally valid
+// entries (current epoch, good checksum) in append order; sequence-range
+// filtering is the replayer's job. Partially persisted entries are
+// detected by checksum and end the scan of their segment, exactly like
+// PMDK (paper §4.1). The error is the first structural defect the scan
+// met: ErrBadEntry (wrapped, with the position) when an entry's size
+// field runs past its segment. That is what a stale or half-written
+// entry can look like, and it is also the one field a hostile owner
+// could use to make the scanner allocate without bound, so the size is
+// checked against the bytes the segment holds before anything is
+// allocated for it.
+func (l *Log) Scan() ([]Entry, error) {
 	epoch := l.epoch()
 	var out []Entry
+	var defect error
 	for _, seg := range l.segs {
-		capacity := l.dev.LoadU64(seg.Start + lOffCap)
+		// The handle's segment size was clamped when the log was opened;
+		// a capacity field rewritten since cannot widen it.
+		capacity := min(l.dev.LoadU64(seg.Start+lOffCap), seg.Size()-lHdrSize)
 		used := l.dev.LoadU64(seg.Start + lOffUsed)
 		if used > capacity {
-			used = capacity // torn used counter: clamp and let checksums decide
+			used = capacity // wild used counter: clamp and let checksums decide
 		}
 		var off uint64
 		for off+EntryHdrSize <= used {
@@ -256,6 +377,13 @@ func (l *Log) Entries() []Entry {
 			var hdr [EntryHdrSize]byte
 			l.dev.Load(at, hdr[:])
 			size := binary.LittleEndian.Uint64(hdr[eOffSize:])
+			if size > used-off-EntryHdrSize {
+				if defect == nil {
+					defect = fmt.Errorf("%w: segment %#x entry at +%d declares %d bytes, %d remain",
+						ErrBadEntry, uint64(seg.Start), off, size, used-off-EntryHdrSize)
+				}
+				break
+			}
 			span := entrySpan(int(size))
 			if off+span > used {
 				break
@@ -278,21 +406,50 @@ func (l *Log) Entries() []Entry {
 			off += span
 		}
 	}
+	return out, defect
+}
+
+// Entries is Scan for callers that treat a defect like a torn tail.
+func (l *Log) Entries() []Entry {
+	out, _ := l.Scan()
 	return out
 }
 
-// Reset invalidates every entry: the epoch bump poisons old checksums,
-// the range closes, and the segments' used counters rewind. Chained
-// segments stay linked for reuse.
+// Reset invalidates every entry and returns the log to rest: one flush
+// and one fence, which is the commit point of an undo-only transaction.
+// The store order within the head line (epoch, then range, then used)
+// and the tail rewinds coming only after the fence are what make a
+// crash anywhere in here all-or-nothing; see the package comment.
+// Chained segments stay linked for reuse.
 func (l *Log) Reset() {
 	head := l.segs[0].Start
 	l.dev.StoreU64(head+lOffEpoch, l.epoch()+1)
-	l.dev.StoreU64(head+lOffRange, 0)
-	l.dev.Persist(head+lOffEpoch, 16)
-	for _, seg := range l.segs {
+	l.dev.StoreU64(head+lOffRange, restRange)
+	l.dev.StoreU64(head+lOffUsed, 0)
+	l.dev.Flush(head+lOffEpoch, lOffUsed+8-lOffEpoch)
+	l.dev.Fence()
+	for _, seg := range l.segs[1:] {
 		l.dev.StoreU64(seg.Start+lOffUsed, 0)
-		l.dev.Persist(seg.Start+lOffUsed, 8)
+		l.dev.Flush(seg.Start+lOffUsed, 8)
 	}
+}
+
+// AtRest reports whether the log is in the state FormatLog and Reset
+// leave it in: undo window open, no segment holding anything. A crash
+// between the stores of Reset, and a log an older build reset to range
+// (0,0), are the two ways to be neither pending nor at rest; recovery
+// resets such a log, because an Append behind a stale used counter
+// would land after entries no scan gets past.
+func (l *Log) AtRest() bool {
+	if l.dev.LoadU64(l.segs[0].Start+lOffRange) != restRange {
+		return false
+	}
+	for _, seg := range l.segs {
+		if l.dev.LoadU64(seg.Start+lOffUsed) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Pending reports whether the log holds any live (range-selected)
@@ -302,7 +459,8 @@ func (l *Log) Pending() bool {
 	if lo == hi {
 		return false
 	}
-	for _, e := range l.Entries() {
+	entries, _ := l.Scan()
+	for _, e := range entries {
 		if e.Seq >= lo && e.Seq < hi {
 			return true
 		}
@@ -323,7 +481,7 @@ func (l *Log) Replay(system bool, applyFilter func(Entry) bool) int {
 	lo, hi := l.Range()
 	applied := 0
 	if lo != hi {
-		entries := l.Entries()
+		entries, _ := l.Scan()
 		// Flushes are write-combined: entries from one transaction often
 		// target the same or neighbouring cachelines (undo+redo pairs,
 		// repeated updates), and nothing needs to be durable until the

@@ -24,14 +24,21 @@ func TestFormatOpenLog(t *testing.T) {
 	if l.Head() != 0x10000 || l.Segments() != 1 {
 		t.Fatalf("Head=%#x Segments=%d", uint64(l.Head()), l.Segments())
 	}
-	l2, err := OpenLog(dev, 0x10000)
+	l2, err := OpenLog(dev, 0x10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo, hi := l2.Range(); lo != 0 || hi != 0 {
+	// A fresh log is at rest: undo window open, nothing in it.
+	if lo, hi := l2.Range(); lo != RangeUndoOnly[0] || hi != RangeUndoOnly[1] {
 		t.Fatalf("fresh range = (%d,%d)", lo, hi)
 	}
-	if _, err := OpenLog(dev, 0x90000); err != ErrBadLog {
+	if l2.Pending() {
+		t.Fatal("fresh log is pending")
+	}
+	if _, err := FormatLog(dev, mkRegion(dev, 0x10030, 8192)); err != ErrMisaligned {
+		t.Fatalf("FormatLog(header straddling a line) = %v", err)
+	}
+	if _, err := OpenLog(dev, 0x90000, nil); err != ErrBadLog {
 		t.Fatalf("OpenLog(unformatted) = %v", err)
 	}
 }
@@ -141,7 +148,7 @@ func TestGrowChainsSegments(t *testing.T) {
 		t.Fatalf("Entries = %d, want %d", len(l.Entries()), n)
 	}
 	// Reopen follows the chain.
-	l2, err := OpenLog(dev, 0x10000)
+	l2, err := OpenLog(dev, 0x10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +349,7 @@ func TestChaosCrashMidAppendNeverYieldsTornEntry(t *testing.T) {
 		if !crashed {
 			break // appends finished before the crash point; done probing
 		}
-		l2, err := OpenLog(dev, 0x10000)
+		l2, err := OpenLog(dev, 0x10000, nil)
 		if err != nil {
 			t.Fatalf("ev %d: reopen: %v", ev, err)
 		}

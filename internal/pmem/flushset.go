@@ -15,10 +15,27 @@ import "sort"
 // paper's hybrid commit (Fig. 7) sits directly on this path.
 //
 // A FlushSet is not safe for concurrent use; transactions are
-// thread-local (see core.Tx) so each commit owns its set.
+// thread-local (see core.Tx) so each commit owns its set. The first
+// flushInline ranges live in the set itself, so a small batch in a
+// local variable touches no Go heap. The set never holds a slice of its
+// own array: escape analysis moves a value that points into itself to
+// the heap.
 type FlushSet struct {
-	ranges   []Range // line-aligned; sorted and merged lazily at Flush
-	requests uint64  // Add calls since the last Flush/Reset
+	spill    []Range // every range, once there are more than flushInline
+	inline   [flushInline]Range
+	n        int    // ranges in inline; stays put once spill is in use
+	requests uint64 // Add calls since the last Flush/Reset
+}
+
+const flushInline = 4
+
+// pending returns the recorded ranges: line-aligned, sorted and merged
+// lazily at Flush.
+func (fs *FlushSet) pending() []Range {
+	if fs.spill != nil {
+		return fs.spill
+	}
+	return fs.inline[:fs.n]
 }
 
 // Add records [addr, addr+n) for flushing, rounded out to cacheline
@@ -32,8 +49,8 @@ func (fs *FlushSet) Add(addr Addr, n int) {
 	end := (addr + Addr(n) + LineSize - 1) &^ (LineSize - 1)
 	// Fast path: extend the previous range when the workload appends in
 	// address order (log writes, sequential object updates).
-	if k := len(fs.ranges); k > 0 {
-		last := &fs.ranges[k-1]
+	if rs := fs.pending(); len(rs) > 0 {
+		last := &rs[len(rs)-1]
 		if start >= last.Start && start <= last.End {
 			if end > last.End {
 				last.End = end
@@ -41,32 +58,61 @@ func (fs *FlushSet) Add(addr Addr, n int) {
 			return
 		}
 	}
-	fs.ranges = append(fs.ranges, Range{Start: start, End: end})
+	r := Range{Start: start, End: end}
+	switch {
+	case fs.spill != nil:
+		fs.spill = append(fs.spill, r)
+	case fs.n < flushInline:
+		fs.inline[fs.n] = r
+		fs.n++
+	default:
+		fs.spill = append(append(make([]Range, 0, 4*flushInline), fs.inline[:]...), r)
+	}
 }
 
 // Empty reports whether the set holds no pending ranges.
-func (fs *FlushSet) Empty() bool { return len(fs.ranges) == 0 }
+func (fs *FlushSet) Empty() bool { return len(fs.pending()) == 0 }
 
 // Pending returns the number of distinct flushes the set would issue
 // now: its ranges after sorting and merging. The recorded coverage is
 // left untouched (merging happens on a copy).
 func (fs *FlushSet) Pending() int {
-	cp := FlushSet{ranges: append([]Range(nil), fs.ranges...)}
+	cp := *fs
+	cp.spill = append([]Range(nil), fs.spill...)
 	return len(cp.merged())
 }
 
 // merged returns the coalesced ranges in ascending order. The receiver's
-// slice is sorted in place; merging overwrites its prefix, which is safe
-// because Flush resets the set immediately after.
+// ranges are sorted in place; merging overwrites their prefix, which is
+// safe because Flush resets the set immediately after.
 func (fs *FlushSet) merged() []Range {
-	if len(fs.ranges) <= 1 {
-		return fs.ranges
+	if sp := fs.spill; sp != nil {
+		if len(sp) > 1 {
+			sort.Slice(sp, func(i, j int) bool { return sp[i].Start < sp[j].Start })
+		}
+		return coalesce(sp)
 	}
-	sort.Slice(fs.ranges, func(i, j int) bool { return fs.ranges[i].Start < fs.ranges[j].Start })
-	out := fs.ranges[:1]
-	for _, r := range fs.ranges[1:] {
+	// Insertion sort: sort.Slice takes its slice as an interface, which
+	// would send the inline array, and so the whole set, to the heap.
+	rs := fs.inline[:fs.n]
+	for i := 1; i < len(rs); i++ {
+		for j := i; j > 0 && rs[j].Start < rs[j-1].Start; j-- {
+			rs[j], rs[j-1] = rs[j-1], rs[j]
+		}
+	}
+	return coalesce(rs)
+}
+
+// coalesce merges overlapping and line-adjacent ranges of the sorted rs
+// into its prefix and returns that prefix.
+func coalesce(rs []Range) []Range {
+	if len(rs) <= 1 {
+		return rs
+	}
+	out := rs[:1]
+	for _, r := range rs[1:] {
 		last := &out[len(out)-1]
-		if r.Start <= last.End { // overlapping or line-adjacent
+		if r.Start <= last.End {
 			if r.End > last.End {
 				last.End = r.End
 			}
@@ -94,6 +140,7 @@ func (fs *FlushSet) Flush(d *Device) int {
 
 // Reset discards all pending ranges without flushing.
 func (fs *FlushSet) Reset() {
-	fs.ranges = fs.ranges[:0]
+	fs.spill = fs.spill[:0]
+	fs.n = 0
 	fs.requests = 0
 }

@@ -109,3 +109,40 @@ func TestFlushSetReset(t *testing.T) {
 		t.Fatalf("FlushRequests = %d after Reset, want 0", st.FlushRequests)
 	}
 }
+
+func TestFlushSetInlineAndSpilled(t *testing.T) {
+	// The first ranges live in the set, later ones in a heap slice: the
+	// set must behave the same on both sides of that edge, and again
+	// when it is reused after a flush.
+	d := New()
+	var fs FlushSet
+	for round := 0; round < 2; round++ {
+		for n := 1; n <= 2*flushInline+1; n++ {
+			for i := n; i > 0; i-- { // descending, two lines apart: nothing merges
+				fs.Add(Addr(0x1000+i*2*LineSize), 8)
+			}
+			if got := fs.Pending(); got != n {
+				t.Fatalf("round %d: Pending() = %d with %d disjoint ranges", round, got, n)
+			}
+			if got := fs.Pending(); got != n {
+				t.Fatalf("round %d: a second Pending() = %d, want %d: the first one disturbed the set", round, got, n)
+			}
+			if issued := fs.Flush(d); issued != n {
+				t.Fatalf("round %d: %d flushes for %d disjoint ranges", round, issued, n)
+			}
+			if !fs.Empty() {
+				t.Fatalf("round %d: set not empty after Flush", round)
+			}
+		}
+	}
+	// A small batch in a local variable stays off the Go heap.
+	if allocs := testing.AllocsPerRun(100, func() {
+		var local FlushSet
+		for i := flushInline; i > 0; i-- {
+			local.Add(Addr(0x1000+i*2*LineSize), 8)
+		}
+		local.Flush(d)
+	}); allocs != 0 {
+		t.Fatalf("%v allocations for a batch of %d ranges, want 0", allocs, flushInline)
+	}
+}

@@ -247,9 +247,17 @@ type Device struct {
 	// Chaos-mode volatile cache overlay, keyed by line-aligned address.
 	mu      sync.Mutex
 	overlay map[Addr]*line
+	// staged lists the lines Flush has moved to linePending since the
+	// last Fence, so Fence walks what was flushed rather than the whole
+	// overlay. A line re-dirtied after its flush stays listed but is no
+	// longer pending; Fence re-checks the state.
+	staged  []Addr
 	rng     *rand.Rand
 	events  int64
 	crashAt int64 // fire a crash when events reaches this; 0 disables
+	// crashDrops makes the armed crash point resolve as DropVolatile
+	// instead of CrashNow.
+	crashDrops bool
 
 	// userfaultfd-style hook.
 	hookArmed  atomic.Bool
@@ -492,10 +500,14 @@ func (d *Device) tickLocked() bool {
 // fireCrash performs the injected power failure and unwinds the
 // calling goroutine with a crashSignal panic.
 func (d *Device) fireCrash() {
-	d.CrashNow()
 	d.mu.Lock()
-	ev := d.events
+	ev, drop := d.events, d.crashDrops
 	d.mu.Unlock()
+	if drop {
+		d.DropVolatile()
+	} else {
+		d.CrashNow()
+	}
 	panic(crashSignal{event: ev})
 }
 
@@ -515,6 +527,17 @@ func (d *Device) CrashAtEvent(n int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.crashAt = n
+	d.crashDrops = false
+}
+
+// CrashAtEventDropping is CrashAtEvent with the adversarial outcome:
+// the injected crash loses every line that was not flushed (as
+// DropVolatile does) instead of keeping each with probability ½.
+func (d *Device) CrashAtEventDropping(n int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.crashAt = n
+	d.crashDrops = true
 }
 
 // Load copies len(buf) bytes at addr into buf.
@@ -638,6 +661,7 @@ func (d *Device) Flush(addr Addr, n int) {
 	for la := first; la <= last; la += LineSize {
 		if ln, ok := d.overlay[la]; ok && ln.state == lineDirty {
 			ln.state = linePending
+			d.staged = append(d.staged, la)
 		}
 	}
 	fire := d.tickLocked()
@@ -688,12 +712,15 @@ func (d *Device) Fence() {
 		return
 	}
 	d.mu.Lock()
-	for la, ln := range d.overlay {
-		if ln.state == linePending {
+	for _, la := range d.staged {
+		// A line flushed twice is listed twice and gone by the second
+		// visit; one stored to since its flush is dirty again.
+		if ln, ok := d.overlay[la]; ok && ln.state == linePending {
 			d.storeDurable(la, ln.data[:])
 			delete(d.overlay, la)
 		}
 	}
+	d.staged = d.staged[:0]
 	fire := d.tickLocked()
 	d.mu.Unlock()
 	if fire {
@@ -726,6 +753,7 @@ func (d *Device) CrashNow() {
 		}
 		delete(d.overlay, la)
 	}
+	d.staged = d.staged[:0]
 }
 
 // DropVolatile discards all volatile lines without writing any back —
@@ -743,6 +771,7 @@ func (d *Device) DropVolatile() {
 		}
 		delete(d.overlay, la)
 	}
+	d.staged = d.staged[:0]
 }
 
 // VolatileLines reports how many cachelines are currently volatile.

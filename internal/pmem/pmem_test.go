@@ -212,6 +212,103 @@ func TestChaosLineGranularity(t *testing.T) {
 	}
 }
 
+func TestChaosFenceWalksStagedLines(t *testing.T) {
+	// Fence persists the lines Flush staged, found through the staged
+	// list rather than a scan of the overlay; the observable semantics
+	// are those of the scan.
+	d := NewChaos(3)
+	a, b, c := Addr(0x1000), Addr(0x2000), Addr(0x3000)
+
+	// a: staged, then stored to again: the fence must leave it volatile.
+	d.StoreU64(a, 1)
+	d.Flush(a, 8)
+	d.StoreU64(a, 2)
+	// b: flushed twice: persists once, and the second listing is inert.
+	d.StoreU64(b, 7)
+	d.Flush(b, 8)
+	d.Flush(b, 8)
+	// c: never flushed.
+	d.StoreU64(c, 9)
+	if n := d.VolatileLines(); n != 3 {
+		t.Fatalf("VolatileLines before the fence = %d, want 3", n)
+	}
+	d.Fence()
+	if n := d.VolatileLines(); n != 2 {
+		t.Fatalf("VolatileLines after the fence = %d, want 2 (a re-dirtied, c unflushed)", n)
+	}
+	// a re-flushed after the fence is staged again and persists now.
+	d.Flush(a, 8)
+	d.Fence()
+	if n := d.VolatileLines(); n != 1 {
+		t.Fatalf("VolatileLines after the second fence = %d, want 1", n)
+	}
+	d.DropVolatile()
+	if va, vb, vc := d.LoadU64(a), d.LoadU64(b), d.LoadU64(c); va != 2 || vb != 7 || vc != 0 {
+		t.Fatalf("after the crash a=%d b=%d c=%d, want 2 7 0", va, vb, vc)
+	}
+
+	// A crash empties the staged list with the overlay: a line flushed
+	// before it must not be persisted by a fence after it.
+	d.StoreU64(a, 3)
+	d.Flush(a, 8)
+	d.StoreU64(b, 8)
+	d.DropVolatile() // a was pending: durable. b was dirty: lost.
+	d.StoreU64(a, 4) // volatile again, same address as the stale listing
+	d.Fence()
+	d.DropVolatile()
+	if va, vb := d.LoadU64(a), d.LoadU64(b); va != 3 || vb != 7 {
+		t.Fatalf("after crash, store, fence, crash: a=%d b=%d, want 3 7", va, vb)
+	}
+}
+
+func TestChaosCrashOutcomesWithStagedLines(t *testing.T) {
+	// CrashNow resolves lines as it did before Fence had a staged list:
+	// flushed-not-fenced lines always survive, dirty lines by the coin.
+	d := NewChaos(99)
+	for i := 0; i < 16; i++ {
+		d.StoreU64(Addr(0x1000+i*64), uint64(i)+1)
+		if i%4 == 0 {
+			d.Flush(Addr(0x1000+i*64), 8)
+		}
+	}
+	d.CrashNow()
+	kept := 0
+	for i := 0; i < 16; i++ {
+		v := d.LoadU64(Addr(0x1000 + i*64))
+		if i%4 == 0 && v != uint64(i)+1 {
+			t.Fatalf("flushed line %d lost in the crash", i)
+		}
+		if v != 0 {
+			kept++
+		}
+	}
+	if kept == 16 || kept == 4 {
+		t.Fatalf("dirty lines all kept or all lost (%d of 16 survive): not the coin", kept)
+	}
+	if n := d.VolatileLines(); n != 0 {
+		t.Fatalf("%d volatile lines after the crash", n)
+	}
+}
+
+func TestChaosCrashAtEventDropping(t *testing.T) {
+	d := NewChaos(5)
+	d.CrashAtEventDropping(d.Events() + 3)
+	func() {
+		defer func() {
+			if r := recover(); !IsCrash(r) {
+				t.Fatalf("recovered %v, want an injected crash", r)
+			}
+		}()
+		d.StoreU64(0x1000, 1) // event 1
+		d.Flush(0x1000, 8)    // event 2: pending, survives
+		d.StoreU64(0x2000, 2) // event 3: dirty, must be lost every time
+		t.Fatal("crash point did not fire")
+	}()
+	if a, b := d.LoadU64(0x1000), d.LoadU64(0x2000); a != 1 || b != 0 {
+		t.Fatalf("after the dropping crash: %d %d, want 1 0", a, b)
+	}
+}
+
 func TestChaosLoadMergesOverlay(t *testing.T) {
 	d := NewChaos(3)
 	base := Addr(0x4000)

@@ -54,7 +54,6 @@ type connmtReport struct {
 	Scale            float64       `json:"scale"`
 	MaxConns         int           `json:"max_conns"`
 	OpsPerConn       int           `json:"ops_per_conn"`
-	BufBytes         int           `json:"conn_buf_bytes"`
 	AcceptLoopDeaths int           `json:"accept_loop_deaths"`
 	Points           []connmtPoint `json:"points"`
 	Chaos            *connmtChaos  `json:"chaos,omitempty"`
@@ -75,7 +74,6 @@ func raiseFDLimit() {
 }
 
 func runConnMT() error {
-	const bufBytes = 8 << 10 // 256KiB defaults would cost GBs at 4096 conns
 	raiseFDLimit()
 	opsPerConn := scaled(200)
 	report := connmtReport{
@@ -83,7 +81,6 @@ func runConnMT() error {
 		Scale:      *scale,
 		MaxConns:   *connMax,
 		OpsPerConn: opsPerConn,
-		BufBytes:   bufBytes,
 	}
 	header := []string{"conns", "connect", "conns/s", "ops", "ops/s", "accept-errs", "hs-rejects"}
 	var rows [][]string
@@ -91,7 +88,7 @@ func runConnMT() error {
 		if n > *connMax {
 			break
 		}
-		pt, err := connmtCell(n, opsPerConn, bufBytes, &report.AcceptLoopDeaths)
+		pt, err := connmtCell(n, opsPerConn, &report.AcceptLoopDeaths)
 		if err != nil {
 			return fmt.Errorf("connmt %d conns: %w", n, err)
 		}
@@ -154,11 +151,10 @@ func runConnMT() error {
 // (pacing the dials so the backlog never overflows), drive ops through
 // all of them, read the daemon's counters while everything is still
 // attached, then tear down.
-func connmtCell(n, opsPerConn, bufBytes int, loopDeaths *int) (connmtPoint, error) {
+func connmtCell(n, opsPerConn int, loopDeaths *int) (connmtPoint, error) {
 	pt := connmtPoint{Conns: n}
 	dev := pmem.New()
 	d, err := daemon.New(dev,
-		daemon.WithConnBufBytes(bufBytes),
 		daemon.WithConnWorkers(1),
 		daemon.WithMaxConns(-1),
 		daemon.WithMaxSessions(-1))
@@ -191,7 +187,7 @@ func connmtCell(n, opsPerConn, bufBytes int, loopDeaths *int) (connmtPoint, erro
 				dialErr.Store(fmt.Errorf("dial %d: %w", i, err))
 				return
 			}
-			c := proto.NewConnBuf(nc, proto.Hello{}, bufBytes)
+			c := proto.NewConnHello(nc, proto.Hello{})
 			if err := c.Handshake(); err != nil {
 				dialErr.Store(fmt.Errorf("handshake %d: %w", i, err))
 				nc.Close()

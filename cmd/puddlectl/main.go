@@ -103,6 +103,7 @@ func main() {
 		fmt.Printf("active sessions  %d\n", s.ActiveSessions)
 		fmt.Printf("accept errors    %d\n", s.AcceptErrors)
 		fmt.Printf("handshake rejects %d\n", s.HandshakeRejects)
+		fmt.Printf("wire decode errs %d\n", s.WireDecodeErrors)
 		fmt.Printf("session resumes  %d\n", s.SessionResumes)
 		fmt.Printf("pool cap rejects %d\n", s.PoolCapRejects)
 		fmt.Printf("quota rejects    %d grants, %d bytes\n", s.GrantCapRejects, s.ByteCapRejects)

@@ -212,7 +212,7 @@ func (c *Client) rtOnce(req *proto.Request) (*proto.Response, error) {
 		return resp, err
 	}
 	if rerr := c.reconnect(conn); rerr != nil {
-		return nil, fmt.Errorf("%w: %v failed (%v) and reconnect failed: %v", ErrDisconnected, req.Op, err, rerr)
+		return nil, fmt.Errorf("%w: %v failed (%v) and reconnect failed: %w", ErrDisconnected, req.Op, err, rerr)
 	}
 	if !idempotentOp(req.Op) {
 		return nil, fmt.Errorf("%w: outcome of %v unknown (reconnected; do not blindly retry)", ErrDisconnected, req.Op)
@@ -279,6 +279,12 @@ func (c *Client) reconnect(old *proto.Conn) error {
 				return nil
 			}
 			conn.Close()
+			var we *proto.WireError
+			if errors.As(err, &we) {
+				// Whatever answers at that address now does not speak this
+				// protocol version; redialing it cannot help.
+				return err
+			}
 			var he *proto.HandshakeError
 			if errors.As(err, &he) && hello.Session != 0 {
 				// The daemon is up but refuses the resume (token expired,

@@ -9,6 +9,7 @@ import (
 	"puddles/internal/core"
 	"puddles/internal/daemon"
 	"puddles/internal/pmem"
+	"puddles/internal/proto"
 )
 
 func TestParseURL(t *testing.T) {
@@ -64,23 +65,26 @@ func (r *restartableDaemon) boot(l net.Listener) {
 	go d.Serve(l)
 }
 
-func (r *restartableDaemon) crashRestart() {
+// killRebind kills the daemon and takes its address over.
+func (r *restartableDaemon) killRebind() net.Listener {
 	r.t.Helper()
 	r.d.Kill()
-	var l net.Listener
-	var err error
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		l, err = net.Listen("tcp", r.addr)
+		l, err := net.Listen("tcp", r.addr)
 		if err == nil {
-			break
+			return l
 		}
 		if time.Now().After(deadline) {
 			r.t.Fatalf("rebinding %s: %v", r.addr, err)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	r.boot(l)
+}
+
+func (r *restartableDaemon) crashRestart() {
+	r.t.Helper()
+	r.boot(r.killRebind())
 }
 
 // TestReconnectRetriesIdempotent: the daemon process dies and a
@@ -144,6 +148,42 @@ func TestReconnectNonIdempotentSurfacesErrDisconnected(t *testing.T) {
 	}
 	if cl.Reconnects() != before {
 		t.Fatalf("extra reconnect: %d -> %d", before, cl.Reconnects())
+	}
+}
+
+// TestReconnectStopsAtForeignPeer: when something that does not speak
+// the protocol takes the daemon's address, the handshake fails with a
+// typed wire error at once and the redial loop gives up on it rather
+// than spending its whole budget on a peer that cannot answer.
+func TestReconnectStopsAtForeignPeer(t *testing.T) {
+	r := startRestartable(t)
+	cl, err := core.Dial("tcp://"+r.addr, r.dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Nop(); err != nil {
+		t.Fatal(err)
+	}
+	r.l = r.killRebind()
+	go func() {
+		for {
+			nc, err := r.l.Accept()
+			if err != nil {
+				return
+			}
+			nc.Write([]byte("HTTP/1.1 400 Bad Request\r\n\r\n"))
+			nc.Close()
+		}
+	}()
+	start := time.Now()
+	err = cl.Nop()
+	var we *proto.WireError
+	if !errors.As(err, &we) || we.Region != "handshake" {
+		t.Fatalf("op against a foreign peer = %v, want a handshake wire error", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("gave up after %v, want at once", took)
 	}
 }
 

@@ -237,6 +237,79 @@ func TestCodecRejects(t *testing.T) {
 	}
 }
 
+// goldenManifests pins the two blobs daemons exchange inside wire frames:
+// the OpMigrateBegin manifest and the OpReplicaAttach address list. They
+// are part of the wire format: a change here bumps proto.ProtocolVersion.
+var goldenManifests = []struct {
+	name string
+	man  MigManifest
+	hex  string
+}{
+	{"begin", MigManifest{
+		ID: u(0x70), Pool: "p", PoolUUID: u(0x10), Root: u(0x20), OwnerUID: 1000, OwnerGID: 100, Mode: 0o660,
+		Types:     []ptypes.TypeInfo{{ID: 0x0102030405060708, Name: "node", Size: 24, Ptrs: []ptypes.PtrField{{Offset: 8}}}},
+		Puddles:   []MigPuddle{{UUID: u(0x20), Addr: 0x40_0000_0000, Size: 8192, Kind: 1}},
+		LogSpaces: []MigLogSpace{{UUID: u(0x50), Creds: Creds{UID: 7, GID: 8}, Shards: 4}},
+		SourceURL: "tcp://a:1",
+	}, "707172737475767778797a7b7c7d7e7f" + "0170" +
+		"101112131415161718191a1b1c1d1e1f" + "202122232425262728292a2b2c2d2e2f" + "e807" + "64" + "b003" +
+		"01" + "0807060504030201" + "046e6f6465" + "18" + "01" + "08" +
+		"01" + "202122232425262728292a2b2c2d2e2f" + "808080808008" + "8040" + "01" +
+		"01" + "505152535455565758595a5b5c5d5e5f" + "07" + "08" + "04" +
+		"097463703a2f2f613a31"},
+	{"attach", MigManifest{
+		Pool: "p", PoolUUID: u(0x10),
+		Puddles: []MigPuddle{{UUID: u(0x20), Addr: 4096, Size: 8192, Kind: 1}, {UUID: u(0x30), Addr: 12288, Size: 8192}},
+	}, strings.Repeat("00", 16) + "0170" + "101112131415161718191a1b1c1d1e1f" + strings.Repeat("00", 16) + "000000" +
+		"00" +
+		"02" + "202122232425262728292a2b2c2d2e2f" + "8020" + "8040" + "01" +
+		"303132333435363738393a3b3c3d3e3f" + "8060" + "8040" + "00" +
+		"00" + "00"},
+	{"zero", MigManifest{}, strings.Repeat("00", 16) + "00" + strings.Repeat("00", 32) + "000000" + "00" + "00" + "00" + "00"},
+}
+
+// TestManifestCodec: golden bytes, round trip, and the strictness of the
+// record decoder (every strict prefix, trailing bytes, a padded varint, a
+// count the blob cannot hold).
+func TestManifestCodec(t *testing.T) {
+	for _, g := range goldenManifests {
+		blob := g.man.encode()
+		if got := hex.EncodeToString(blob); got != g.hex {
+			t.Errorf("%s:\n got %s\nwant %s", g.name, got, g.hex)
+			continue
+		}
+		back, err := decodeManifest(blob)
+		if err != nil || !reflect.DeepEqual(back, &g.man) {
+			t.Errorf("%s: decoded %+v, %v", g.name, back, err)
+		}
+		for n := 0; n < len(blob); n++ {
+			if _, err := decodeManifest(blob[:n]); err == nil {
+				t.Errorf("%s truncated to %d of %d bytes decoded", g.name, n, len(blob))
+			}
+		}
+		if _, err := decodeManifest(append(blob[:len(blob):len(blob)], 0)); !errors.Is(err, errTrailing) {
+			t.Errorf("%s with a trailing byte: %v", g.name, err)
+		}
+	}
+	zero := goldenManifests[2].man.encode()
+	mut := func(at int, v ...byte) []byte {
+		return append(append(append([]byte(nil), zero[:at]...), v...), zero[at+1:]...)
+	}
+	for name, c := range map[string]struct {
+		blob []byte
+		want error
+	}{
+		"padded varint":               {mut(49, 0x80, 0x00), errVarint},
+		"uid past uint32":             {mut(49, 0xff, 0xff, 0xff, 0xff, 0x1f), errRange},
+		"puddle count over the blob":  {mut(53, 0x7f), errOverlong},
+		"log-space count over it too": {mut(54, 0x02), errOverlong},
+	} {
+		if _, err := decodeManifest(c.blob); !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", name, err, c.want)
+		}
+	}
+}
+
 // TestCodecBoundedAllocation: a count or length the payload cannot back
 // is refused before anything is allocated for it.
 func TestCodecBoundedAllocation(t *testing.T) {

@@ -18,6 +18,7 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -294,6 +295,7 @@ type Daemon struct {
 	activeConns        atomic.Int64   // post-handshake connections
 	acceptErrs         atomic.Uint64  // accept errors survived (EMFILE etc.)
 	hsRejects          atomic.Uint64  // handshakes refused
+	wireErrs           atomic.Uint64  // frames refused on accepted connections
 	sessResumes        atomic.Uint64  // sessions re-attached by token
 	poolCapRejects     atomic.Uint64  // pool opens refused by the per-session cap
 	maxConns           int            // 0 = defaultMaxConns
@@ -301,7 +303,6 @@ type Daemon struct {
 	maxPoolsPerSession int            // 0 = unlimited
 	sessIdle           time.Duration  // 0 = defaultSessionIdle
 	hsTimeout          time.Duration  // 0 = defaultHandshakeTimeout
-	connBufBytes       int            // 0 = proto.DefaultBufBytes
 	doneCh             chan struct{}  // closed once the daemon is down
 	doneOnce           sync.Once
 
@@ -588,7 +589,7 @@ func (d *Daemon) readSlot(slot pmem.Addr) (*state, uint64, bool) {
 		return nil, 0, false
 	}
 	var st state
-	if err := gobValue(data, &st); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return nil, 0, false
 	}
 	return &st, seq, true
@@ -615,10 +616,11 @@ func (d *Daemon) readSlot(slot pmem.Addr) (*state, uint64, bool) {
 func (d *Daemon) writeCheckpointLegacy() error {
 	prevSeq := d.st.Seq
 	d.st.Seq = d.seq + 1
-	data, err := gobBytes(&d.st)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&d.st); err != nil {
 		panic(fmt.Sprintf("daemon: encoding snapshot: %v", err)) // programming error
 	}
+	data := buf.Bytes()
 	if uint64(len(data))+32 > d.legacySlotCap {
 		d.st.Seq = prevSeq // side-effect-free failure: sequencing untouched
 		d.persistErrs.Add(1)
@@ -1323,6 +1325,7 @@ func (d *Daemon) Stats() proto.Stats {
 		ActiveSessions:   d.SessionCount(),
 		AcceptErrors:     d.acceptErrs.Load(),
 		HandshakeRejects: d.hsRejects.Load(),
+		WireDecodeErrors: d.wireErrs.Load(),
 		SessionResumes:   d.sessResumes.Load(),
 		PoolCapRejects:   d.poolCapRejects.Load(),
 		GrantCapRejects:  d.grantCapRejects.Load(),

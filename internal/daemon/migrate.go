@@ -39,11 +39,9 @@
 package daemon
 
 import (
-	"bytes"
 	"crypto/tls"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"net"
 	"strings"
 	"time"
@@ -204,20 +202,58 @@ func replicaRec(r *ReplicaRec) entRec {
 	return putRec(recReplica, r.Pool, &cp)
 }
 
-// gobBytes / gobValue encode the blobs that still travel or rest as
-// gob: the migration wire payloads (manifest, attach) and the legacy v1
-// snapshot slot (daemon.go). The journal and the checkpoint arena do
-// not — see codec.go.
-func gobBytes(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+// The manifest travels as the Blob of OpMigrateBegin and, with only
+// Pool, PoolUUID and Puddles set, of OpReplicaAttach, in codec.go's
+// grammar; it is part of the wire format, so a change to it bumps
+// proto.ProtocolVersion.
+//
+// manifest: id:uuid pool:bytes poolUUID:uuid root:uuid ownerUID:uv ownerGID:uv mode:uv
+// types (as recTypes) n:uv n×{uuid addr:uv size:uv kind:uv}
+// k:uv k×{uuid uid:uv gid:uv shards:uv} sourceURL:bytes
+func (m *MigManifest) encode() []byte {
+	b := appendStr(append([]byte(nil), m.ID[:]...), m.Pool)
+	b = append(append(b, m.PoolUUID[:]...), m.Root[:]...)
+	b = uvs(b, uint64(m.OwnerUID), uint64(m.OwnerGID), uint64(m.Mode))
+	b = typeList(m.Types).appendBody(b)
+	b = binary.AppendUvarint(b, uint64(len(m.Puddles)))
+	for i := range m.Puddles {
+		p := &m.Puddles[i]
+		b = uvs(append(b, p.UUID[:]...), p.Addr, p.Size, p.Kind)
 	}
-	return buf.Bytes(), nil
+	b = binary.AppendUvarint(b, uint64(len(m.LogSpaces)))
+	for i := range m.LogSpaces {
+		ls := &m.LogSpaces[i]
+		b = uvs(append(b, ls.UUID[:]...), uint64(ls.Creds.UID), uint64(ls.Creds.GID), uint64(ls.Shards))
+	}
+	return appendStr(b, m.SourceURL)
 }
 
-func gobValue(blob []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(blob)).Decode(v)
+func decodeManifest(blob []byte) (*MigManifest, error) {
+	d := dec{b: blob}
+	m := &MigManifest{
+		ID: d.uuid(), Pool: d.str(), PoolUUID: d.uuid(), Root: d.uuid(),
+		OwnerUID: d.u32(), OwnerGID: d.u32(), Mode: d.u32(), Types: d.types(),
+	}
+	if n := d.count(len(uid.UUID{}) + 3); n > 0 {
+		m.Puddles = make([]MigPuddle, n)
+		for i := range m.Puddles {
+			m.Puddles[i] = MigPuddle{UUID: d.uuid(), Addr: d.uv(), Size: d.uv(), Kind: d.uv()}
+		}
+	}
+	if n := d.count(len(uid.UUID{}) + 3); n > 0 {
+		m.LogSpaces = make([]MigLogSpace, n)
+		for i := range m.LogSpaces {
+			m.LogSpaces[i] = MigLogSpace{UUID: d.uuid(), Creds: Creds{d.u32(), d.u32()}, Shards: d.u32()}
+		}
+	}
+	m.SourceURL = d.str()
+	if d.err == nil && len(d.b) > 0 {
+		d.err = errTrailing
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return m, nil
 }
 
 // --- options ---
@@ -410,11 +446,7 @@ func (d *Daemon) opMigratePool(creds Creds, req *proto.Request) *proto.Response 
 	}
 	defer peer.Close()
 
-	blob, err := gobBytes(man)
-	if err != nil {
-		return d.abortOutbound(peer, mig, members, maps, fail("migrate: encoding manifest: %v", err))
-	}
-	if _, err := rtOK(peer, &proto.Request{Op: proto.OpMigrateBegin, UUID: mig.ID, Blob: blob}); err != nil {
+	if _, err := rtOK(peer, &proto.Request{Op: proto.OpMigrateBegin, UUID: mig.ID, Blob: man.encode()}); err != nil {
 		return d.abortOutbound(peer, mig, members, maps, fail("migrate: begin refused: %v", err))
 	}
 
@@ -613,7 +645,7 @@ func (d *Daemon) drainActiveTx(root *puddle.Puddle) bool {
 	return true
 }
 
-// shipRange streams one range of puddle m as CRC-guarded frames.
+// shipRange streams one range of puddle m, a frame per chunk.
 // Returns the bytes shipped.
 func (d *Daemon) shipRange(peer *proto.Conn, migID uid.UUID, m *PuddleRec, r pmem.Range, op proto.Op) (uint64, error) {
 	var shipped uint64
@@ -628,7 +660,7 @@ func (d *Daemon) shipRange(peer *proto.Conn, migID uid.UUID, m *PuddleRec, r pme
 		req := &proto.Request{
 			Op: op, UUID: migID, Pool: m.UUID,
 			Addr: uint64(addr) - m.Addr, // offset within the puddle
-			Blob: b, CRC: crc64.Checksum(b, crcTable),
+			Blob: b,
 		}
 		if _, err := rtOK(peer, req); err != nil {
 			return shipped, err
@@ -742,8 +774,8 @@ func (d *Daemon) opMigrateBegin(creds Creds, req *proto.Request) *proto.Response
 	if resp := requireSuper(creds); resp != nil {
 		return resp
 	}
-	var man MigManifest
-	if err := gobValue(req.Blob, &man); err != nil {
+	man, err := decodeManifest(req.Blob)
+	if err != nil {
 		return fail("migrate: decoding manifest: %v", err)
 	}
 	if man.Pool == "" || len(man.Puddles) == 0 {
@@ -771,7 +803,7 @@ func (d *Daemon) opMigrateBegin(creds Creds, req *proto.Request) *proto.Response
 	if _, ok := d.migsIn[req.UUID]; ok {
 		return fail("migrate: migration %v already begun", req.UUID)
 	}
-	in := &migIn{man: &man, addrs: make(map[uid.UUID]uint64), sizes: make(map[uid.UUID]uint64)}
+	in := &migIn{man: man, addrs: make(map[uid.UUID]uint64), sizes: make(map[uid.UUID]uint64)}
 	release := func() {
 		for _, a := range in.addrs {
 			d.space.Release(pmem.Addr(a))
@@ -803,9 +835,6 @@ func (d *Daemon) opMigrateBegin(creds Creds, req *proto.Request) *proto.Response
 func (d *Daemon) opMigrateFrame(creds Creds, req *proto.Request) *proto.Response {
 	if resp := requireSuper(creds); resp != nil {
 		return resp
-	}
-	if crc64.Checksum(req.Blob, crcTable) != req.CRC {
-		return fail("migrate: frame CRC mismatch (%d bytes for %v)", len(req.Blob), req.Pool)
 	}
 	if req.UUID == uid.Nil && req.Name != "" {
 		return d.standbyFrame(req)
@@ -1050,14 +1079,14 @@ func (d *Daemon) opMigrateAbort(creds Creds, req *proto.Request) *proto.Response
 // record the owner's current addresses (failover needs them to
 // rewrite pointers), and answer the acked epoch so the owner knows
 // whether a full resync is needed. Blob carries the owner's manifest
-// of (uuid, addr) pairs, gob-encoded as a MigManifest with only
-// ID/Pool/PoolUUID/Puddles populated.
+// of (uuid, addr) pairs: a MigManifest with only Pool, PoolUUID and
+// Puddles populated.
 func (d *Daemon) opReplicaAttach(creds Creds, req *proto.Request) *proto.Response {
 	if resp := requireSuper(creds); resp != nil {
 		return resp
 	}
-	var man MigManifest
-	if err := gobValue(req.Blob, &man); err != nil {
+	man, err := decodeManifest(req.Blob)
+	if err != nil {
 		return fail("replica: decoding attach manifest: %v", err)
 	}
 	d.poolsMu.Lock()
@@ -1458,17 +1487,13 @@ func (d *Daemon) syncReplica(name string, fullResync bool) error {
 	for _, m := range members {
 		attach.Puddles = append(attach.Puddles, MigPuddle{UUID: m.UUID, Addr: m.Addr, Size: m.Size, Kind: m.Kind})
 	}
-	ab, err := gobBytes(attach)
-	if err != nil {
-		return err
-	}
-	if _, err := rtOK(peer, &proto.Request{Op: proto.OpReplicaAttach, Name: name, Blob: ab, Target: d.advertise}); err != nil {
+	if _, err := rtOK(peer, &proto.Request{Op: proto.OpReplicaAttach, Name: name, Blob: attach.encode(), Target: d.advertise}); err != nil {
 		return err
 	}
 	for _, c := range chunks {
 		req := &proto.Request{
 			Op: proto.OpMigrateDelta, Name: name, Pool: c.pud.UUID,
-			Addr: c.off, Blob: c.data, CRC: crc64.Checksum(c.data, crcTable),
+			Addr: c.off, Blob: c.data,
 		}
 		if _, err := rtOK(peer, req); err != nil {
 			// Undelivered dirt must be re-shipped: re-mark everything (a

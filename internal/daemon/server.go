@@ -83,7 +83,7 @@ func (d *Daemon) Serve(l net.Listener) error {
 		d.connWg.Add(1)
 		go func() {
 			defer d.connWg.Done()
-			d.handleConn(proto.NewServerConnBuf(c, d.connBufBytes))
+			d.handleConn(proto.NewServerConn(c))
 		}()
 	}
 }
@@ -194,7 +194,7 @@ func (d *Daemon) handleConn(sc *proto.ServerConn) {
 	for {
 		req, err := sc.Recv()
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
+			if !d.noteWireError(err) && err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				d.logf("conn: %v", err)
 			}
 			break
@@ -231,6 +231,19 @@ func (d *Daemon) handleConn(sc *proto.ServerConn) {
 	close(work)
 	close(ordered)
 	wg.Wait()
+}
+
+// noteWireError counts and logs err if it is a frame the connection's
+// peer sent and this daemon refused (over-long, bad CRC, undecodable);
+// the caller hangs up.
+func (d *Daemon) noteWireError(err error) bool {
+	var we *proto.WireError
+	if !errors.As(err, &we) {
+		return false
+	}
+	d.wireErrs.Add(1)
+	d.logf("conn: %v; hanging up", we)
+	return true
 }
 
 // serveOne executes one request with per-request panic confinement: a

@@ -210,12 +210,6 @@ func WithHandshakeTimeout(to time.Duration) Option {
 	}
 }
 
-// WithConnBufBytes sets the per-direction buffer size of accepted
-// connections (default proto.DefaultBufBytes). Connection-count
-// sweeps shrink it: 4096 connections at the default would sit on
-// gigabytes of idle buffer.
-func WithConnBufBytes(n int) Option { return func(d *Daemon) { d.connBufBytes = n } }
-
 // rand64 returns a non-zero 64-bit identifier. Session IDs and tokens
 // are random, not sequential, so a restarted daemon cannot hand a new
 // client the ID an old client is about to resume.
@@ -244,6 +238,12 @@ func (d *Daemon) handshake(sc *proto.ServerConn) (*Session, error) {
 	sc.SetDeadline(time.Now().Add(to))
 	h, err := sc.RecvHello()
 	if err != nil {
+		// Not a Hello: a non-protocol peer (or a version-1 gob client) has
+		// no frame format to be answered in, so it is hung up on now
+		// rather than when the deadline fires.
+		if d.noteWireError(err) {
+			d.hsRejects.Add(1)
+		}
 		return nil, err
 	}
 	reject := func(msg string) (*Session, error) {

@@ -1,8 +1,13 @@
 package daemon_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
+	"io"
+	"log"
 	"net"
 	"os"
 	"strings"
@@ -343,37 +348,205 @@ func TestSessionAccounting(t *testing.T) {
 	}
 }
 
-// TestRequestSIDMismatchRejected forges a request stamped for a
-// different session than its connection's — something proto.Conn
-// cannot produce, so it speaks raw gob.
-func TestRequestSIDMismatchRejected(t *testing.T) {
-	_, _, addr := startTCPDaemon(t)
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// readFrame reads one wire frame off nc and returns its payload.
+func readFrame(t *testing.T, nc net.Conn) []byte {
+	t.Helper()
+	hdr := make([]byte, 8)
+	if _, err := io.ReadFull(nc, hdr); err != nil {
+		t.Fatalf("reading a frame header: %v", err)
+	}
+	payload := make([]byte, binary.LittleEndian.Uint32(hdr))
+	if _, err := io.ReadFull(nc, payload); err != nil {
+		t.Fatalf("reading a %d-byte frame: %v", len(payload), err)
+	}
+	if sum := binary.LittleEndian.Uint32(hdr[4:]); sum != crc32.Checksum(payload, castagnoli) {
+		t.Fatalf("frame CRC %#x does not match its payload", sum)
+	}
+	return payload
+}
+
+// rawHandshake dials addr and completes the handshake in raw frames,
+// for tests that then send what proto.Conn cannot produce.
+func rawHandshake(t *testing.T, addr string) (net.Conn, proto.Welcome) {
+	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
-	enc := gob.NewEncoder(nc)
-	dec := gob.NewDecoder(nc)
-	if err := enc.Encode(&proto.Hello{Magic: proto.HandshakeMagic, Version: proto.ProtocolVersion}); err != nil {
+	t.Cleanup(func() { nc.Close() })
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc.Write(proto.AppendHello(nil, &proto.Hello{Magic: proto.HandshakeMagic, Version: proto.ProtocolVersion})); err != nil {
 		t.Fatal(err)
 	}
 	var w proto.Welcome
-	if err := dec.Decode(&w); err != nil {
+	if err := proto.DecodeWelcome(readFrame(t, nc), &w); err != nil {
 		t.Fatal(err)
 	}
 	if w.Err != "" || w.Session == 0 {
 		t.Fatalf("welcome = %+v", w)
 	}
-	if err := enc.Encode(&proto.Request{ID: 1, Op: proto.OpNop, SID: w.Session + 1}); err != nil {
+	return nc, w
+}
+
+// TestRequestSIDMismatchRejected forges a request stamped for a
+// different session than its connection's — something proto.Conn
+// cannot produce, so it speaks raw frames.
+func TestRequestSIDMismatchRejected(t *testing.T) {
+	_, _, addr := startTCPDaemon(t)
+	nc, w := rawHandshake(t, addr)
+	if _, err := nc.Write(proto.AppendRequest(nil, &proto.Request{ID: 1, Op: proto.OpNop, SID: w.Session + 1})); err != nil {
 		t.Fatal(err)
 	}
 	var resp proto.Response
-	if err := dec.Decode(&resp); err != nil {
+	if err := proto.DecodeResponse(readFrame(t, nc), &resp, false); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resp.Err, "session") {
+	if resp.ID != 1 || !strings.Contains(resp.Err, "session") {
 		t.Fatalf("forged SID response = %+v, want session mismatch error", resp)
+	}
+}
+
+// syncBuf is a log sink a test may read while the daemon writes.
+type syncBuf struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuf) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuf) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// waitFor polls cond for up to a second.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestNonProtocolPeerRefusedAtOnce: a peer that does not open with a
+// Hello frame — a version-1 gob client, an HTTP probe — used to hold its
+// handler until the handshake deadline. It is hung up on as soon as its
+// first 8 bytes are in, with one HandshakeRejects tick and one log line
+// naming what was seen; a well-formed Hello of another version still gets
+// a typed Welcome.Err. The handshake timeout is a minute: nothing here
+// may wait for it.
+func TestNonProtocolPeerRefusedAtOnce(t *testing.T) {
+	var logs syncBuf
+	d, _, addr := startTCPDaemon(t, daemon.WithHandshakeTimeout(time.Minute), daemon.WithLogger(log.New(&logs, "", 0)))
+
+	peers := map[string]func(nc net.Conn){
+		"gob client": func(nc net.Conn) {
+			gob.NewEncoder(nc).Encode(&proto.Hello{Magic: proto.HandshakeMagic, Version: 1})
+		},
+		"http probe": func(nc net.Conn) { nc.Write([]byte("GET / HTTP/1.1\r\n\r\n")) },
+	}
+	rejects := uint64(0)
+	for name, speak := range peers {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		speak(nc)
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := nc.Read(make([]byte, 64)); err == nil {
+			t.Fatalf("%s: daemon answered %d bytes, want a hangup", name, n)
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("%s: still connected after 5s", name)
+		}
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Errorf("%s: refused after %v, want < 100ms", name, took)
+		}
+		nc.Close()
+		rejects++
+		waitFor(t, name+" to be counted", func() bool { return d.Stats().HandshakeRejects == rejects })
+	}
+	if got := strings.Count(logs.String(), "bad handshake frame"); got != len(peers) {
+		t.Errorf("%d log lines for %d refused peers:\n%s", got, len(peers), logs.String())
+	}
+	if !strings.Contains(logs.String(), "47 45 54 20 2f 20 48 54") { // "GET / HT"
+		t.Errorf("log does not name the bytes seen:\n%s", logs.String())
+	}
+
+	// Another version, well formed: answered in kind.
+	start := time.Now()
+	c := dialHello(t, addr, proto.Hello{Version: proto.ProtocolVersion + 1})
+	defer c.Close()
+	var he *proto.HandshakeError
+	if err := c.Handshake(); !errors.As(err, &he) || !strings.Contains(he.Msg, "version") {
+		t.Fatalf("wrong-version handshake = %v, want a typed version refusal", err)
+	}
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("wrong version refused after %v, want < 100ms", took)
+	}
+	if st := d.Stats(); st.HandshakeRejects != rejects+1 || st.ActiveConns != 0 {
+		t.Errorf("stats = %d rejects, %d active conns; want %d, 0", st.HandshakeRejects, st.ActiveConns, rejects+1)
+	}
+}
+
+// TestBadFrameKillsConnection: after the handshake, a frame with a bad
+// CRC, a length past proto.MaxFrame or a payload that does not decode
+// gets its connection killed, counted in WireDecodeErrors and logged with
+// the region (and the op, when the payload got that far) — and costs no
+// allocation in proportion to the length it claims.
+func TestBadFrameKillsConnection(t *testing.T) {
+	var logs syncBuf
+	d, _, addr := startTCPDaemon(t, daemon.WithLogger(log.New(&logs, "", 0)))
+	reframe := func(payload []byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+		return append(b, payload...)
+	}
+	good := proto.AppendRequest(nil, &proto.Request{ID: 1, Op: proto.OpFreePuddle, UUID: [16]byte{1}})
+	for i, c := range []struct {
+		name, logged string
+		frame        []byte
+	}{
+		{"bad CRC", "bad request frame: CRC mismatch", func() []byte {
+			b := bytes.Clone(good)
+			b[len(b)-1] ^= 1
+			return b
+		}()},
+		{"over-long", "bad request frame: frame length outside its cap", binary.LittleEndian.AppendUint32(nil, proto.MaxFrame+1)},
+		{"undecodable", "bad request frame (FreePuddle): truncated", reframe(good[8 : len(good)-1])},
+		{"non-canonical", "bad request frame (Nop): present field is zero", reframe([]byte{0, 1, 0x08, 0, 0})},
+	} {
+		nc, _ := rawHandshake(t, addr)
+		if len(c.frame) < 8 {
+			c.frame = append(c.frame, 0, 0, 0, 0) // a header is 8 bytes; nothing follows it
+		}
+		if _, err := nc.Write(c.frame); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := nc.Read(make([]byte, 64)); err == nil {
+			t.Fatalf("%s: daemon answered %d bytes, want a hangup", c.name, n)
+		}
+		waitFor(t, c.name+" to be counted", func() bool { return d.Stats().WireDecodeErrors == uint64(i+1) })
+		if !strings.Contains(logs.String(), c.logged) {
+			t.Errorf("%s: log lacks %q:\n%s", c.name, c.logged, logs.String())
+		}
+	}
+	if st := d.Stats(); st.HandshakeRejects != 0 {
+		t.Errorf("HandshakeRejects = %d after post-handshake errors", st.HandshakeRejects)
+	}
+	// The daemon is unharmed.
+	c := dialHello(t, addr, proto.Hello{})
+	defer c.Close()
+	if _, err := c.RoundTrip(&proto.Request{Op: proto.OpNop}); err != nil {
+		t.Fatal(err)
 	}
 }
 

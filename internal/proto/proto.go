@@ -2,18 +2,18 @@
 // Puddled daemon (paper Fig. 2).
 //
 // The paper's daemon speaks over a UNIX domain socket and passes file
-// descriptors as capabilities; we speak gob-encoded request/response
-// messages over any net.Conn (a real UNIX socket for cmd/puddled, an
-// in-process net.Pipe for tests and benchmarks) and return grant
-// records {address, size, writability} standing in for the fd
-// capability (DESIGN.md §2).
+// descriptors as capabilities; we speak length-prefixed, CRC-guarded
+// binary frames (wire.go) over any net.Conn (a real UNIX socket for
+// cmd/puddled, an in-process net.Pipe for tests and benchmarks) and
+// return grant records {address, size, writability} standing in for
+// the fd capability (DESIGN.md §2).
 package proto
 
 import (
-	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -43,8 +43,9 @@ var ErrClosed = errors.New("proto: connection closed")
 const (
 	// HandshakeMagic spells "PUDDLES1" (little-endian).
 	HandshakeMagic uint64 = 0x3153454c44445550
-	// ProtocolVersion is bumped on incompatible wire changes.
-	ProtocolVersion uint16 = 1
+	// ProtocolVersion is bumped on every change to the wire format
+	// (wire.go); version 1 was the gob stream.
+	ProtocolVersion uint16 = 2
 )
 
 // Hello is the first frame a client writes on a new connection.
@@ -117,7 +118,7 @@ const (
 	OpResolveMig    // operator → daemon: retry resolution of in-flight migrations
 )
 
-var opNames = map[Op]string{
+var opNames = [...]string{
 	OpNop: "Nop", OpHello: "Hello", OpCreatePool: "CreatePool",
 	OpOpenPool: "OpenPool", OpDeletePool: "DeletePool", OpListPools: "ListPools",
 	OpGetNewPuddle: "GetNewPuddle", OpGetExistPuddle: "GetExistPuddle",
@@ -136,8 +137,8 @@ var opNames = map[Op]string{
 }
 
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if int(o) < len(opNames) {
+		return opNames[o]
 	}
 	return fmt.Sprintf("Op(%d)", uint16(o))
 }
@@ -173,7 +174,6 @@ type Request struct {
 	Session uint64
 	Shards  uint32 // log-space shard count (RegLogSpace); 0 = legacy/1
 	Target  string // destination daemon URL (MigratePool, ReplicaAttach)
-	CRC     uint64 // CRC64 guard over Blob (MigrateChunk/MigrateDelta frames)
 }
 
 // MigReport summarizes one completed migration (returned in the
@@ -226,6 +226,7 @@ type Stats struct {
 	ActiveSessions   int    // live sessions in the registry
 	AcceptErrors     uint64 // accept-loop errors survived (EMFILE etc.)
 	HandshakeRejects uint64 // connections refused at the handshake
+	WireDecodeErrors uint64 // frames refused: over-long, bad CRC or undecodable (connection killed)
 	SessionResumes   uint64 // sessions re-attached via a resume token
 	PoolCapRejects   uint64 // pool opens refused by the per-session cap
 	GrantCapRejects  uint64 // puddle grants refused by the per-session grant cap
@@ -271,11 +272,10 @@ type Conn struct {
 	c      net.Conn
 	nextID atomic.Uint64
 
-	sendMu sync.Mutex // guards bw+enc
-	bw     *bufio.Writer
-	enc    *gob.Encoder
+	sendMu sync.Mutex // guards wbuf
+	wbuf   []byte     // the send buffer, reused frame after frame
 
-	dec        *gob.Decoder // owned by the reader goroutine (after handshake)
+	fr         frameReader // owned by the reader goroutine (after handshake)
 	readerOnce sync.Once
 
 	// Handshake state. The Hello frame is written (and its Welcome
@@ -294,19 +294,16 @@ type Conn struct {
 	dead    error
 }
 
-// DefaultBufBytes is the per-direction buffer size of NewConn and
-// NewServerConn. Large payloads (export containers) would otherwise
-// rendezvous through net.Pipe in many small chunks; connection-count
-// sweeps use NewConnBuf with a smaller size so 4096 connections don't
-// cost 4096 × 512 KiB of idle buffer.
-const DefaultBufBytes = 256 << 10
+// waiters recycles the one-slot channels RoundTrip waits on. A channel
+// goes back only after its single delivery (a response, or nil when the
+// connection died) has been received, so it is always empty in the pool.
+var waiters = sync.Pool{New: func() any { return make(chan *Response, 1) }}
 
 // NewConn wraps a network connection with the calling process's real
-// credentials and a fresh session. Both directions are buffered. The
-// real identity matters on UNIX sockets, where the daemon verifies the
-// asserted credentials against SO_PEERCRED and rejects forgeries; use
-// NewConnHello to assert explicit (test) identities over transports
-// that carry no kernel-attested peer.
+// credentials and a fresh session. The real identity matters on UNIX
+// sockets, where the daemon verifies the asserted credentials against
+// SO_PEERCRED and rejects forgeries; use NewConnHello to assert explicit
+// (test) identities over transports that carry no kernel-attested peer.
 func NewConn(c net.Conn) *Conn {
 	return NewConnHello(c, Hello{UID: uint32(os.Getuid()), GID: uint32(os.Getgid())})
 }
@@ -314,25 +311,12 @@ func NewConn(c net.Conn) *Conn {
 // NewConnHello wraps a network connection with an explicit handshake:
 // credentials and, to re-attach a previous session after a reconnect,
 // its resume token. Magic and Version are filled in automatically.
-func NewConnHello(c net.Conn, h Hello) *Conn { return NewConnBuf(c, h, DefaultBufBytes) }
-
-// NewConnBuf is NewConnHello with an explicit per-direction buffer
-// size.
-func NewConnBuf(c net.Conn, h Hello, bufBytes int) *Conn {
-	if bufBytes <= 0 {
-		bufBytes = DefaultBufBytes
-	}
+func NewConnHello(c net.Conn, h Hello) *Conn {
 	h.Magic = HandshakeMagic
 	if h.Version == 0 {
 		h.Version = ProtocolVersion
 	}
-	bw := bufio.NewWriterSize(c, bufBytes)
-	return &Conn{
-		c: c, bw: bw, enc: gob.NewEncoder(bw),
-		dec:     gob.NewDecoder(bufio.NewReaderSize(c, bufBytes)),
-		hello:   h,
-		pending: make(map[uint64]chan *Response),
-	}
+	return &Conn{c: c, fr: newFrameReader(c), hello: h, pending: make(map[uint64]chan *Response)}
 }
 
 // Handshake completes the Hello/Welcome exchange if it has not run
@@ -342,19 +326,23 @@ func NewConnBuf(c net.Conn, h Hello, bufBytes int) *Conn {
 func (c *Conn) Handshake() error {
 	c.hsOnce.Do(func() {
 		c.sendMu.Lock()
-		err := c.enc.Encode(&c.hello)
-		if err == nil {
-			err = c.bw.Flush()
-		}
+		var err error
+		c.wbuf, err = writeFrame(c.c, AppendHello(c.wbuf, &c.hello), nil)
 		c.sendMu.Unlock()
 		if err != nil {
 			c.hsErr = c.fail(fmt.Errorf("proto: handshake send: %w", err))
 			return
 		}
 		// The reader goroutine starts only after the handshake, so the
-		// decoder is ours to use synchronously here.
+		// frame reader is ours to use synchronously here.
 		var w Welcome
-		if err := c.dec.Decode(&w); err != nil {
+		p, _, err := c.fr.next(0, maxWelcome)
+		if err == nil {
+			if err = DecodeWelcome(p, &w); err != nil {
+				err = c.fr.refuse(err)
+			}
+		}
+		if err != nil {
 			c.hsErr = c.fail(fmt.Errorf("proto: handshake recv: %w", err))
 			return
 		}
@@ -363,6 +351,7 @@ func (c *Conn) Handshake() error {
 			return
 		}
 		c.session, c.token, c.resumed = w.Session, w.Token, w.Resumed
+		c.fr.region = "response"
 	})
 	return c.hsErr
 }
@@ -383,7 +372,7 @@ func (c *Conn) Resumed() bool {
 }
 
 // fail marks the connection dead (first error wins) and wakes every
-// outstanding waiter.
+// outstanding waiter with a nil response.
 func (c *Conn) fail(err error) error {
 	c.mu.Lock()
 	if c.dead == nil {
@@ -392,7 +381,7 @@ func (c *Conn) fail(err error) error {
 	err = c.dead
 	for id, ch := range c.pending {
 		delete(c.pending, id)
-		close(ch)
+		ch <- nil
 	}
 	c.mu.Unlock()
 	return err
@@ -407,8 +396,8 @@ func (c *Conn) fail(err error) error {
 // hanging on a response that can never be matched.
 func (c *Conn) readLoop() {
 	for {
-		var resp Response
-		if err := c.dec.Decode(&resp); err != nil {
+		resp, err := c.recv()
+		if err != nil {
 			c.fail(fmt.Errorf("proto: recv: %w", err))
 			return
 		}
@@ -422,8 +411,21 @@ func (c *Conn) readLoop() {
 			c.fail(fmt.Errorf("proto: unmatched response id %d (peer does not echo request ids?)", resp.ID))
 			return
 		}
-		ch <- &resp
+		ch <- resp
 	}
+}
+
+// recv reads the next response.
+func (c *Conn) recv() (*Response, error) {
+	p, owned, err := c.fr.next(0, MaxFrame)
+	if err != nil {
+		return nil, err
+	}
+	resp := new(Response)
+	if err := DecodeResponse(p, resp, owned); err != nil {
+		return nil, c.fr.refuse(err)
+	}
+	return resp, nil
 }
 
 // RoundTrip sends req and waits for its response. A non-empty
@@ -440,33 +442,32 @@ func (c *Conn) RoundTrip(req *Request) (*Response, error) {
 	wire := *req
 	wire.ID = c.nextID.Add(1)
 	wire.SID = c.session
-	ch := make(chan *Response, 1)
 	c.mu.Lock()
 	if c.dead != nil {
 		err := c.dead
 		c.mu.Unlock()
 		return nil, err
 	}
+	ch := waiters.Get().(chan *Response)
 	c.pending[wire.ID] = ch
 	c.mu.Unlock()
 
 	c.sendMu.Lock()
-	err := c.enc.Encode(&wire)
-	if err == nil {
-		err = c.bw.Flush()
-	}
+	frame, tail := appendRequest(c.wbuf, &wire)
+	var err error
+	c.wbuf, err = writeFrame(c.c, frame, tail)
 	c.sendMu.Unlock()
 	if err != nil {
-		return nil, c.fail(fmt.Errorf("proto: send %v: %w", req.Op, err))
+		c.fail(fmt.Errorf("proto: send %v: %w", req.Op, err))
 	}
-	resp, ok := <-ch
-	if !ok {
+	// Exactly one delivery reaches ch — the response, or fail's nil —
+	// whichever took the request out of pending.
+	resp := <-ch
+	waiters.Put(ch)
+	if resp == nil {
 		c.mu.Lock()
 		err := c.dead
 		c.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("proto: connection closed during %v", req.Op)
-		}
 		return nil, err
 	}
 	if resp.Err != "" {
@@ -570,24 +571,13 @@ func IsMigUnresolved(err error) bool {
 // connection's read loop and Send by its response writer — one
 // goroutine per direction, so neither needs a lock.
 type ServerConn struct {
-	c   net.Conn
-	bw  *bufio.Writer
-	enc *gob.Encoder
-	dec *gob.Decoder
+	c    net.Conn
+	fr   frameReader
+	wbuf []byte // the send buffer, reused frame after frame
 }
 
 // NewServerConn wraps an accepted connection.
-func NewServerConn(c net.Conn) *ServerConn { return NewServerConnBuf(c, DefaultBufBytes) }
-
-// NewServerConnBuf is NewServerConn with an explicit per-direction
-// buffer size (connection-count sweeps shrink it).
-func NewServerConnBuf(c net.Conn, bufBytes int) *ServerConn {
-	if bufBytes <= 0 {
-		bufBytes = DefaultBufBytes
-	}
-	bw := bufio.NewWriterSize(c, bufBytes)
-	return &ServerConn{c: c, bw: bw, enc: gob.NewEncoder(bw), dec: gob.NewDecoder(bufio.NewReaderSize(c, bufBytes))}
-}
+func NewServerConn(c net.Conn) *ServerConn { return &ServerConn{c: c, fr: newFrameReader(c)} }
 
 // SetDeadline sets the read/write deadline on the underlying
 // connection. The daemon bounds the handshake with it (a peer that
@@ -600,24 +590,32 @@ func (s *ServerConn) SetDeadline(t time.Time) error { return s.c.SetDeadline(t) 
 // sockets) during the handshake.
 func (s *ServerConn) NetConn() net.Conn { return s.c }
 
-// RecvHello reads the client's Hello frame. It does not validate —
-// the daemon decides how to answer (SendWelcome).
+// RecvHello reads the client's Hello frame. A first frame that is not
+// Hello-sized or does not begin with the magic — any non-protocol peer,
+// a version-1 gob client included — fails with a *WireError as soon as
+// its 8-byte header is in: there is no common language to answer in.
+// The version is not judged here — the daemon decides how to answer a
+// well-formed Hello (SendWelcome).
 func (s *ServerConn) RecvHello() (*Hello, error) {
-	var h Hello
-	if err := s.dec.Decode(&h); err != nil {
+	p, _, err := s.fr.next(helloLen, helloLen)
+	if err != nil {
 		return nil, err
 	}
+	var h Hello
+	if err := DecodeHello(p, &h); err != nil {
+		return nil, s.fr.refuse(err)
+	}
+	s.fr.region = "request"
 	return &h, nil
 }
 
-// SendWelcome answers the Hello (flushes immediately — the client
-// blocks on it before sending any request).
+// SendWelcome answers the Hello (the client blocks on it before
+// sending any request).
 func (s *ServerConn) SendWelcome(w *Welcome) error {
 	w.Version = ProtocolVersion
-	if err := s.enc.Encode(w); err != nil {
-		return err
-	}
-	return s.bw.Flush()
+	var err error
+	s.wbuf, err = writeFrame(s.c, AppendWelcome(s.wbuf, w), nil)
+	return err
 }
 
 // CheckHello validates a Hello's magic and version, returning the
@@ -656,21 +654,30 @@ func (s *ServerConn) AcceptHello() (*Hello, error) {
 	return h, nil
 }
 
-// Recv reads the next request (io.EOF when the peer hangs up).
+// Recv reads the next request: io.EOF when the peer hangs up, a
+// *WireError when it sent a frame that is refused.
 func (s *ServerConn) Recv() (*Request, error) {
-	var req Request
-	if err := s.dec.Decode(&req); err != nil {
+	p, owned, err := s.fr.next(0, MaxFrame)
+	if err != nil {
 		return nil, err
 	}
-	return &req, nil
+	req := new(Request)
+	if err := DecodeRequest(p, req, owned); err != nil {
+		we := &WireError{Region: s.fr.region, Err: err}
+		if op, n := binary.Uvarint(p); n > 0 && op <= math.MaxUint16 {
+			we.Op = Op(op).String()
+		}
+		return nil, we
+	}
+	return req, nil
 }
 
-// Send writes a response.
+// Send writes a response, header and payload in one write.
 func (s *ServerConn) Send(resp *Response) error {
-	if err := s.enc.Encode(resp); err != nil {
-		return err
-	}
-	return s.bw.Flush()
+	frame, tail := appendResponse(s.wbuf, resp)
+	var err error
+	s.wbuf, err = writeFrame(s.c, frame, tail)
+	return err
 }
 
 // Close closes the underlying connection.

@@ -637,16 +637,13 @@ func BenchmarkYCSB_Concurrent(b *testing.B) {
 	}
 }
 
-// --- read-heavy scaling (seqlock vs latched reads) ---
+// --- read-heavy scaling (seqlock reads) ---
 
 // BenchmarkYCSBRead_Concurrent sweeps worker counts over the
-// read-heavy mixes (B: 95/5, C: read-only) with the optimistic
-// seqlock read path against the latched baseline. Writers still fence
-// (the device models the PM stall), but reads in optimistic mode take
-// no lock at all — the latched/optimistic gap at high worker counts
-// is the read path's contribution, and the reported fallbacks/op
-// metric checks that optimistic reads almost never degrade to the
-// stripe latch.
+// read-heavy mixes (B: 95/5, C: read-only) on the optimistic seqlock
+// read path. Writers still fence (the device models the PM stall), but
+// reads take no lock at all; the reported fallbacks/op metric checks
+// that they almost never degrade to the stripe latch.
 func BenchmarkYCSBRead_Concurrent(b *testing.B) {
 	const (
 		records      = 8192
@@ -657,48 +654,42 @@ func BenchmarkYCSBRead_Concurrent(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []struct {
-			name    string
-			latched bool
-		}{{"latched", true}, {"optimistic", false}} {
-			for _, workers := range []int{1, 4, 16} {
-				b.Run(fmt.Sprintf("%s/%s/%dworkers", wname, mode.name, workers), func(b *testing.B) {
-					lib, err := puddleslib.New()
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer lib.Close()
-					s, err := kvstore.New(lib, kvstore.Options{
-						Buckets: 1 << 13, ValueSize: 100,
-						LatchStripes: 512, LatchedReads: mode.latched,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					value := make([]byte, 100)
-					for _, k := range ycsb.LoadKeys(records) {
-						if err := s.Put(k, value); err != nil {
-							b.Fatal(err)
-						}
-					}
-					lib.Device().SetFenceLatency(fenceLatency)
-					opsPer := b.N / workers
-					if opsPer == 0 {
-						opsPer = 1
-					}
-					b.ResetTimer()
-					res, err := ycsb.RunConcurrent(s, w, records, ycsb.ConcurrentOptions{
-						Workers: workers, OpsPerWorker: opsPer, ValueSize: 100, Seed: 42,
-					})
-					b.StopTimer()
-					if err != nil {
-						b.Fatal(err)
-					}
-					rs := s.ReadStats()
-					b.ReportMetric(res.OpsPerSec(), "ops/s")
-					b.ReportMetric(float64(rs.Fallbacks)/float64(res.Ops), "fallbacks/op")
+		for _, workers := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("%s/%dworkers", wname, workers), func(b *testing.B) {
+				lib, err := puddleslib.New()
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer lib.Close()
+				s, err := kvstore.New(lib, kvstore.Options{
+					Buckets: 1 << 13, ValueSize: 100, LatchStripes: 512,
 				})
-			}
+				if err != nil {
+					b.Fatal(err)
+				}
+				value := make([]byte, 100)
+				for _, k := range ycsb.LoadKeys(records) {
+					if err := s.Put(k, value); err != nil {
+						b.Fatal(err)
+					}
+				}
+				lib.Device().SetFenceLatency(fenceLatency)
+				opsPer := b.N / workers
+				if opsPer == 0 {
+					opsPer = 1
+				}
+				b.ResetTimer()
+				res, err := ycsb.RunConcurrent(s, w, records, ycsb.ConcurrentOptions{
+					Workers: workers, OpsPerWorker: opsPer, ValueSize: 100, Seed: 42,
+				})
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				rs := s.ReadStats()
+				b.ReportMetric(res.OpsPerSec(), "ops/s")
+				b.ReportMetric(float64(rs.Fallbacks)/float64(res.Ops), "fallbacks/op")
+			})
 		}
 	}
 }

@@ -19,21 +19,17 @@ import (
 // alloc/free churn — every round each worker allocates a batch and
 // frees the batch it allocated last round, except every fourth round
 // it frees its *neighbour's* previous batch (a rotation, so no batch
-// is freed twice), mixing foreign frees into a mostly-local stream —
-// run with the worker caches on and off (SetAllocCache ablation).
+// is freed twice), mixing foreign frees into a mostly-local stream.
 // Part 2 runs 32/64-worker YCSB A (the paper's update-heavy mix) and
-// D (5% inserts, which allocate) with caches toggled and reports the
-// steady-state lease-conflict rate, which the per-worker caches are
-// supposed to hold near zero. Results land in -allocmtjson (default
-// BENCH_7.json).
+// D (5% inserts, which allocate) and reports the steady-state
+// lease-conflict rate, which the per-worker caches are supposed to
+// hold near zero. Results land in -allocmtjson (default BENCH_7.json).
 
 type allocmtChurnPoint struct {
 	Workers         int     `json:"workers"`
-	Cached          bool    `json:"cached"`
 	Ops             uint64  `json:"ops"`
 	Seconds         float64 `json:"seconds"`
 	OpsPerSec       float64 `json:"ops_per_sec"`
-	SpeedupVsShared float64 `json:"speedup_vs_shared"`
 	LeaseConflicts  uint64  `json:"lease_conflicts"`
 	SteadyConflicts uint64  `json:"steady_state_conflicts"`
 	CacheHitRate    float64 `json:"cache_hit_rate"`
@@ -44,7 +40,6 @@ type allocmtChurnPoint struct {
 type allocmtYCSBPoint struct {
 	Workload       string  `json:"workload"`
 	Workers        int     `json:"workers"`
-	Cached         bool    `json:"cached"`
 	Ops            uint64  `json:"ops"`
 	Seconds        float64 `json:"seconds"`
 	OpsPerSec      float64 `json:"ops_per_sec"`
@@ -81,58 +76,44 @@ func runAllocMT() error {
 		FenceLatency: fenceLatency.String(),
 	}
 
-	header := []string{"workers", "mode", "ops", "time", "ops/s", "vs shared", "conflicts", "steady", "hit rate"}
+	header := []string{"workers", "ops", "time", "ops/s", "conflicts", "steady", "hit rate"}
 	var rows [][]string
 	for _, workers := range []int{1, 4, 8, 16, 32, 64} {
-		var sharedOps float64
-		for _, cached := range []bool{false, true} {
-			// Best of three: cells are short enough that scheduler and
-			// GC noise on a shared box swamps single-shot numbers.
-			var pt allocmtChurnPoint
-			for rep := 0; rep < 3; rep++ {
-				p, err := allocChurnCell(workers, cached, rounds, batch, objSize, fenceLatency)
-				if err != nil {
-					return err
-				}
-				if rep == 0 || p.OpsPerSec > pt.OpsPerSec {
-					pt = p
-				}
+		// Best of three: cells are short enough that scheduler and GC
+		// noise on a shared box swamps single-shot numbers.
+		var pt allocmtChurnPoint
+		for rep := 0; rep < 3; rep++ {
+			p, err := allocChurnCell(workers, rounds, batch, objSize, fenceLatency)
+			if err != nil {
+				return err
 			}
-			if !cached {
-				sharedOps = pt.OpsPerSec
-			} else if sharedOps > 0 {
-				pt.SpeedupVsShared = pt.OpsPerSec / sharedOps
+			if rep == 0 || p.OpsPerSec > pt.OpsPerSec {
+				pt = p
 			}
-			report.Churn = append(report.Churn, pt)
-			mode := "shared"
-			if cached {
-				mode = "cached"
-			}
-			rows = append(rows, []string{
-				fmt.Sprint(workers), mode, fmt.Sprint(pt.Ops),
-				time.Duration(pt.Seconds * float64(time.Second)).Round(time.Millisecond).String(),
-				fmt.Sprintf("%.0f", pt.OpsPerSec),
-				fmt.Sprintf("%.2fx", pt.SpeedupVsShared),
-				fmt.Sprint(pt.LeaseConflicts), fmt.Sprint(pt.SteadyConflicts),
-				fmt.Sprintf("%.1f%%", 100*pt.CacheHitRate),
-			})
 		}
+		report.Churn = append(report.Churn, pt)
+		rows = append(rows, []string{
+			fmt.Sprint(workers), fmt.Sprint(pt.Ops),
+			time.Duration(pt.Seconds * float64(time.Second)).Round(time.Millisecond).String(),
+			fmt.Sprintf("%.0f", pt.OpsPerSec),
+			fmt.Sprint(pt.LeaseConflicts), fmt.Sprint(pt.SteadyConflicts),
+			fmt.Sprintf("%.1f%%", 100*pt.CacheHitRate),
+		})
 	}
 	table(header, rows)
 
 	// A's updates overwrite in place, so its steady state proves the
 	// conflict criterion with no allocator traffic at all; D's 5%
 	// inserts keep the worker caches in the hot path at 32/64 workers.
-	ycsbHeader := []string{"wl", "workers", "mode", "ops", "time", "ops/s", "conflicts", "per op", "hit rate"}
+	ycsbHeader := []string{"wl", "workers", "ops", "time", "ops/s", "conflicts", "per op", "hit rate"}
 	var ycsbRows [][]string
 	for _, cell := range []struct {
 		workload string
 		workers  int
-		cached   bool
-	}{{"A", 32, false}, {"A", 32, true}, {"A", 64, true}, {"D", 32, true}, {"D", 64, true}} {
+	}{{"A", 32}, {"A", 64}, {"D", 32}, {"D", 64}} {
 		var pt allocmtYCSBPoint
 		for rep := 0; rep < 2; rep++ {
-			p, err := allocYCSBCell(cell.workload, cell.workers, cell.cached, fenceLatency)
+			p, err := allocYCSBCell(cell.workload, cell.workers, fenceLatency)
 			if err != nil {
 				return err
 			}
@@ -141,12 +122,8 @@ func runAllocMT() error {
 			}
 		}
 		report.YCSB = append(report.YCSB, pt)
-		mode := "shared"
-		if cell.cached {
-			mode = "cached"
-		}
 		ycsbRows = append(ycsbRows, []string{
-			pt.Workload, fmt.Sprint(pt.Workers), mode, fmt.Sprint(pt.Ops),
+			pt.Workload, fmt.Sprint(pt.Workers), fmt.Sprint(pt.Ops),
 			time.Duration(pt.Seconds * float64(time.Second)).Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0f", pt.OpsPerSec),
 			fmt.Sprint(pt.LeaseConflicts), fmt.Sprintf("%.2e", pt.ConflictsPerOp),
@@ -167,20 +144,17 @@ func runAllocMT() error {
 	return nil
 }
 
-// allocChurnCell runs one (workers, mode) churn cell. Steady-state
-// conflicts are counted over the second half of the rounds, after the
-// caches have warmed and per-worker slabs converged.
-func allocChurnCell(workers int, cached bool, rounds, batch, objSize int, fence time.Duration) (allocmtChurnPoint, error) {
-	pt := allocmtChurnPoint{Workers: workers, Cached: cached}
+// allocChurnCell runs one churn cell. Steady-state conflicts are
+// counted over the second half of the rounds, after the caches have
+// warmed and per-worker slabs converged.
+func allocChurnCell(workers, rounds, batch, objSize int, fence time.Duration) (allocmtChurnPoint, error) {
+	pt := allocmtChurnPoint{Workers: workers}
 	lib, err := puddleslib.New()
 	if err != nil {
 		return pt, err
 	}
 	defer lib.Close()
 	c, pool := lib.Client(), lib.Pool()
-	if !cached {
-		c.SetAllocCache(false)
-	}
 	ti, err := c.RegisterType("bench.allocnode", uint32(objSize), nil)
 	if err != nil {
 		return pt, err
@@ -270,11 +244,11 @@ func allocChurnCell(workers int, cached bool, rounds, batch, objSize int, fence 
 	return pt, nil
 }
 
-// allocYCSBCell reruns the ycsbmt YCSB A cell at high worker counts
-// with the allocator cache toggled, reporting lease conflicts per op.
-func allocYCSBCell(workload string, workers int, cached bool, fence time.Duration) (allocmtYCSBPoint, error) {
+// allocYCSBCell reruns the ycsbmt YCSB cell at high worker counts,
+// reporting lease conflicts per op.
+func allocYCSBCell(workload string, workers int, fence time.Duration) (allocmtYCSBPoint, error) {
 	const records = 8192
-	pt := allocmtYCSBPoint{Workload: workload, Workers: workers, Cached: cached}
+	pt := allocmtYCSBPoint{Workload: workload, Workers: workers}
 	w, err := ycsb.WorkloadByName(workload)
 	if err != nil {
 		return pt, err
@@ -284,9 +258,6 @@ func allocYCSBCell(workload string, workers int, cached bool, fence time.Duratio
 		return pt, err
 	}
 	defer lib.Close()
-	if !cached {
-		lib.Client().SetAllocCache(false)
-	}
 	s, err := kvstore.New(lib, kvstore.Options{Buckets: 1 << 13, ValueSize: 100, LatchStripes: 512})
 	if err != nil {
 		return pt, err

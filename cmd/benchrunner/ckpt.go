@@ -13,21 +13,16 @@ import (
 	"puddles/internal/puddle"
 )
 
-// ckpt: compaction pause vs registry size, old vs new. The v1
-// checkpoint gob-encoded and wrote the WHOLE state while holding opMu
-// exclusively, so every compaction stalled every in-flight request
-// for O(registry) time; the v2 path captures only the entities
-// dirtied since the last checkpoint under the quiesce and streams the
-// chunks with the request path running. This benchmark builds
+// ckpt: compaction pause vs registry size. A checkpoint captures only
+// the records dirtied since the last one under the quiesce and streams
+// the chunks with the request path running. This benchmark builds
 // registries an order of magnitude apart, runs the same steady churn
-// against both checkpoint writers, forces compactions with
-// daemon.CompactNow — which reports exactly the exclusive-opMu hold —
-// and emits the pause distribution to -ckptjson (default
-// BENCH_5.json): the legacy pause grows with the registry, the
-// chunked pause tracks only the churn between compactions.
+// against both, forces compactions with daemon.CompactNow — which
+// reports exactly the exclusive-opMu hold — and emits the pause
+// distribution to -ckptjson (default BENCH_5.json): the pause should
+// track only the churn between compactions, not the registry size.
 
 type ckptPoint struct {
-	Mode        string  `json:"mode"` // "legacy" | "chunked"
 	Puddles     int     `json:"puddles"`
 	Compactions int     `json:"compactions"`
 	PauseP50Us  float64 `json:"pause_p50_us"`
@@ -57,22 +52,20 @@ func runCkpt() error {
 		ChurnPerCycle: churn,
 		Rounds:        rounds,
 	}
-	header := []string{"mode", "puddles", "compactions", "pause p50", "pause p99", "pause max"}
+	header := []string{"puddles", "compactions", "pause p50", "pause p99", "pause max"}
 	var rows [][]string
-	for _, mode := range []string{"legacy", "chunked"} {
-		for _, size := range sizes {
-			pt, err := ckptPoint1(mode, size, rounds, churn)
-			if err != nil {
-				return fmt.Errorf("%s/%d puddles: %w", mode, size, err)
-			}
-			report.Results = append(report.Results, pt)
-			rows = append(rows, []string{
-				pt.Mode, fmt.Sprint(pt.Puddles), fmt.Sprint(pt.Compactions),
-				fmt.Sprintf("%.1fµs", pt.PauseP50Us),
-				fmt.Sprintf("%.1fµs", pt.PauseP99Us),
-				fmt.Sprintf("%.1fµs", pt.PauseMaxUs),
-			})
+	for _, size := range sizes {
+		pt, err := ckptPoint1(size, rounds, churn)
+		if err != nil {
+			return fmt.Errorf("%d puddles: %w", size, err)
 		}
+		report.Results = append(report.Results, pt)
+		rows = append(rows, []string{
+			fmt.Sprint(pt.Puddles), fmt.Sprint(pt.Compactions),
+			fmt.Sprintf("%.1fµs", pt.PauseP50Us),
+			fmt.Sprintf("%.1fµs", pt.PauseP99Us),
+			fmt.Sprintf("%.1fµs", pt.PauseMaxUs),
+		})
 	}
 	table(header, rows)
 	blob, err := json.MarshalIndent(&report, "", "  ")
@@ -86,13 +79,8 @@ func runCkpt() error {
 	return nil
 }
 
-func ckptPoint1(mode string, size, rounds, churn int) (ckptPoint, error) {
-	var opts []daemon.Option
-	if mode == "legacy" {
-		opts = append(opts, daemon.WithLegacyCheckpoints())
-	}
-	dev := pmem.New()
-	d, err := daemon.New(dev, opts...)
+func ckptPoint1(size, rounds, churn int) (ckptPoint, error) {
+	d, err := daemon.New(pmem.New())
 	if err != nil {
 		return ckptPoint{}, err
 	}
@@ -150,7 +138,6 @@ func ckptPoint1(mode string, size, rounds, churn int) (ckptPoint, error) {
 		return float64(pauses[i].Nanoseconds()) / 1000
 	}
 	return ckptPoint{
-		Mode:        mode,
 		Puddles:     size,
 		Compactions: int(stats.Checkpoints - statsBefore.Checkpoints),
 		PauseP50Us:  pct(0.50),

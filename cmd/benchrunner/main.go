@@ -61,8 +61,8 @@ func main() {
 		{"ycsbmt", "multi-worker YCSB transaction scaling (emits -json artifact)", runYCSBMT},
 		{"daemonmt", "multi-client daemon metadata scaling (emits -daemonjson artifact)", runDaemonMT},
 		{"logshard", "sharded log-space commit + single-app recovery scaling (emits -logshardjson artifact)", runLogShard},
-		{"ckpt", "compaction pause vs registry size, legacy vs chunked checkpoints (emits -ckptjson artifact)", runCkpt},
-		{"ycsbread", "read-heavy YCSB B/C, latched vs seqlock reads (emits -ycsbreadjson artifact)", runYCSBRead},
+		{"ckpt", "compaction pause vs registry size (emits -ckptjson artifact)", runCkpt},
+		{"ycsbread", "read-heavy YCSB B/C on seqlock reads (emits -ycsbreadjson artifact)", runYCSBRead},
 		{"allocmt", "alloc/free cache scaling + 32/64-worker YCSB A (emits -allocmtjson artifact)", runAllocMT},
 		{"connmt", "64-4096 real-socket connection scaling + restart chaos (emits -connmtjson artifact)", runConnMT},
 		{"connchaos", "daemon kill/restart churn under live TCP clients", runConnChaos},

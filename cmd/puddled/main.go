@@ -46,7 +46,6 @@ func main() {
 		syncSecs     = flag.Int("sync", 5, "seconds between image syncs (0 disables)")
 		connWorkers  = flag.Int("conn-workers", 0, "pipelined dispatch workers per connection (0 = auto, 1 = serial)")
 		recWorkers   = flag.Int("recovery-workers", 0, "concurrent recovery replay workers over log-space shards and apps (0 = auto, 1 = serial)")
-		legacyCkpt   = flag.Bool("legacy-checkpoints", false, "write v1 whole-state A/B snapshot slots instead of chunked checkpoint chains (image downgrade/testing)")
 		inheritFDs   = flag.Bool("inherit", false, "adopt listener fds from a predecessor (set by the SIGHUP restart path)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "how long a drain waits for in-flight requests")
 		maxConns     = flag.Int("max-conns", 0, "concurrent client connection cap (0 = default, -1 = unlimited)")
@@ -75,9 +74,6 @@ func main() {
 		daemon.WithSessionIdle(*sessionIdle),
 		daemon.WithMaxGrantsPerSession(*maxGrants),
 		daemon.WithMaxBytesPerSession(*maxBytes),
-	}
-	if *legacyCkpt {
-		opts = append(opts, daemon.WithLegacyCheckpoints())
 	}
 	if *advertise != "" {
 		opts = append(opts, daemon.WithAdvertiseURL(*advertise))

@@ -13,7 +13,7 @@ import (
 // event of a registry churn run sized — via a deliberately tiny
 // journal and tiny checkpoint chunks — to cross several compaction
 // cycles. The swept crash offsets therefore land in every phase of
-// the v2 checkpoint protocol: inside the quiesce, mid-chunk while a
+// the checkpoint protocol: inside the quiesce, mid-chunk while a
 // checkpoint streams, on the commit chunk, mid-journal-double-buffer
 // switch and mid-journal-reset. After each "power failure" the daemon
 // reboots from checkpoint chain + journals; the registry must be
@@ -123,91 +123,6 @@ func compactionChurnOnce(off int64, opts []daemon.Option, res *Result) (crashed 
 	if resp := d2.Dispatch(daemon.Superuser, &proto.Request{Op: proto.OpOpenPool, Name: "sentinel"}); resp.Err != "" {
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("offset %d (crashed=%v): sentinel lost: %s", off, crashed, resp.Err))
-	}
-	if err := d2.CheckConsistency(); err != nil {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("offset %d (crashed=%v): %v", off, crashed, err))
-	}
-	return crashed, nil
-}
-
-// LegacyCheckpointOverwrite regresses the same-slot checkpoint
-// overwrite bug (the v1 writer's Seq%2 parity selection): a
-// legacy-mode daemon boots (checkpoint #1), journals an ODD number of
-// batches — which, because journal appends bump the same sequence the
-// checkpoint uses, made the parity of checkpoint #2 equal to #1's —
-// and is then power-failed at every offset inside checkpoint #2.
-//
-// Before the fix, #2 targeted the slot holding the ONLY valid
-// snapshot: offsets between its payload flush and its header publish
-// left that slot torn, boot fell back to the stale sibling slot, and
-// the journal-base guard (base > checkpoint seq) discarded every
-// acked batch on top — the pools created after boot silently
-// vanished. With the last-valid-slot alternation, checkpoint #2 lands
-// in the OTHER slot and every swept offset recovers the newer state.
-func LegacyCheckpointOverwrite(maxOffset, stride int64) (Result, error) {
-	res := Result{Scenario: "legacy-checkpoint-overwrite"}
-	for off := int64(1); off < maxOffset; off += stride {
-		crashed, err := legacyOverwriteOnce(off, &res)
-		if err != nil {
-			return res, fmt.Errorf("chaos legacy-checkpoint-overwrite @%d: %w", off, err)
-		}
-		res.Probes++
-		if !crashed {
-			res.Completed++
-			break
-		}
-	}
-	return res, nil
-}
-
-func legacyOverwriteOnce(off int64, res *Result) (crashed bool, err error) {
-	dev := pmem.NewChaos(off)
-	d, err := daemon.New(dev, daemon.WithLegacyCheckpoints())
-	if err != nil {
-		return false, fmt.Errorf("boot: %w", err)
-	}
-	// An odd number of journaled mutations after the boot checkpoint.
-	names := []string{"alive-0", "alive-1", "alive-2"}
-	for _, n := range names {
-		resp := d.Dispatch(daemon.Superuser, &proto.Request{Op: proto.OpCreatePool, Name: n})
-		if resp.Err != "" {
-			return false, fmt.Errorf("create %s: %s", n, resp.Err)
-		}
-	}
-	dev.CrashAtEvent(dev.Events() + off)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if !pmem.IsCrash(r) {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
-		_, err = d.CompactNow() // checkpoint #2: the crash sweeps through it
-	}()
-	if !crashed && err != nil {
-		return false, fmt.Errorf("checkpoint: %w", err)
-	}
-	if !crashed {
-		dev.CrashAtEvent(0)
-		dev.CrashNow()
-	}
-
-	// Reboot with the default (v2) daemon: it reads the legacy slots as
-	// migration sources, exactly like a real upgrade after the crash.
-	d2, err := daemon.New(dev)
-	if err != nil {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("offset %d (crashed=%v): reboot: %v", off, crashed, err))
-		return crashed, nil
-	}
-	for _, n := range names {
-		if resp := d2.Dispatch(daemon.Superuser, &proto.Request{Op: proto.OpOpenPool, Name: n}); resp.Err != "" {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("offset %d (crashed=%v): pool %s lost: %s", off, crashed, n, resp.Err))
-		}
 	}
 	if err := d2.CheckConsistency(); err != nil {
 		res.Violations = append(res.Violations,

@@ -24,24 +24,3 @@ func TestCompactionChurn(t *testing.T) {
 	}
 	t.Logf("probes=%d completed=%d", res.Probes, res.Completed)
 }
-
-// TestLegacyCheckpointOverwrite is the same-slot overwrite regression
-// (ISSUE 5 satellite): power-fail every offset of the second legacy
-// checkpoint after an odd number of journal appends and require the
-// journaled pools to survive. Reverting the last-valid-slot
-// alternation in writeCheckpointLegacy to the old Seq%2 parity makes
-// offsets between the payload fence and the header publish lose all
-// three pools.
-func TestLegacyCheckpointOverwrite(t *testing.T) {
-	res, err := LegacyCheckpointOverwrite(4000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Error(v)
-	}
-	if res.Completed == 0 {
-		t.Fatalf("sweep never completed the workload (probes=%d); raise maxOffset", res.Probes)
-	}
-	t.Logf("probes=%d completed=%d", res.Probes, res.Completed)
-}

@@ -23,10 +23,6 @@ import (
 //     invent logs;
 //   - the one in-flight Add or Remove may have landed or not (its slot
 //     publishes with a single 8-byte store), but nothing else moves.
-//
-// Legacy single-directory spaces are the shards == 1 case (formatted
-// v1, opened through the same sharded path), so the sweep also covers
-// the migration read path under power failure.
 func ShardedLogChurn(shards int, maxOffset, stride int64) (Result, error) {
 	res := Result{Scenario: fmt.Sprintf("sharded-log-churn-%d", shards)}
 	for off := int64(1); off < maxOffset; off += stride {
@@ -62,19 +58,9 @@ func logChurnOnce(shards int, off int64, res *Result) (crashed bool, err error) 
 	if err != nil {
 		return false, fmt.Errorf("format space puddle: %w", err)
 	}
-	var space *plog.ShardedLogSpace
-	if shards == 1 {
-		// Exercise the legacy format through the sharded open path.
-		plog.FormatLogSpace(pd)
-		space, err = plog.OpenShardedLogSpace(pd)
-		if err != nil {
-			return false, fmt.Errorf("open legacy as sharded: %w", err)
-		}
-	} else {
-		space, err = plog.FormatShardedLogSpace(pd, shards)
-		if err != nil {
-			return false, fmt.Errorf("format sharded space: %w", err)
-		}
+	space, err := plog.FormatShardedLogSpace(pd, shards)
+	if err != nil {
+		return false, fmt.Errorf("format sharded space: %w", err)
 	}
 	const nLogs = 12
 	heads := make([]pmem.Addr, nLogs)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"runtime/debug"
-	"testing"
-)
+import "testing"
 
 // TestAffinityHintRevalidates is the regression test for stale worker
 // hints: a hint noted under one range-index generation must revalidate
@@ -46,11 +43,6 @@ func TestAffinityHintRevalidates(t *testing.T) {
 // cache; subsequent ones in later transactions hit it without touching
 // a heap lease, and the batched counters surface on the device.
 func TestCacheAllocFastPath(t *testing.T) {
-	// Affinity hints live in a sync.Pool: a GC between the two
-	// transactions may legitimately drop the worker cache (documented
-	// as "suboptimal, never wrong"). Pin GC off so the test asserts
-	// the fast path, not the collector's timing.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	_, c := newSystem(t)
 	ti, err := c.RegisterLayout("node", node{})
 	if err != nil {
@@ -61,6 +53,12 @@ func TestCacheAllocFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := c.Begin(pool)
+	// Worker records live in a sync.Pool, which may drop one at any GC
+	// (and drops a share of Puts under the race detector): "suboptimal,
+	// never wrong". Hold the record across both transactions so the
+	// test asserts the fast path, not the pool's retention. Nothing else
+	// runs on this client, so the record's second Put is harmless.
+	aff := tx.affinity()
 	a1, err := tx.Alloc(ti.ID, nodeSz)
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +71,7 @@ func TestCacheAllocFastPath(t *testing.T) {
 	}
 	hits := c.device().Stats().CacheHits
 	tx = c.Begin(pool)
+	tx.aff = aff
 	a2, err := tx.Alloc(ti.ID, nodeSz)
 	if err != nil {
 		t.Fatal(err)
@@ -238,43 +237,5 @@ func TestEmptyCacheDonation(t *testing.T) {
 		if err := h.Validate(); err != nil {
 			t.Fatalf("heap %d invalid after donation: %v", i, err)
 		}
-	}
-}
-
-// TestSetAllocCacheAblation: with the cache off, small allocations use
-// the legacy shared-heap path and no cache counters move.
-func TestSetAllocCacheAblation(t *testing.T) {
-	_, c := newSystem(t)
-	c.SetAllocCache(false)
-	ti, err := c.RegisterLayout("node", node{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := c.CreatePool("ablate", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := c.Begin(pool)
-	a, err := tx.Alloc(ti.ID, nodeSz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	s := c.device().Stats()
-	if s.CacheHits != 0 || s.CacheRefills != 0 {
-		t.Fatalf("cache counters moved with the cache off: %+v", s)
-	}
-	_, h, _ := c.heapAt(a)
-	if h.ParkedAt(a) != nil {
-		t.Fatal("object parked with the cache disabled")
-	}
-	tx = c.Begin(pool)
-	if err := tx.Free(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -36,6 +36,9 @@ var (
 	ErrHasRoot     = errors.New("core: pool already has a root object")
 	ErrNotImported = errors.New("core: pool is not an in-progress import")
 	ErrImported    = errors.New("core: imported pool must be finalized before writing")
+	// ErrRootSlotTaken: an object allocated before CreateRoot occupies
+	// the fixed root offset, so Root could never find a later root.
+	ErrRootSlotTaken = errors.New("core: root offset already holds an object (CreateRoot must precede every allocation)")
 	// ErrLogRelease wraps a failure to return a transaction log to the
 	// daemon (the cache-ablated OpFreePuddle round trip). A commit that
 	// returns it is still durably committed; only log cleanup failed.
@@ -92,7 +95,6 @@ type Client struct {
 	logInitMu     sync.Mutex
 	logShardsWant int // SetLogShards; 0 = auto
 	logCacheOff   atomic.Bool
-	allocCacheOff atomic.Bool // SetAllocCache ablation
 
 	// Worker-affinity hints: a sync.Pool of per-worker affinity
 	// records (log shard + last leased heap). See affinity.
@@ -675,7 +677,8 @@ func (p *Pool) Export() ([]byte, error) {
 // CreateRoot allocates the pool's root object at the fixed root offset
 // of the root puddle (paper §4.5) and records its type. The root
 // heap's lease serializes this against concurrent transactions (and a
-// racing CreateRoot).
+// racing CreateRoot). It fails with ErrRootSlotTaken, allocating
+// nothing, if an earlier allocation already occupies that offset.
 func (p *Pool) CreateRoot(typeID ptypes.TypeID, size uint32) (pmem.Addr, error) {
 	if err := p.writableCheck(); err != nil {
 		return 0, err
@@ -692,9 +695,16 @@ func (p *Pool) CreateRoot(typeID ptypes.TypeID, size uint32) (pmem.Addr, error) 
 	if tid, _ := root.RootType(); tid != 0 {
 		return 0, ErrHasRoot
 	}
-	addr, err := h.AllocLarge(alloc.Direct{Dev: p.c.device()}, typeID, size)
+	m := alloc.Direct{Dev: p.c.device()}
+	addr, err := h.AllocLarge(m, typeID, size)
 	if err != nil {
 		return 0, err
+	}
+	if addr != root.HeapBase()+alloc.ObjHdrSize {
+		if err := h.Free(m, addr); err != nil {
+			return 0, err
+		}
+		return 0, ErrRootSlotTaken
 	}
 	p.c.device().Zero(addr, int(size))
 	p.c.device().Persist(addr, int(size))
@@ -1010,7 +1020,7 @@ func (c *Client) ensureLogSpace() (*logState, error) {
 	lp.root = rootPd
 	lp.puddles = append(lp.puddles, rootPd)
 	// Size the directory puddle to its shard count: one page of slots
-	// per shard keeps per-shard capacity roughly at the legacy level.
+	// per shard.
 	lsResp, err := c.rt(&proto.Request{
 		Op: proto.OpGetNewPuddle, Pool: lp.UUID, Size: plog.SpaceSize(shards), Kind: uint64(puddle.KindLogSpace),
 	})
@@ -1043,13 +1053,6 @@ func (c *Client) ensureLogSpace() (*logState, error) {
 // fresh log puddle and registers it with the daemon.
 func (c *Client) SetLogCache(enabled bool) {
 	c.logCacheOff.Store(!enabled)
-}
-
-// SetAllocCache toggles the per-worker allocation caches (default
-// on). Disabling it is an ablation/baseline: every small Tx.Alloc
-// then crosses the shared heap lease, as before the caches existed.
-func (c *Client) SetAllocCache(enabled bool) {
-	c.allocCacheOff.Store(!enabled)
 }
 
 // acquireLog returns a cached or fresh registered log from the shard

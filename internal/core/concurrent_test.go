@@ -122,10 +122,10 @@ func TestConcurrentTransactions(t *testing.T) {
 // the pool grows a sibling puddle rather than convoying).
 func TestConcurrentAllocatorsSpread(t *testing.T) {
 	_, c := newSystem(t)
-	// The worker cache serves both transactions from one parked slab
-	// (no heap lease at all); this test pins the legacy spread path.
-	c.SetAllocCache(false)
-	ti, err := c.RegisterLayout("node", node{})
+	// The worker cache would serve both transactions from one parked
+	// slab (no heap lease at all); objects too large for it pin the
+	// spread path.
+	ti, err := c.RegisterLayout("node", bigNode{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +135,14 @@ func TestConcurrentAllocatorsSpread(t *testing.T) {
 	}
 
 	tx1 := c.Begin(pool)
-	a1, err := tx1.Alloc(ti.ID, nodeSz)
+	a1, err := tx1.Alloc(ti.ID, bigNodeSz)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// tx1 is still in flight and owns its heap; a second transaction
 	// must not block — it gets a sibling heap.
 	tx2 := c.Begin(pool)
-	a2, err := tx2.Alloc(ti.ID, nodeSz)
+	a2, err := tx2.Alloc(ti.ID, bigNodeSz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestConcurrentAllocatorsSpread(t *testing.T) {
 	}
 	// After both committed, a fresh transaction can reuse either heap.
 	if err := c.Run(pool, func(tx *Tx) error {
-		_, err := tx.Alloc(ti.ID, nodeSz)
+		_, err := tx.Alloc(ti.ID, bigNodeSz)
 		return err
 	}); err != nil {
 		t.Fatal(err)

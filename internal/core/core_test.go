@@ -21,6 +21,16 @@ const (
 	nodeSz  = 16
 )
 
+// bigNode is a node padded past the largest slab class (256 B), so
+// its allocations skip the worker caches and always take the
+// shared-heap lease path.
+type bigNode struct {
+	node
+	Pad [36]uint64
+}
+
+const bigNodeSz = nodeSz + 36*8
+
 func newSystem(t *testing.T) (*daemon.Daemon, *Client) {
 	t.Helper()
 	dev := pmem.New()
@@ -65,6 +75,37 @@ func TestCreatePoolAndRoot(t *testing.T) {
 	got2, err := pool2.Root()
 	if err != nil || got2 != root {
 		t.Fatalf("reopened Root = %#x, %v", uint64(got2), err)
+	}
+}
+
+// TestMallocBeforeCreateRoot: an object Malloc'd before CreateRoot sits
+// at the fixed root offset. CreateRoot must refuse, typed and without
+// leaking its block, rather than hand out a root that Root resolves to
+// the earlier object.
+func TestMallocBeforeCreateRoot(t *testing.T) {
+	_, c := newSystem(t)
+	ti, err := c.RegisterLayout("big", bigNode{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := c.CreatePool("early", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := pool.Malloc(ti.ID, bigNodeSz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := pool.CreateRoot(ti.ID, bigNodeSz)
+	if err == nil {
+		got, _ := pool.Root()
+		t.Fatalf("CreateRoot = %#x, but Root = %#x (the Malloc'd object is %#x)", uint64(root), uint64(got), uint64(obj))
+	}
+	if !errors.Is(err, ErrRootSlotTaken) {
+		t.Fatalf("CreateRoot after Malloc = %v, want ErrRootSlotTaken", err)
+	}
+	if n := pool.LiveObjects(); n != 1 {
+		t.Fatalf("LiveObjects = %d after the refused CreateRoot, want 1", n)
 	}
 }
 

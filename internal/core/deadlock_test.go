@@ -19,9 +19,9 @@ func twoHeapPool(t *testing.T, c *Client, name string) (*Pool, [2]*alloc.Heap) {
 	t.Helper()
 	// These tests pin down the shared-heap lease protocol; the worker
 	// allocation cache would satisfy both transactions from one slab
-	// without ever contending a heap lease, so switch it off.
-	c.SetAllocCache(false)
-	ti, err := c.RegisterLayout("dl.node", node{})
+	// without ever contending a heap lease, so the objects are too
+	// large for it.
+	ti, err := c.RegisterLayout("dl.node", bigNode{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +30,11 @@ func twoHeapPool(t *testing.T, c *Client, name string) (*Pool, [2]*alloc.Heap) {
 		t.Fatal(err)
 	}
 	tx1 := c.Begin(pool)
-	if _, err := tx1.Alloc(ti.ID, nodeSz); err != nil {
+	if _, err := tx1.Alloc(ti.ID, bigNodeSz); err != nil {
 		t.Fatal(err)
 	}
 	tx2 := c.Begin(pool)
-	if _, err := tx2.Alloc(ti.ID, nodeSz); err != nil {
+	if _, err := tx2.Alloc(ti.ID, bigNodeSz); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx1.Commit(); err != nil {
@@ -70,7 +70,7 @@ func fillHeaps(t *testing.T, c *Client, pool *Pool, heaps [2]*alloc.Heap, n int)
 			}
 		}
 		for len(objs[i]) < n {
-			a, err := pool.Malloc(ti.ID, nodeSz)
+			a, err := pool.Malloc(ti.ID, bigNodeSz)
 			if err != nil {
 				t.Fatal(err)
 			}

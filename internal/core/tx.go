@@ -667,7 +667,7 @@ func (t *Tx) Alloc(typeID ptypes.TypeID, size uint32) (pmem.Addr, error) {
 	if err := t.ensureLog(); err != nil {
 		return 0, err
 	}
-	if class, ok := alloc.ClassFor(size); ok && !t.c.allocCacheOff.Load() {
+	if class, ok := alloc.ClassFor(size); ok {
 		a, handled, err := t.cacheAlloc(typeID, class)
 		if err != nil {
 			return 0, err
@@ -691,8 +691,8 @@ func (t *Tx) Alloc(typeID ptypes.TypeID, size uint32) (pmem.Addr, error) {
 // except against a foreign free into the same slab) and one bitmap
 // word write — no heap lease, no probe. On a cold or exhausted cache
 // the slab is refilled from the shared heap under a single lease
-// acquisition; handled=false falls through to the legacy shared-heap
-// path (which can also grow the pool) and is counted as a miss.
+// acquisition; handled=false falls through to the shared-heap path
+// (which can also grow the pool) and is counted as a miss.
 func (t *Tx) cacheAlloc(tid ptypes.TypeID, class uint32) (pmem.Addr, bool, error) {
 	aff := t.affinity()
 	key := cacheKey{pool: t.pool, tid: tid, class: class}

@@ -1,16 +1,7 @@
 // Metadata persistence, checkpoint layer: streamed, incremental,
 // chunked checkpoints.
 //
-// The v1 checkpoint was a whole-state gob written into one of two
-// fixed 8 MiB slots while the daemon was quiesced — an O(total state)
-// stop-the-world pause, a hard state-size ceiling, and (the bug that
-// forced this rewrite) a slot chosen by Seq%2 parity even though
-// journal appends bump the same sequence, so two consecutive
-// checkpoints could land in the SAME slot and a crash mid-write
-// destroyed the only valid snapshot while the survivor's stale base
-// discarded the journal.
-//
-// v2 checkpoints live in a dedicated arena (pmem.MetaCkptBase) split
+// Checkpoints live in a dedicated arena (pmem.MetaCkptBase) split
 // into two halves. A half holds a checkpoint *chain*: one full
 // checkpoint followed by incremental checkpoints, each streamed as
 // CRC-guarded chunks with journal-style terminator scanning. The
@@ -40,17 +31,17 @@
 //     the chain's half is filling up, or the chain has grown long
 //     enough that boot-time composition would drag.
 //
-// Boot picks the half whose chain commits the highest sequence (or a
-// legacy v1 slot, still read for migration), composes full + committed
-// increments, then folds in both journal regions in base order.
+// Boot picks the half whose chain commits the highest sequence,
+// composes full + committed increments, then folds in both journal
+// regions in base order.
 //
 // Chunks spill across a 32 MiB half instead of having to fit one slot,
-// so the old 8 MiB whole-state ceiling is gone; and a FULL image that
-// outgrows even its own half writes a ckJump chunk and continues in
-// the dead region of the other half (spill chunk kinds, ckSFull..),
-// so a large registry cannot wedge compaction either. The quiesce
-// pause is O(1) — independent of both the registry size and the dirty
-// set (benchrunner ckpt and fences measure exactly this).
+// and a FULL image that outgrows even its own half writes a ckJump
+// chunk and continues in the dead region of the other half (spill
+// chunk kinds, ckSFull..), so a large registry cannot wedge
+// compaction. The quiesce pause is O(1) — independent of both the
+// registry size and the dirty set (benchrunner ckpt and fences
+// measure exactly this).
 package daemon
 
 import (
@@ -131,7 +122,7 @@ var errCkptFull = errors.New("daemon: checkpoint arena full")
 // [spillStart, …) in the OTHER half reached through a ckJump chunk;
 // increments then append in the spill extent.
 type chainState struct {
-	half       int    // arena half holding the chain head; -1 = none (legacy/fresh image)
+	half       int    // arena half holding the chain head; -1 = none (fresh image)
 	seq        uint64 // sequence the chain's last commit covers
 	gen        uint64 // generation of the chain's last commit (sequence tie-break)
 	tail       uint64 // next-append offset (in half, or in 1-half when spilled)
@@ -180,9 +171,6 @@ func (d *Daemon) ckptHalfBase(half int) pmem.Addr {
 // named in recs — the same guarantee that orders the journal — so the
 // pending list replays per entity in journal order.
 func (d *Daemon) markDirty(recs []entRec) {
-	if d.legacyCkpt {
-		return // whole-state checkpoints need no tracking
-	}
 	d.pendMu.Lock()
 	d.pending = append(d.pending, recs...)
 	d.pendMu.Unlock()
@@ -891,34 +879,26 @@ func (d *Daemon) compactCycle(force bool) (time.Duration, error) {
 	start := time.Now()
 	var (
 		p       *ckptPlan
-		planErr error
-		skipped bool
+		skipErr error
 	)
 	func() {
 		d.opMu.Lock()
 		defer d.opMu.Unlock()
 		switch {
 		case d.closed.Load():
-			planErr, skipped = errDaemonClosed, true
+			skipErr = errDaemonClosed
 		case !force && d.jTailApprox.Load() < d.journalHighWater() && !d.needCompact.Load():
-			skipped = true // another worker compacted while we waited
+			// another worker compacted while we waited
 		default:
 			d.needCompact.Store(false)
-			if d.legacyCkpt {
-				planErr = d.writeCheckpointLegacy()
-			} else {
-				p = d.planCheckpoint(false, true)
-			}
+			p = d.planCheckpoint(false, true)
 		}
 	}()
-	if skipped {
-		return 0, planErr
+	if p == nil {
+		return 0, skipErr
 	}
 	pause := time.Since(start)
 	d.notePause(pause)
-	if p == nil {
-		return pause, planErr // legacy path: everything ran under the quiesce
-	}
 	if err := d.streamCheckpoint(p); err != nil {
 		d.abandonCheckpoint(p, err)
 		return pause, err
@@ -976,7 +956,7 @@ func (d *Daemon) CheckpointFull() (time.Duration, error) {
 // completely idle reboot cycle. The caller holds ckptMu and either
 // opMu exclusively or is the single boot goroutine.
 func (d *Daemon) counterOnlyQuiescent() bool {
-	if d.legacyCkpt || d.chain.half < 0 || d.seq != d.chain.seq {
+	if d.chain.half < 0 || d.seq != d.chain.seq {
 		return false
 	}
 	d.pendMu.Lock()
@@ -994,9 +974,6 @@ func (d *Daemon) counterOnlyQuiescent() bool {
 // on the next compaction (shutdown images re-checkpoint at boot
 // anyway).
 func (d *Daemon) checkpointSync(full bool) error {
-	if d.legacyCkpt {
-		return d.writeCheckpointLegacy()
-	}
 	p := d.planCheckpoint(full, false)
 	if err := d.streamCheckpoint(p); err != nil {
 		d.abandonCheckpoint(p, err)

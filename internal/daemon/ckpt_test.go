@@ -10,86 +10,11 @@ import (
 	"puddles/internal/puddle"
 )
 
-// TestLegacySlotAlternation regresses the same-slot overwrite bug in
-// the retained v1 writer: checkpoint, journal an ODD number of
-// batches, checkpoint again. Under the original Seq%2 parity
-// selection both checkpoints landed in the SAME slot (journal appends
-// bump the shared sequence), leaving the other slot stale — so a
-// crash mid-second-write destroyed the only good snapshot. With
-// alternation the two newest checkpoints always live in different
-// slots. chaos.LegacyCheckpointOverwrite sweeps the actual crash.
-func TestLegacySlotAlternation(t *testing.T) {
-	dev := pmem.New()
-	d, err := New(dev, WithLegacyCheckpoints())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := d.SelfConn()
-	defer c.Close()
-	_, seq1, ok := d.readSlot(d.legacySlot)
-	if !ok {
-		t.Fatalf("boot checkpoint slot %#x unreadable", uint64(d.legacySlot))
-	}
-	first := d.legacySlot
-	// Odd number of journal appends keeps the parity of the next
-	// checkpoint seq equal to the last one's — the parity bug's trigger.
-	for i := 0; i < 3; i++ {
-		rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: fmt.Sprintf("odd-%d", i)})
-	}
-	if _, err := d.CompactNow(); err != nil {
-		t.Fatal(err)
-	}
-	if d.legacySlot == first {
-		t.Fatalf("second checkpoint reused slot %#x (parity bug)", uint64(first))
-	}
-	_, seqOld, ok := d.readSlot(first)
-	if !ok || seqOld != seq1 {
-		t.Fatalf("previous slot destroyed: ok=%v seq=%d want %d", ok, seqOld, seq1)
-	}
-	_, seqNew, ok := d.readSlot(d.legacySlot)
-	if !ok || seqNew <= seq1 {
-		t.Fatalf("new slot seq=%d ok=%v, want > %d", seqNew, ok, seq1)
-	}
-}
-
 // TestFailedCheckpointSideEffectFree: a checkpoint that cannot fit
-// must not perturb journal sequencing (the v1 writer bumped d.seq
-// before its size check, so every failed compaction desequenced the
-// journal) or lose dirty-entity tracking; after the capacity returns,
-// everything checkpointed and journaled must survive a dirty reboot.
+// must not perturb journal sequencing or lose dirty-entity tracking;
+// after the capacity returns, everything checkpointed and journaled
+// must survive a dirty reboot.
 func TestFailedCheckpointSideEffectFree(t *testing.T) {
-	t.Run("legacy", func(t *testing.T) {
-		dev := pmem.New()
-		d, err := New(dev, WithLegacyCheckpoints())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := d.SelfConn()
-		rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "kept"})
-		seqBefore, stSeqBefore := d.seq, d.st.Seq
-		d.legacySlotCap = 64 // nothing fits
-		if _, err := d.CompactNow(); err == nil {
-			t.Fatal("checkpoint into a 64-byte slot succeeded")
-		}
-		if d.seq != seqBefore || d.st.Seq != stSeqBefore {
-			t.Fatalf("failed checkpoint moved seq %d->%d (st.Seq %d->%d)",
-				seqBefore, d.seq, stSeqBefore, d.st.Seq)
-		}
-		d.legacySlotCap = slotBytes
-		rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "after"})
-		c.Close()
-		d2, err := New(dev)
-		if err != nil {
-			t.Fatalf("reboot: %v", err)
-		}
-		c2 := d2.SelfConn()
-		defer c2.Close()
-		rt(t, c2, &proto.Request{Op: proto.OpOpenPool, Name: "kept"})
-		rt(t, c2, &proto.Request{Op: proto.OpOpenPool, Name: "after"})
-		if err := d2.CheckConsistency(); err != nil {
-			t.Fatal(err)
-		}
-	})
 	t.Run("chunked", func(t *testing.T) {
 		dev := pmem.New()
 		d, err := New(dev)

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -547,6 +548,55 @@ func TestOldFormatRefused(t *testing.T) {
 			t.Fatalf("boot over a gob chunk = %v, want ErrMetaFormat naming the byte", err)
 		}
 	})
+}
+
+// TestV1SlotImageRefused: an image of the first metadata format — a
+// superblock and a CRC-valid whole-state gob slot at the start of what
+// is now the reserved hole, no journal, no arena — must fail the boot
+// without formatting the image or touching any metadata byte.
+func TestV1SlotImageRefused(t *testing.T) {
+	dev := pmem.New()
+	dev.StoreU64(metaBase+sbOffMag, sbMagic)
+	dev.StoreU64(metaBase+sbOffDirt, 1)
+	// Slot header: seq | payload length | payload CRC | pad; payload at +32.
+	slot := pmem.MetaReserved
+	st := newState()
+	st.Seq = 7
+	st.Pools["old"] = &PoolRec{Name: "old", UUID: u(1), Mode: 0o660}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf.Bytes()
+	dev.Store(slot+32, payload)
+	dev.StoreU64(slot, 7)
+	dev.StoreU64(slot+8, uint64(len(payload)))
+	dev.StoreU64(slot+16, crc64.Checksum(payload, crcTable))
+	dev.Persist(metaBase, int(slot-metaBase)+32+len(payload))
+
+	regions := []pmem.Addr{metaBase, slot, pmem.MetaJournal0, pmem.MetaJournal1,
+		pmem.MetaCkptBase, pmem.MetaCkptBase + pmem.Addr(pmem.MetaCkptSize/2)}
+	snap := func() []byte {
+		var out []byte
+		for _, a := range regions {
+			b := make([]byte, 128)
+			dev.Load(a, b)
+			out = append(out, b...)
+		}
+		return out
+	}
+	before := snap()
+	d, err := New(dev)
+	if err == nil {
+		d.Shutdown()
+		t.Fatal("a v1 slot image booted")
+	}
+	if !strings.Contains(err.Error(), "no valid metadata checkpoint") {
+		t.Fatalf("boot over a v1 slot image = %v, want the missing-checkpoint refusal", err)
+	}
+	if !bytes.Equal(snap(), before) {
+		t.Fatal("refused boot wrote to the metadata region")
+	}
 }
 
 // TestJournalReplayCost gates boot-time journal replay on counts, not

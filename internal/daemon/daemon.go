@@ -18,7 +18,6 @@ package daemon
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -44,12 +43,9 @@ import (
 // Meta region geometry (below the global puddle space, DESIGN.md §4.4).
 // The addresses are a device property shared by every daemon
 // generation, so they are owned by internal/pmem (see pmem/meta.go);
-// the superblock format and the legacy v1 slot format live here.
+// the superblock format lives here.
 const (
-	metaBase  = pmem.MetaBase // superblock at 1 MiB
-	slotBytes = pmem.MetaSlotBytes
-	slotA     = pmem.MetaSlotA // legacy whole-state snapshot slots (v1)
-	slotB     = pmem.MetaSlotB
+	metaBase = pmem.MetaBase // superblock at 1 MiB
 
 	sbMagic   = 0x4445_4c44_4455_50 // "PUDDLED"
 	sbOffMag  = 0
@@ -124,9 +120,7 @@ func (p *PoolRec) rec() entRec { return putRec(recPool, p.Name, p.snapshot()) }
 // could write (paper §4.6, "Recovery"). Shards is the directory shard
 // count the client declared at registration: recovery fans its worker
 // pool out over the shards of one crashed application, not just
-// across applications. Records persisted by earlier daemon
-// generations decode with Shards == 0, which reads as a legacy
-// single-directory space (one shard).
+// across applications. A client that omits it (0) registers one shard.
 type LogSpaceRec struct {
 	UUID   uid.UUID
 	Addr   uint64
@@ -158,9 +152,8 @@ type ImportSession struct {
 	Puddles  []ImportPuddle
 }
 
-// state is the daemon's metadata registry: live as Daemon.st,
-// immutable inside a regImage, and (gob-encoded whole) the payload of a
-// legacy v1 snapshot slot.
+// state is the daemon's metadata registry: live as Daemon.st and
+// immutable inside a regImage.
 type state struct {
 	Seq         uint64
 	Pools       map[string]*PoolRec
@@ -170,9 +163,7 @@ type state struct {
 	Sessions    map[uint64]*ImportSession
 	NextSession uint64
 
-	// Live-migration registries (migrate.go). All five maps may be nil
-	// on images written by older daemon generations; loadMeta and
-	// newState materialize them.
+	// Live-migration registries (migrate.go).
 	MigsOut  map[uid.UUID]*MigOutRec  // source-side in-flight migrations
 	Moved    map[string]*MovedRec     // ceded pools -> new owner URL
 	MigsDone map[uid.UUID]*MigDoneRec // adopted migrations (idempotent commit)
@@ -267,12 +258,9 @@ type Daemon struct {
 
 	recoveryWorkers int    // 0 = default pool size (see workerCount)
 	connWorkers     int    // per-connection dispatch workers (see server.go)
-	legacyCkpt      bool   // WithLegacyCheckpoints: write v1 whole-state slots
 	journalCap      uint64 // active-journal byte budget (tests shrink it)
 	ckptChunk       int    // target checkpoint chunk payload bytes
 	ckptHalf        uint64 // arena half size (tests shrink it)
-	legacySlotCap   uint64 // legacy slot byte budget (tests shrink it)
-	legacySlot      pmem.Addr
 
 	// Where boot time went; written once by boot, before New returns.
 	bootLoadNs   uint64 // checkpoint selection and composition (loadMeta)
@@ -337,15 +325,6 @@ type Option func(*Daemon)
 // WithLogger directs daemon diagnostics to l.
 func WithLogger(l *log.Logger) Option { return func(d *Daemon) { d.logger = l } }
 
-// WithLegacyCheckpoints makes the daemon write v1 whole-state A/B
-// snapshot slots instead of chunked checkpoint chains. Migration
-// tests use it to generate old-generation images and the ckpt
-// benchmark to measure the old compaction pause; it is not meant for
-// production images (the v2 boot path reads both formats).
-func WithLegacyCheckpoints() Option {
-	return func(d *Daemon) { d.legacyCkpt = true }
-}
-
 // WithJournalCapacity caps the active metadata journal at n bytes
 // (default and maximum pmem.MetaJournalSize). Crash-injection sweeps
 // shrink it so a short workload crosses many compaction cycles.
@@ -387,19 +366,18 @@ func WithCheckpointArena(n uint64) Option {
 // independent recovery.
 func New(dev *pmem.Device, opts ...Option) (*Daemon, error) {
 	d := &Daemon{
-		dev:           dev,
-		space:         addrspace.NewManager(),
-		staging:       addrspace.NewManagerRange(StagingBase, stagingSize),
-		types:         ptypes.NewRegistry(),
-		jBase:         pmem.MetaJournal0,
-		chain:         chainState{half: -1},
-		journalCap:    pmem.MetaJournalSize,
-		ckptChunk:     defaultCkptChunk,
-		ckptHalf:      pmem.MetaCkptSize / 2,
-		legacySlotCap: slotBytes,
-		tenants:       make(map[uint64]*Session),
-		conns:         make(map[*connState]struct{}),
-		doneCh:        make(chan struct{}),
+		dev:        dev,
+		space:      addrspace.NewManager(),
+		staging:    addrspace.NewManagerRange(StagingBase, stagingSize),
+		types:      ptypes.NewRegistry(),
+		jBase:      pmem.MetaJournal0,
+		chain:      chainState{half: -1},
+		journalCap: pmem.MetaJournalSize,
+		ckptChunk:  defaultCkptChunk,
+		ckptHalf:   pmem.MetaCkptSize / 2,
+		tenants:    make(map[uint64]*Session),
+		conns:      make(map[*connState]struct{}),
+		doneCh:     make(chan struct{}),
 	}
 	d.jPrevDone = make(chan struct{})
 	close(d.jPrevDone) // the ticket chain starts settled
@@ -435,10 +413,9 @@ func (d *Daemon) boot() error {
 		d.dev.StoreU64(metaBase+sbOffDirt, 0)
 		d.dev.Persist(metaBase, 16)
 	} else {
-		// Checkpoint first — the best chunked chain, or a legacy v1
-		// whole-state slot (images written by old daemon generations
-		// boot unchanged) — then fold in the per-entity journal batches
-		// appended since, from both journal regions in base order.
+		// Checkpoint first — the best chunked chain — then fold in the
+		// per-entity journal batches appended since, from both journal
+		// regions in base order.
 		t0 := time.Now()
 		if err := d.loadMeta(); err != nil {
 			return fmt.Errorf("daemon: restoring metadata: %w", err)
@@ -501,11 +478,10 @@ func (d *Daemon) boot() error {
 	d.dev.StoreU64(metaBase+sbOffDirt, 1)
 	d.dev.Persist(metaBase+sbOffDirt, 8)
 	// Full checkpoint, then fresh journals: this rotates the arena
-	// halves over time and initializes the v2 regions on images
-	// migrated from the old whole-state-snapshot layout. The order
-	// matters — the journals reset only once the checkpoint that
-	// covers their entries is durable, so a crash anywhere in boot
-	// still composes the previous chain + the old journals.
+	// halves over time. The order matters — the journals reset only
+	// once the checkpoint that covers their entries is durable, so a
+	// crash anywhere in boot still composes the previous chain + the
+	// old journals.
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	if d.counterOnlyQuiescent() {
@@ -532,12 +508,7 @@ func (d *Daemon) boot() error {
 		d.logf("boot checkpoint deferred: %v", err)
 		return nil
 	}
-	if !d.legacyCkpt {
-		// The legacy writer reset journal 0 itself (old daemons did not
-		// know the standby region exists; leaving it untouched is what
-		// makes WithLegacyCheckpoints a faithful v1-image generator).
-		d.initJournals()
-	}
+	d.initJournals()
 	return nil
 }
 
@@ -572,158 +543,35 @@ func (d *Daemon) Shutdown() {
 // standing in for DAX mappings).
 func (d *Daemon) Device() *pmem.Device { return d.dev }
 
-// --- checkpoint selection (chunked chains + legacy A/B slots). The
-// chunked write side lives in ckpt.go; the v1 slot reader and writer
-// below are the only metadata persistence still on encoding/gob ---
-
-// readSlot decodes one legacy v1 whole-state snapshot slot.
-func (d *Daemon) readSlot(slot pmem.Addr) (*state, uint64, bool) {
-	seq := d.dev.LoadU64(slot)
-	n := d.dev.LoadU64(slot + 8)
-	if seq == 0 || n == 0 || n > slotBytes-32 {
-		return nil, 0, false
-	}
-	data := make([]byte, n)
-	d.dev.Load(slot+32, data)
-	if crc64.Checksum(data, crcTable) != d.dev.LoadU64(slot+16) {
-		return nil, 0, false
-	}
-	var st state
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return nil, 0, false
-	}
-	return &st, seq, true
-}
-
-// writeCheckpointLegacy writes a whole-state v1 snapshot into a
-// legacy A/B slot and resets journal 0 on top of it. The v1 write
-// path is kept so migration tests and the ckpt benchmark can generate
-// and measure old-generation images (WithLegacyCheckpoints) — with
-// the two v1 landmines fixed:
-//
-//   - The slot alternates away from the last valid slot. The original
-//     picked by Seq%2 parity while journal appends bump the same
-//     sequence, so two consecutive checkpoints could target the SAME
-//     slot; a crash mid-write then destroyed the only good snapshot,
-//     boot fell back to a stale slot, and the journal-base guard
-//     discarded the journal on top — silently losing acked state.
-//
-//   - A snapshot too large for the slot fails without side effects:
-//     the original bumped d.seq before the size check, desequencing
-//     the journal on every failed compaction.
-//
-// The caller holds opMu exclusively (or is the single boot goroutine).
-func (d *Daemon) writeCheckpointLegacy() error {
-	prevSeq := d.st.Seq
-	d.st.Seq = d.seq + 1
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&d.st); err != nil {
-		panic(fmt.Sprintf("daemon: encoding snapshot: %v", err)) // programming error
-	}
-	data := buf.Bytes()
-	if uint64(len(data))+32 > d.legacySlotCap {
-		d.st.Seq = prevSeq // side-effect-free failure: sequencing untouched
-		d.persistErrs.Add(1)
-		return fmt.Errorf("daemon: snapshot %d bytes exceeds slot", len(data))
-	}
-	d.seq++
-	slot := slotA
-	if d.legacySlot == slotA {
-		slot = slotB
-	}
-	// Header last: a torn snapshot write is invisible because the other
-	// slot still decodes and carries the highest committed seq.
-	d.dev.Store(slot+32, data)
-	d.dev.Flush(slot+32, len(data))
-	d.dev.Fence()
-	d.dev.StoreU64(slot+8, uint64(len(data)))
-	d.dev.StoreU64(slot+16, crc64.Checksum(data, crcTable))
-	d.dev.StoreU64(slot, d.st.Seq)
-	d.dev.Persist(slot, 32)
-	d.legacySlot = slot
-	// Only after the checkpoint is durable may the journal restart; a
-	// crash in between replays the old journal against the old slot.
-	d.resetJournalRegion(pmem.MetaJournal0, d.st.Seq)
-	d.ckptCount.Add(1)
-	d.ckptSeq.Store(d.st.Seq)
-	return nil
-}
-
-// loadMeta restores the best available checkpoint: every readable
-// source — the two chunked chains and the two legacy slots — competes
-// on (committed sequence, commit generation), and the highest wins.
-// The generation tie-break matters because counters mutate without
-// journal appends, so two commits can share a sequence number with
-// different counter values — the newer commit must win. A v1 image
-// has no chains, so its newest slot wins (the migration path); legacy
-// slots read as generation 0 and legacy writers always bump the
-// sequence, so a chain never loses a tie to a stale slot.
+// loadMeta restores the best committed checkpoint chain: the two arena
+// halves compete on (committed sequence, commit generation), and the
+// highest wins. The generation tie-break matters because counters
+// mutate without journal appends, so two commits can share a sequence
+// number with different counter values — the newer commit must win.
+// An image with no readable chain is refused; that includes an image
+// of the first metadata format, whose whole-state snapshot slots (now
+// the reserved hole in pmem/meta.go) no daemon reads any more.
 func (d *Daemon) loadMeta() error {
-	var (
-		best    *state
-		bestSeq uint64
-		bestGen uint64
-		found   bool
-	)
-	better := func(seq, gen uint64) bool {
-		return !found || seq > bestSeq || (seq == bestSeq && gen > bestGen)
-	}
 	d.chain = chainState{half: -1}
-	d.legacySlot = 0
+	var best *scanResult
 	for half := 0; half < 2; half++ {
 		sr, ok, err := d.scanHalf(half)
 		if err != nil {
 			return err
 		}
-		if ok && better(sr.st.Seq, sr.gen) {
-			best, bestSeq, bestGen, found = sr.st, sr.st.Seq, sr.gen, true
+		if ok && (best == nil || sr.st.Seq > best.st.Seq || (sr.st.Seq == best.st.Seq && sr.gen > best.gen)) {
+			best = &sr
 			d.chain = chainState{
 				half: half, seq: sr.st.Seq, gen: sr.gen, tail: sr.tail,
 				incs: sr.incs, headEnd: sr.headEnd,
 				spilled: sr.spilled, spillStart: sr.spillStart,
 			}
-			d.legacySlot = 0
 		}
 	}
-	for _, slot := range []pmem.Addr{slotA, slotB} {
-		st, seq, ok := d.readSlot(slot)
-		if ok && better(seq, 0) {
-			best, bestSeq, bestGen, found = st, seq, 0, true
-			d.chain = chainState{half: -1, seq: seq}
-			d.legacySlot = slot
-		}
+	if best == nil {
+		return fmt.Errorf("no valid metadata checkpoint (both arena halves unreadable)")
 	}
-	if !found {
-		return fmt.Errorf("no valid metadata checkpoint (chains and slots all unreadable)")
-	}
-	d.st = *best
-	if d.st.Pools == nil {
-		d.st.Pools = make(map[string]*PoolRec)
-	}
-	if d.st.Puddles == nil {
-		d.st.Puddles = make(map[uid.UUID]*PuddleRec)
-	}
-	if d.st.LogSpaces == nil {
-		d.st.LogSpaces = make(map[uid.UUID]*LogSpaceRec)
-	}
-	if d.st.Sessions == nil {
-		d.st.Sessions = make(map[uint64]*ImportSession)
-	}
-	if d.st.MigsOut == nil {
-		d.st.MigsOut = make(map[uid.UUID]*MigOutRec)
-	}
-	if d.st.Moved == nil {
-		d.st.Moved = make(map[string]*MovedRec)
-	}
-	if d.st.MigsDone == nil {
-		d.st.MigsDone = make(map[uid.UUID]*MigDoneRec)
-	}
-	if d.st.Standbys == nil {
-		d.st.Standbys = make(map[string]*StandbyRec)
-	}
-	if d.st.Replicas == nil {
-		d.st.Replicas = make(map[string]*ReplicaRec)
-	}
+	d.st = *best.st
 	return nil
 }
 

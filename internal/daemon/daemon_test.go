@@ -225,7 +225,10 @@ func parkCrashedTx(t *testing.T, dev *pmem.Device, c *proto.Conn, name string, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := plog.FormatLogSpace(lspHandle)
+	space, err := plog.FormatShardedLogSpace(lspHandle, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	logHandle, err := puddle.Open(dev, pmem.Addr(logp.Addr))
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +237,7 @@ func parkCrashedTx(t *testing.T, dev *pmem.Device, c *proto.Conn, name string, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := space.AddLog(l.Head(), logHandle.UUID()); err != nil {
+	if err := space.AddLog(0, l.Head(), logHandle.UUID()); err != nil {
 		t.Fatal(err)
 	}
 	rt(t, c, &proto.Request{Op: proto.OpRegLogSpace, UUID: lsp.UUID})
@@ -584,7 +587,7 @@ func TestRecoveryWorkerCount(t *testing.T) {
 
 // TestRegLogSpaceShardMismatch: a registration whose declared shard
 // count disagrees with the formatted on-media directory is rejected;
-// the matching count (and the legacy 0 => 1 default) is accepted.
+// the matching count (and the omitted 0 => 1 default) is accepted.
 func TestRegLogSpaceShardMismatch(t *testing.T) {
 	dev := pmem.New()
 	d, err := New(dev)
@@ -610,7 +613,7 @@ func TestRegLogSpaceShardMismatch(t *testing.T) {
 	}
 	rt(t, c, &proto.Request{Op: proto.OpRegLogSpace, UUID: lsp.UUID, Shards: 4})
 
-	// Legacy path: a v1 directory registers with Shards omitted.
+	// A 1-shard directory registers with Shards omitted.
 	lsp2 := rt(t, c, &proto.Request{
 		Op: proto.OpGetNewPuddle, Pool: pool.Pool,
 		Size: puddle.MinSize, Kind: uint64(puddle.KindLogSpace),
@@ -619,7 +622,9 @@ func TestRegLogSpaceShardMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plog.FormatLogSpace(pd2)
+	if _, err := plog.FormatShardedLogSpace(pd2, 1); err != nil {
+		t.Fatal(err)
+	}
 	rt(t, c, &proto.Request{Op: proto.OpRegLogSpace, UUID: lsp2.UUID})
 	if err := d.CheckConsistency(); err != nil {
 		t.Fatal(err)

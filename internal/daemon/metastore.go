@@ -2,14 +2,12 @@
 // a double-buffered journal, compacted into chunked checkpoints
 // (ckpt.go).
 //
-// PR 2 left the daemon with one serialization point per mutation: the
-// whole `state` struct was re-gobbed and rewritten on every pool,
-// puddle or log-space change, so puddle churn from one client
-// re-serialized everyone's metadata (and held the global lock while
-// doing it). Persistence is split into two layers, following the
-// per-structure persistence argument of Cai et al. ("Understanding
-// and Optimizing Persistent Memory Allocation") and MOD's goal of
-// minimizing ordered persists on the mutation path:
+// Rewriting the whole `state` struct on every pool, puddle or
+// log-space change would make puddle churn from one client
+// re-serialize everyone's metadata. Persistence is instead split into
+// two layers, following the per-structure persistence argument of Cai
+// et al. ("Understanding and Optimizing Persistent Memory Allocation")
+// and MOD's goal of minimizing ordered persists on the mutation path:
 //
 //   - Journal: an append-only region. Every mutation appends one
 //     *batch* — the intent record for the whole (possibly
@@ -25,10 +23,7 @@
 //     can always compose checkpoint + retired journal + live journal.
 //
 //   - Checkpoints: chunked, incremental, streamed into the checkpoint
-//     arena with the request path running — see ckpt.go. The legacy
-//     whole-state A/B slots are still read (migration) and written on
-//     demand (WithLegacyCheckpoints, for tests and benchmarks that
-//     need to produce or measure the old format).
+//     arena with the request path running — see ckpt.go.
 //
 // The journal write is around a hundred bytes regardless of how many
 // pools and puddles exist, so metadata persistence cost is
@@ -54,7 +49,7 @@ import (
 // by internal/pmem (every daemon generation must agree on them); the
 // in-region format is owned here.
 const (
-	journalBase = pmem.MetaJournal0 // the region v1 images already carry
+	journalBase = pmem.MetaJournal0
 	journalSize = pmem.MetaJournalSize
 
 	journalStem  = 0x4c_4e52_4a50                      // "PJRNL"
@@ -504,7 +499,7 @@ func (d *Daemon) replayJournals(ckptSeq uint64) (int, error) {
 		case magic&(1<<40-1) == journalStem:
 			return 0, fmt.Errorf("%w: journal at %#x has magic PJRNL%c, want PJRNL%d",
 				ErrMetaFormat, uint64(a), byte(magic>>40), metaVersion)
-		} // anything else: pre-journal image or invalidated standby
+		} // anything else holds no journal (e.g. an invalidated standby)
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].base < regs[j].base })
 	applied := 0

@@ -52,63 +52,6 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	}
 }
 
-// TestOldSnapshotMigration: an image written by the previous daemon
-// generation (whole-state A/B snapshots, no journal region, no
-// checkpoint arena) must boot: the snapshot reads as a checkpoint
-// with an empty journal, and the v2 regions are initialized on the
-// way out. The old image is generated with the retained v1 writer
-// (WithLegacyCheckpoints), then regressed further to the pre-journal
-// layout.
-func TestOldSnapshotMigration(t *testing.T) {
-	dev := pmem.New()
-	d, err := New(dev, WithLegacyCheckpoints())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := d.SelfConn()
-	created := rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "legacy"})
-	rt(t, c, &proto.Request{Op: proto.OpGetNewPuddle, Pool: created.Pool})
-	rt(t, c, &proto.Request{Op: proto.OpShutdown})
-	c.Close()
-
-	// Regress the image to the old layout: the journal regions and the
-	// checkpoint arena did not exist, so whatever is there must be
-	// ignored (zeros here; scribble a little garbage too, as truly old
-	// images carry arbitrary bytes).
-	dev.Zero(journalBase, int(journalSize))
-	dev.StoreU64(journalBase+3*pmem.PageSize, 0xdeadbeefcafef00d)
-	dev.Persist(journalBase, int(journalSize))
-	dev.Zero(pmem.MetaJournal1, int(pmem.MetaJournalSize))
-	dev.StoreU64(pmem.MetaJournal1+5*pmem.PageSize, 0xfeedfacefeedface)
-	dev.Zero(pmem.MetaCkptBase, int(pmem.MetaCkptSize))
-	dev.StoreU64(pmem.MetaCkptBase+7*pmem.PageSize, 0x0123456789abcdef)
-	dev.Persist(pmem.MetaCkptBase, 4096)
-
-	d2, err := New(dev)
-	if err != nil {
-		t.Fatalf("migration boot: %v", err)
-	}
-	c2 := d2.SelfConn()
-	opened := rt(t, c2, &proto.Request{Op: proto.OpOpenPool, Name: "legacy"})
-	if opened.Addr != created.Addr || len(opened.Puddles) != 2 {
-		t.Fatalf("old snapshot lost in migration: %+v", opened)
-	}
-	if err := d2.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-migration the journal must be live: mutate, crash (no
-	// shutdown), reboot, and the journaled mutation survives.
-	rt(t, c2, &proto.Request{Op: proto.OpCreatePool, Name: "post-migration"})
-	c2.Close()
-	d3, err := New(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3 := d3.SelfConn()
-	defer c3.Close()
-	rt(t, c3, &proto.Request{Op: proto.OpOpenPool, Name: "post-migration"})
-}
-
 // TestPersistFailureSurfaced: when the journal append fails, the
 // client must get an error (not an ack for unpersisted metadata), the
 // PersistErrors counter must tick, and the daemon must not have

@@ -849,7 +849,7 @@ func (d *Daemon) opRegLogSpace(creds Creds, req *proto.Request) *proto.Response 
 	}
 	shards := req.Shards
 	if shards == 0 {
-		shards = 1 // legacy client: single-directory space
+		shards = 1 // omitted: one shard
 	}
 	if shards > plog.MaxLogShards {
 		return fail("log space %v declares %d shards (max %d)", req.UUID, shards, plog.MaxLogShards)

@@ -30,11 +30,10 @@ import (
 // purely latched design. Reads are optimistic: walk the chain with no
 // latch, then validate that the stripe sequence is still the even
 // value observed before the walk; on conflict retry, and after
-// optimisticAttempts failures fall back to the stripe's read latch
-// (Options.LatchedReads forces that fallback path for every read —
-// the pre-seqlock baseline). Stripes are volatile by design — a crash
-// discards them, and recovery needs only the transaction logs;
-// readers therefore need no recovery-time coordination at all.
+// optimisticAttempts failures fall back to the stripe's read latch.
+// Stripes are volatile by design — a crash discards them, and recovery
+// needs only the transaction logs; readers therefore need no
+// recovery-time coordination at all.
 type Store struct {
 	lib       pmlib.Lib
 	dev       *pmem.Device
@@ -45,8 +44,7 @@ type Store struct {
 	offNext   uint32 // = 8
 	offValue  uint32 // = 8 + RefSize
 
-	stripes      []stripe // striped per-bucket latches+seqs; nil = unlatched
-	latchedReads bool
+	stripes []stripe // striped per-bucket latches+seqs; nil = unlatched
 }
 
 // stripe is the volatile concurrency state covering a group of
@@ -98,10 +96,6 @@ type Options struct {
 	// buckets across this many latch+seqlock stripes. 0 keeps the
 	// store unlatched (single-threaded).
 	LatchStripes int
-	// LatchedReads disables the optimistic read path: every read takes
-	// its stripe's RLock, the pre-seqlock protocol. Benchmarks use it
-	// as the latched baseline.
-	LatchedReads bool
 }
 
 // New opens (or creates) a store in lib's root object.
@@ -120,12 +114,11 @@ func New(lib pmlib.Lib, opt Options) (*Store, error) {
 	rootAddr := lib.Deref(root)
 	dev := lib.Device()
 	s := &Store{
-		lib:          lib,
-		dev:          dev,
-		offNext:      8,
-		offValue:     8 + rs,
-		entrySize:    8 + rs + opt.ValueSize,
-		latchedReads: opt.LatchedReads,
+		lib:       lib,
+		dev:       dev,
+		offNext:   8,
+		offValue:  8 + rs,
+		entrySize: 8 + rs + opt.ValueSize,
 	}
 	if opt.LatchStripes > 0 {
 		s.stripes = make([]stripe, opt.LatchStripes)
@@ -240,38 +233,35 @@ func (s *Store) note(st *stripe, attempts, retries uint64, fellBack bool) {
 // speculatively (speculative=true): it may observe torn, mid-edit
 // chains and must bound its walk; its results are discarded on
 // validation failure, and it may run several times. After
-// optimisticAttempts discarded walks — or always, when the store was
-// built with LatchedReads — walk runs exactly once under the stripe's
-// read latch with speculative=false.
+// optimisticAttempts discarded walks, walk runs exactly once under the
+// stripe's read latch with speculative=false.
 func (s *Store) readBucket(b uint64, walk func(speculative bool)) {
 	st := s.stripe(b)
 	if st == nil {
 		walk(false)
 		return
 	}
-	if !s.latchedReads {
-		var attempts, retries uint64
-		for a := 0; a < optimisticAttempts; a++ {
-			s0 := st.seq.Load()
-			for spin := 0; s0&1 == 1 && spin < seqSpinYields; spin++ {
-				runtime.Gosched()
-				s0 = st.seq.Load()
-			}
-			if s0&1 == 1 {
-				// Writer stream outlasted the wait; take the latch.
-				retries++
-				break
-			}
-			attempts++
-			walk(true)
-			if st.seq.Load() == s0 {
-				s.note(st, attempts, retries, false)
-				return
-			}
-			retries++
+	var attempts, retries uint64
+	for a := 0; a < optimisticAttempts; a++ {
+		s0 := st.seq.Load()
+		for spin := 0; s0&1 == 1 && spin < seqSpinYields; spin++ {
+			runtime.Gosched()
+			s0 = st.seq.Load()
 		}
-		defer s.note(st, attempts, retries, true)
+		if s0&1 == 1 {
+			// Writer stream outlasted the wait; take the latch.
+			retries++
+			break
+		}
+		attempts++
+		walk(true)
+		if st.seq.Load() == s0 {
+			s.note(st, attempts, retries, false)
+			return
+		}
+		retries++
 	}
+	defer s.note(st, attempts, retries, true)
 	st.mu.RLock()
 	walk(false)
 	st.mu.RUnlock()

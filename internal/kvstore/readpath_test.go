@@ -212,36 +212,6 @@ func TestFallbackAfterWriterStream(t *testing.T) {
 	}
 }
 
-// TestLatchedReadsBaseline checks the LatchedReads escape hatch: reads
-// work and never run the optimistic protocol.
-func TestLatchedReadsBaseline(t *testing.T) {
-	lib, err := puddleslib.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lib.Close()
-	s, err := New(lib, Options{Buckets: 4, ValueSize: 32, LatchStripes: 2, LatchedReads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tornValue(5, 8, 32)
-	if err := s.Put(5, want); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 32)
-	for i := 0; i < 50; i++ {
-		if err := s.Get(5, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(buf, want) {
-		t.Fatalf("latched Get = %x, want %x", buf, want)
-	}
-	if rs := s.ReadStats(); rs.Attempts != 0 {
-		t.Fatalf("LatchedReads store recorded optimistic attempts: %+v", rs)
-	}
-}
-
 // TestScanReentrant checks the new Scan contract: fn runs with no
 // stripe held, so it may call back into the store (the latched Scan
 // self-deadlocked here).

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"puddles/internal/pmem"
-	"puddles/internal/puddle"
 	"puddles/internal/uid"
 )
 
@@ -67,11 +66,7 @@ func FuzzLogSegment(f *testing.F) {
 			img = img[:fuzzRegion.Size()]
 		}
 		dev := pmem.New()
-		p, err := puddle.Format(dev, 0x100000, puddle.MinSize, uid.New(), puddle.KindLogSpace, uid.Nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		space := FormatLogSpace(p)
+		_, space := formatOneShard(t, dev)
 		if _, err := FormatLog(dev, fuzzRegion); err != nil {
 			t.Fatal(err)
 		}

@@ -521,21 +521,17 @@ func (l *Log) Replay(system bool, applyFilter func(Entry) bool) int {
 // --- Log spaces (paper Fig. 5) ---
 
 const (
-	lsMagic    = 0x3143505350 // "PSPC1": legacy single-directory space
-	lsOffMagic = 0
-	lsOffCount = 8
-	lsHdrSize  = 16
-	lsEntry    = 32 // u64 log head addr + 16B uuid + 8B reserved
+	lsEntry = 32 // directory slot: u64 log head addr + 16B uuid + 8B reserved
 
-	// Sharded log space (v2): a super-header describing the shard
-	// geometry, followed by N independent shard directories. Each shard
+	// A log space is a super-header describing the shard geometry,
+	// followed by N independent shard directories. Each shard
 	// directory has its own header (magic, mutable slot high-water,
 	// capacity, shard index) and a CRC over its immutable geometry
 	// fields, so a corrupt or misplaced shard is detected at open
 	// instead of replaying garbage. The mutable count is deliberately
 	// outside the CRC: slots publish with single 8-byte stores and must
 	// stay torn-write atomic without read-modify-write of a checksum.
-	slsMagic      = 0x3243505350 // "PSPC2": sharded super-header
+	slsMagic      = 0x3243505350 // "PSPC2"; any other magic is ErrBadLog
 	slsOffMagic   = 0
 	slsOffShards  = 8
 	slsOffSegSize = 16
@@ -558,36 +554,14 @@ const (
 // ErrLogSpaceFull reports an exhausted log-space directory.
 var ErrLogSpaceFull = errors.New("plog: log space is full")
 
-// LogSpace is one directory of registered logs: either a whole legacy
-// (v1) space over a puddle heap, or one shard of a ShardedLogSpace.
-// It performs no internal locking — callers serialize per directory
-// (the client holds a per-shard latch; daemon recovery is quiesced).
+// LogSpace is one shard directory of registered logs in a
+// ShardedLogSpace. It performs no internal locking — callers serialize
+// per directory (the client holds a per-shard latch; daemon recovery
+// is quiesced).
 type LogSpace struct {
 	dev  *pmem.Device
 	base pmem.Addr
 	cap  int
-	hdr  int // lsHdrSize (legacy) or sdHdrSize (shard)
-}
-
-// FormatLogSpace initialises a legacy single-directory log space over
-// p's heap (kept for compatibility; new clients format sharded spaces
-// and open legacy ones through OpenShardedLogSpace as one shard).
-func FormatLogSpace(p *puddle.Puddle) *LogSpace {
-	dev := p.Dev
-	base := p.HeapBase()
-	dev.Zero(base, lsHdrSize)
-	dev.Persist(base, lsHdrSize)
-	dev.StoreU64(base+lsOffMagic, lsMagic)
-	dev.Persist(base+lsOffMagic, 8)
-	return &LogSpace{dev: dev, base: base, cap: int((p.HeapSize() - lsHdrSize) / lsEntry), hdr: lsHdrSize}
-}
-
-// OpenLogSpace opens a formatted legacy log space.
-func OpenLogSpace(p *puddle.Puddle) (*LogSpace, error) {
-	if p.Dev.LoadU64(p.HeapBase()+lsOffMagic) != lsMagic {
-		return nil, ErrBadLog
-	}
-	return &LogSpace{dev: p.Dev, base: p.HeapBase(), cap: int((p.HeapSize() - lsHdrSize) / lsEntry), hdr: lsHdrSize}, nil
 }
 
 func shardCRC(capacity, idx uint64) uint64 {
@@ -612,7 +586,7 @@ func formatShard(dev *pmem.Device, region pmem.Range, idx int) (*LogSpace, error
 	dev.Persist(base, sdHdrSize)
 	dev.StoreU64(base+sdOffMagic, sdMagic)
 	dev.Persist(base+sdOffMagic, 8)
-	return &LogSpace{dev: dev, base: base, cap: int(capacity), hdr: sdHdrSize}, nil
+	return &LogSpace{dev: dev, base: base, cap: int(capacity)}, nil
 }
 
 // openShard validates one shard directory's header and geometry CRC.
@@ -629,16 +603,16 @@ func openShard(dev *pmem.Device, region pmem.Range, idx int) (*LogSpace, error) 
 	if gotIdx != uint64(idx) || sdHdrSize+capacity*lsEntry > region.Size() {
 		return nil, fmt.Errorf("plog: shard %d geometry corrupt (idx=%d cap=%d)", idx, gotIdx, capacity)
 	}
-	return &LogSpace{dev: dev, base: base, cap: int(capacity), hdr: sdHdrSize}, nil
+	return &LogSpace{dev: dev, base: base, cap: int(capacity)}, nil
 }
 
 func (ls *LogSpace) slotAddr(i int) pmem.Addr {
-	return ls.base + pmem.Addr(ls.hdr) + pmem.Addr(i*lsEntry)
+	return ls.base + sdHdrSize + pmem.Addr(i*lsEntry)
 }
 
 // AddLog registers a log (by the address of its head segment).
 func (ls *LogSpace) AddLog(head pmem.Addr, id uid.UUID) error {
-	n := int(ls.dev.LoadU64(ls.base + lsOffCount))
+	n := int(ls.dev.LoadU64(ls.base + sdOffCount))
 	// Reuse a tombstone if present.
 	slot := -1
 	for i := 0; i < n; i++ {
@@ -659,15 +633,15 @@ func (ls *LogSpace) AddLog(head pmem.Addr, id uid.UUID) error {
 	ls.dev.StoreU64(a, uint64(head)) // address written last: publishes the slot
 	ls.dev.Persist(a, 8)
 	if slot == n {
-		ls.dev.StoreU64(ls.base+lsOffCount, uint64(n+1))
-		ls.dev.Persist(ls.base+lsOffCount, 8)
+		ls.dev.StoreU64(ls.base+sdOffCount, uint64(n+1))
+		ls.dev.Persist(ls.base+sdOffCount, 8)
 	}
 	return nil
 }
 
 // RemoveLog tombstones the registration of the log at head.
 func (ls *LogSpace) RemoveLog(head pmem.Addr) bool {
-	n := int(ls.dev.LoadU64(ls.base + lsOffCount))
+	n := int(ls.dev.LoadU64(ls.base + sdOffCount))
 	for i := 0; i < n; i++ {
 		a := ls.slotAddr(i)
 		if pmem.Addr(ls.dev.LoadU64(a)) == head {
@@ -681,7 +655,7 @@ func (ls *LogSpace) RemoveLog(head pmem.Addr) bool {
 
 // Logs returns the head addresses of all registered logs.
 func (ls *LogSpace) Logs() []pmem.Addr {
-	n := int(ls.dev.LoadU64(ls.base + lsOffCount))
+	n := int(ls.dev.LoadU64(ls.base + sdOffCount))
 	var out []pmem.Addr
 	for i := 0; i < n; i++ {
 		if a := ls.dev.LoadU64(ls.slotAddr(i)); a != 0 {
@@ -701,13 +675,8 @@ func (ls *LogSpace) Capacity() int { return ls.cap }
 // register and unregister logs without sharing a directory (the client
 // guards each shard with its own latch) and the daemon replays the
 // shards of one crashed application in parallel.
-//
-// A legacy single-directory space opens as a 1-shard instance, which
-// is the migration path: nothing on media changes, and a sharded
-// client or the daemon drives it through the same API.
 type ShardedLogSpace struct {
 	shards []*LogSpace
-	legacy bool
 }
 
 // SpaceSize returns the log-space puddle size to allocate for n shard
@@ -770,20 +739,11 @@ func FormatShardedLogSpace(p *puddle.Puddle, n int) (*ShardedLogSpace, error) {
 	return s, nil
 }
 
-// OpenShardedLogSpace opens the log space in p: a v2 sharded space via
-// its super-header, or a legacy single-directory space as one shard.
+// OpenShardedLogSpace opens the log space in p via its super-header.
 func OpenShardedLogSpace(p *puddle.Puddle) (*ShardedLogSpace, error) {
 	dev := p.Dev
 	base := p.HeapBase()
-	switch dev.LoadU64(base + slsOffMagic) {
-	case lsMagic:
-		ls, err := OpenLogSpace(p)
-		if err != nil {
-			return nil, err
-		}
-		return &ShardedLogSpace{shards: []*LogSpace{ls}, legacy: true}, nil
-	case slsMagic:
-	default:
+	if dev.LoadU64(base+slsOffMagic) != slsMagic {
 		return nil, ErrBadLog
 	}
 	n := dev.LoadU64(base + slsOffShards)
@@ -811,10 +771,6 @@ func OpenShardedLogSpace(p *puddle.Puddle) (*ShardedLogSpace, error) {
 
 // Shards returns the number of shard directories.
 func (s *ShardedLogSpace) Shards() int { return len(s.shards) }
-
-// Legacy reports whether this space opened from the v1 single-
-// directory format.
-func (s *ShardedLogSpace) Legacy() bool { return s.legacy }
 
 // Shard returns shard directory i (callers hold that shard's latch).
 func (s *ShardedLogSpace) Shard(i int) *LogSpace { return s.shards[i] }

@@ -361,13 +361,23 @@ func TestChaosCrashMidAppendNeverYieldsTornEntry(t *testing.T) {
 	}
 }
 
-func TestLogSpace(t *testing.T) {
-	dev := pmem.New()
+// formatOneShard formats a 1-shard log space over a fresh MinSize
+// puddle and returns its directory.
+func formatOneShard(t *testing.T, dev *pmem.Device) (*puddle.Puddle, *LogSpace) {
+	t.Helper()
 	p, err := puddle.Format(dev, 0x100000, puddle.MinSize, uid.New(), puddle.KindLogSpace, uid.Nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := FormatLogSpace(p)
+	s, err := FormatShardedLogSpace(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, s.Shard(0)
+}
+
+func TestLogSpace(t *testing.T) {
+	p, ls := formatOneShard(t, pmem.New())
 	if ls.Capacity() <= 0 {
 		t.Fatal("no capacity")
 	}
@@ -394,11 +404,11 @@ func TestLogSpace(t *testing.T) {
 		t.Fatalf("Logs after reuse = %v", got)
 	}
 	// Reopen.
-	ls2, err := OpenLogSpace(p)
+	s2, err := OpenShardedLogSpace(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ls2.Logs()) != 3 {
+	if s2.Shards() != 1 || len(s2.Logs()) != 3 {
 		t.Fatal("reopened log space lost entries")
 	}
 	if ls.RemoveLog(0xdead) {
@@ -407,9 +417,7 @@ func TestLogSpace(t *testing.T) {
 }
 
 func TestLogSpaceFull(t *testing.T) {
-	dev := pmem.New()
-	p, _ := puddle.Format(dev, 0x100000, puddle.MinSize, uid.New(), puddle.KindLogSpace, uid.Nil)
-	ls := FormatLogSpace(p)
+	_, ls := formatOneShard(t, pmem.New())
 	for i := 0; i < ls.Capacity(); i++ {
 		if err := ls.AddLog(pmem.Addr(0x1000+i*8), uid.New()); err != nil {
 			t.Fatal(err)
@@ -481,8 +489,8 @@ func TestShardedLogSpaceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Shards() != 4 || s.Legacy() {
-		t.Fatalf("Shards=%d Legacy=%v", s.Shards(), s.Legacy())
+	if s.Shards() != 4 {
+		t.Fatalf("Shards=%d", s.Shards())
 	}
 	// Register logs across every shard.
 	heads := map[int][]pmem.Addr{}
@@ -548,49 +556,6 @@ func TestShardedLogSpaceShardFull(t *testing.T) {
 	}
 }
 
-// TestLegacyLogSpaceMigration: a v1 single-directory space written by
-// the old client must open through the sharded path as one shard, be
-// mutable through it, and stay readable by the legacy opener — the
-// on-media format never changes.
-func TestLegacyLogSpaceMigration(t *testing.T) {
-	dev := pmem.New()
-	p, _ := puddle.Format(dev, 0x100000, puddle.MinSize, uid.New(), puddle.KindLogSpace, uid.Nil)
-	legacy := FormatLogSpace(p)
-	if err := legacy.AddLog(0x1000, uid.New()); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.AddLog(0x2000, uid.New()); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := OpenShardedLogSpace(p)
-	if err != nil {
-		t.Fatalf("legacy space did not open through the sharded path: %v", err)
-	}
-	if s.Shards() != 1 || !s.Legacy() {
-		t.Fatalf("Shards=%d Legacy=%v, want 1-shard legacy instance", s.Shards(), s.Legacy())
-	}
-	if got := s.Logs(); len(got) != 2 || got[0] != 0x1000 || got[1] != 0x2000 {
-		t.Fatalf("Logs = %v", got)
-	}
-	// Mutate through the sharded API...
-	if !s.RemoveLog(0, 0x1000) {
-		t.Fatal("RemoveLog via sharded path failed")
-	}
-	if err := s.AddLog(0, 0x3000, uid.New()); err != nil {
-		t.Fatal(err)
-	}
-	// ...and read back through the legacy opener: same directory.
-	ls, err := OpenLogSpace(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ls.Logs()
-	if len(got) != 2 || got[0] != 0x3000 || got[1] != 0x2000 {
-		t.Fatalf("legacy reader after sharded mutation: %v", got)
-	}
-}
-
 func TestShardedLogSpaceCorruptGeometry(t *testing.T) {
 	dev := pmem.New()
 	p, _ := puddle.Format(dev, 0x100000, 8*pmem.PageSize, uid.New(), puddle.KindLogSpace, uid.Nil)
@@ -606,6 +571,11 @@ func TestShardedLogSpaceCorruptGeometry(t *testing.T) {
 	p2, _ := puddle.Format(dev, 0x200000, puddle.MinSize, uid.New(), puddle.KindLogSpace, uid.Nil)
 	if _, err := OpenShardedLogSpace(p2); err != ErrBadLog {
 		t.Fatalf("unformatted open = %v, want ErrBadLog", err)
+	}
+	// So is the retired single-directory format's magic.
+	dev.StoreU64(p2.HeapBase(), 0x3143505350) // "PSPC1"
+	if _, err := OpenShardedLogSpace(p2); err != ErrBadLog {
+		t.Fatalf("PSPC1 open = %v, want ErrBadLog", err)
 	}
 }
 

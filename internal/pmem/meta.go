@@ -6,37 +6,32 @@ package pmem
 // checkpoint and journal structures live — so the constants are owned
 // here rather than by any one daemon implementation.
 //
-// The v2 layout keeps the v1 structures at their historical addresses
-// (so old images read unchanged) and adds the second journal region
-// and the chunked checkpoint arena after them:
-//
 //	1 MiB   superblock (magic + dirty flag)
-//	+4 KiB  legacy checkpoint slot A  (8 MiB, whole-state gob)  ─ v1
-//	        legacy checkpoint slot B  (8 MiB, whole-state gob)  ─ v1
+//	+4 KiB  reserved hole             (16 MiB, never written)
 //	        metadata journal 0        (8 MiB, per-entity batches)
-//	        metadata journal 1        (8 MiB, v2: double buffer)
-//	        checkpoint arena          (64 MiB, v2: chunked chains)
+//	        metadata journal 1        (8 MiB, double buffer)
+//	        checkpoint arena          (64 MiB, chunked chains)
 //
-// Everything fits far below the import staging area at 1 GiB.
+// The hole held the two whole-state snapshot slots of the first
+// metadata format, which no daemon reads any more. It stays reserved
+// so every later structure keeps its address (moving the journals
+// would strand every existing image) and costs nothing: the simulator
+// allocates chunks on first touch. Everything fits far below the
+// import staging area at 1 GiB.
 const (
 	// MetaBase is the start of the daemon metadata region (superblock).
 	MetaBase Addr = 1 << 20
 
-	// MetaSlotBytes is the size of one legacy whole-state snapshot slot.
-	MetaSlotBytes uint64 = 8 << 20
-	// MetaSlotA and MetaSlotB are the legacy A/B snapshot slots. v2
-	// daemons only read them (migration); new checkpoints go to the
-	// arena.
-	MetaSlotA Addr = MetaBase + PageSize
-	MetaSlotB Addr = MetaSlotA + Addr(MetaSlotBytes)
+	// MetaReserved/MetaReservedBytes bound the reserved hole.
+	MetaReserved      Addr   = MetaBase + PageSize
+	MetaReservedBytes uint64 = 16 << 20
 
 	// MetaJournalSize is the size of one metadata journal region.
+	// MetaJournal0 and MetaJournal1 are a double buffer that lets a
+	// checkpoint stream while appends continue into a fresh journal.
 	MetaJournalSize uint64 = 8 << 20
-	// MetaJournal0 is the journal region v1 images already carry;
-	// MetaJournal1 is the v2 double buffer that lets a checkpoint
-	// stream while appends continue into a fresh journal.
-	MetaJournal0 Addr = MetaSlotB + Addr(MetaSlotBytes)
-	MetaJournal1 Addr = MetaJournal0 + Addr(MetaJournalSize)
+	MetaJournal0    Addr   = MetaReserved + Addr(MetaReservedBytes)
+	MetaJournal1    Addr   = MetaJournal0 + Addr(MetaJournalSize)
 
 	// MetaCkptBase/MetaCkptSize bound the chunked checkpoint arena.
 	// The arena holds two checkpoint chains anchored at its base and

@@ -172,7 +172,7 @@ type Request struct {
 	TypeID  uint64
 	Blob    []byte
 	Session uint64
-	Shards  uint32 // log-space shard count (RegLogSpace); 0 = legacy/1
+	Shards  uint32 // log-space shard count (RegLogSpace); 0 = 1
 	Target  string // destination daemon URL (MigratePool, ReplicaAttach)
 }
 

@@ -7,6 +7,7 @@ import (
 	"puddles/internal/pmem"
 	"puddles/internal/proto"
 	"puddles/internal/puddle"
+	"puddles/internal/reloc"
 	"puddles/internal/uid"
 )
 
@@ -262,9 +263,9 @@ func (c *Client) onFault(start pmem.Addr) {
 }
 
 // rewritePuddle translates every pointer in a mapped puddle from old
-// exported addresses to their new locations, using the allocator
-// metadata to find objects and the pointer maps to find pointers
-// within them (paper §4.2, §4.5).
+// exported addresses to their new locations with the shared walker
+// (paper §4.2, §4.5), resolving frontier puddles as it meets them, and
+// persists the puddle once.
 func (c *Client) rewritePuddle(st *importState, ip *importPud) error {
 	if ip.rewrit || !ip.mapped {
 		return nil
@@ -273,44 +274,24 @@ func (c *Client) rewritePuddle(st *importState, ip *importPud) error {
 	if ip.kind != puddle.KindData {
 		return nil
 	}
-	pd, err := puddle.Open(c.device(), ip.newAddr)
+	var resolveErr error
+	n, err := reloc.RewritePointers(c.device(), ip.newAddr, c.types, func(ptr pmem.Addr) (pmem.Addr, bool) {
+		if resolveErr != nil {
+			return 0, false
+		}
+		target, err := c.resolveTarget(st, ptr)
+		if err != nil || target == nil {
+			resolveErr = err // nil: the pointer leaves the imported set
+			return 0, false
+		}
+		return target.newAddr + (ptr - target.old.Start), true
+	})
+	st.ptrsRewr += n
 	if err != nil {
 		return fmt.Errorf("core: opening mapped import puddle: %w", err)
 	}
-	h := alloc.NewHeap(pd)
-	var rewriteErr error
-	h.Objects(func(o alloc.Object) bool {
-		ti, ok := c.types.Lookup(o.TypeID)
-		if !ok {
-			return true // untyped objects hold no discoverable pointers
-		}
-		for _, pf := range ti.Ptrs {
-			if pf.Offset+8 > o.Size {
-				break
-			}
-			slot := o.Addr + pmem.Addr(pf.Offset)
-			ptr := pmem.Addr(c.device().LoadU64(slot))
-			if ptr == 0 {
-				continue
-			}
-			target, err := c.resolveTarget(st, ptr)
-			if err != nil {
-				rewriteErr = err
-				return false
-			}
-			if target == nil {
-				continue // pointer out of the imported set
-			}
-			nv := target.newAddr + (ptr - target.old.Start)
-			if nv != ptr {
-				c.device().StoreU64(slot, uint64(nv))
-				st.ptrsRewr++
-			}
-		}
-		return true
-	})
-	if rewriteErr != nil {
-		return rewriteErr
+	if resolveErr != nil {
+		return resolveErr
 	}
 	c.device().Persist(ip.newAddr, int(ip.size))
 	return nil

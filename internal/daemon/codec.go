@@ -528,3 +528,57 @@ func (d *dec) standby(pool string) *StandbyRec {
 	s.Epoch, s.Owner = d.uv(), d.str()
 	return s
 }
+
+// The manifest travels as the Blob of OpMigrateBegin and, with only
+// Pool, PoolUUID and Puddles set, of OpReplicaAttach, in codec.go's
+// grammar; it is part of the wire format, so a change to it bumps
+// proto.ProtocolVersion.
+//
+// manifest: id:uuid pool:bytes poolUUID:uuid root:uuid ownerUID:uv ownerGID:uv mode:uv
+// types (as recTypes) n:uv n×{uuid addr:uv size:uv kind:uv}
+// k:uv k×{uuid uid:uv gid:uv shards:uv} sourceURL:bytes
+func (m *MigManifest) encode() []byte {
+	b := appendStr(append([]byte(nil), m.ID[:]...), m.Pool)
+	b = append(append(b, m.PoolUUID[:]...), m.Root[:]...)
+	b = uvs(b, uint64(m.OwnerUID), uint64(m.OwnerGID), uint64(m.Mode))
+	b = typeList(m.Types).appendBody(b)
+	b = binary.AppendUvarint(b, uint64(len(m.Puddles)))
+	for i := range m.Puddles {
+		p := &m.Puddles[i]
+		b = uvs(append(b, p.UUID[:]...), p.Addr, p.Size, p.Kind)
+	}
+	b = binary.AppendUvarint(b, uint64(len(m.LogSpaces)))
+	for i := range m.LogSpaces {
+		ls := &m.LogSpaces[i]
+		b = uvs(append(b, ls.UUID[:]...), uint64(ls.Creds.UID), uint64(ls.Creds.GID), uint64(ls.Shards))
+	}
+	return appendStr(b, m.SourceURL)
+}
+
+func decodeManifest(blob []byte) (*MigManifest, error) {
+	d := dec{b: blob}
+	m := &MigManifest{
+		ID: d.uuid(), Pool: d.str(), PoolUUID: d.uuid(), Root: d.uuid(),
+		OwnerUID: d.u32(), OwnerGID: d.u32(), Mode: d.u32(), Types: d.types(),
+	}
+	if n := d.count(len(uid.UUID{}) + 3); n > 0 {
+		m.Puddles = make([]MigPuddle, n)
+		for i := range m.Puddles {
+			m.Puddles[i] = MigPuddle{UUID: d.uuid(), Addr: d.uv(), Size: d.uv(), Kind: d.uv()}
+		}
+	}
+	if n := d.count(len(uid.UUID{}) + 3); n > 0 {
+		m.LogSpaces = make([]MigLogSpace, n)
+		for i := range m.LogSpaces {
+			m.LogSpaces[i] = MigLogSpace{UUID: d.uuid(), Creds: Creds{d.u32(), d.u32()}, Shards: d.u32()}
+		}
+	}
+	m.SourceURL = d.str()
+	if d.err == nil && len(d.b) > 0 {
+		d.err = errTrailing
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return m, nil
+}

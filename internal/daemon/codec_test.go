@@ -311,6 +311,31 @@ func TestManifestCodec(t *testing.T) {
 	}
 }
 
+// FuzzMigManifest fuzzes the decoder of the manifest a peer daemon
+// sends with OpMigrateBegin and OpReplicaAttach: it must never panic,
+// must allocate no more than a small multiple of the blob, and an
+// accepted blob must re-encode to exactly its bytes.
+func FuzzMigManifest(f *testing.F) {
+	for _, g := range goldenManifests {
+		f.Add(g.man.encode())
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		man, err := decodeManifest(blob)
+		runtime.ReadMemStats(&after)
+		if n, limit := after.TotalAlloc-before.TotalAlloc, 16*uint64(len(blob))+64<<10; n > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(blob), n, limit)
+		}
+		if err != nil {
+			return
+		}
+		if again := man.encode(); !bytes.Equal(again, blob) {
+			t.Fatalf("accepted manifest re-encodes differently\n  in %x\n out %x", blob, again)
+		}
+	})
+}
+
 // TestCodecBoundedAllocation: a count or length the payload cannot back
 // is refused before anything is allocated for it.
 func TestCodecBoundedAllocation(t *testing.T) {

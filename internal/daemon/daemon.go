@@ -115,6 +115,13 @@ func (p *PoolRec) snapshot() *PoolRec {
 // rec builds this pool's journal record. Caller holds p.mu.
 func (p *PoolRec) rec() entRec { return putRec(recPool, p.Name, p.snapshot()) }
 
+// memberIDs copies the pool's member list.
+func (p *PoolRec) memberIDs() []uid.UUID {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]uid.UUID(nil), p.Puddles...)
+}
+
 // LogSpaceRec records a registered log space and the credentials it
 // was registered under; recovery is confined to what those credentials
 // could write (paper §4.6, "Recovery"). Shards is the directory shard
@@ -295,14 +302,12 @@ type Daemon struct {
 	doneOnce           sync.Once
 
 	// Live migration + warm-standby replication (migrate.go).
-	migMu     sync.Mutex          // inbound transfer registry
-	migsIn    map[uid.UUID]*migIn // in-flight inbound migrations (volatile)
-	advertise string              // this daemon's URL, as peers should dial it
-	migHook   func(phase string)  // test hook: fire at migration phases
-	replMu    sync.Mutex          // replicator goroutine + dirty-map registry
-	replStop  map[string]chan struct{}
-	replMaps  map[string][]*pmem.DirtyMap
-	replEvery time.Duration // replication round interval; 0 = default
+	migMu     sync.Mutex              // inbound transfer registry
+	migsIn    map[uid.UUID]*migIn     // in-flight inbound migrations (volatile)
+	advertise string                  // this daemon's URL, as peers should dial it
+	migHook   func(phase string)      // test hook: fire at migration phases
+	replMu    sync.Mutex              // feeds
+	feeds     map[string]*replicaFeed // owner side of each warm standby
 
 	migsOutN        atomic.Uint64 // pools migrated away
 	migsInN         atomic.Uint64 // pools adopted
@@ -1098,6 +1103,26 @@ func (d *Daemon) puddleRec(u uid.UUID) *PuddleRec {
 	d.poolsMu.RLock()
 	defer d.poolsMu.RUnlock()
 	return d.st.Puddles[u]
+}
+
+// poolMembers returns the registry records of the member puddles ids
+// and of the log spaces among them.
+func (d *Daemon) poolMembers(ids []uid.UUID) (pus []*PuddleRec, lss []*LogSpaceRec) {
+	d.poolsMu.RLock()
+	for _, id := range ids {
+		if rec := d.st.Puddles[id]; rec != nil {
+			pus = append(pus, rec)
+		}
+	}
+	d.poolsMu.RUnlock()
+	d.lsMu.Lock()
+	for _, id := range ids {
+		if ls := d.st.LogSpaces[id]; ls != nil {
+			lss = append(lss, ls)
+		}
+	}
+	d.lsMu.Unlock()
+	return pus, lss
 }
 
 // checkPerm applies the UNIX owner/group/other model (paper §4.6).

@@ -36,17 +36,23 @@
 // owner keeps dirty tracking armed and ships quiesced delta rounds
 // back to the source, which retains its copy (StandbyRec) and can be
 // promoted with OpFailover when the owner dies.
+//
+// Every way of moving a pool shares one mechanism per step: a
+// trackedCopy drains dirt through a sink (migration, replication),
+// opMigrateFrame lands a frame (migration target, standby), adopt
+// installs a pool in one journal batch (import, migration, failover),
+// and reloc.RewritePointers fixes pointers (import, migration,
+// failover).
 package daemon
 
 import (
 	"crypto/tls"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"time"
 
-	"puddles/internal/alloc"
 	"puddles/internal/pmem"
 	"puddles/internal/proto"
 	"puddles/internal/ptypes"
@@ -71,8 +77,8 @@ const (
 	migQuiesceTimeout = 5 * time.Second
 	// migDialTimeout bounds the peer dial.
 	migDialTimeout = 5 * time.Second
-	// defaultReplicaInterval paces the warm-standby replicator.
-	defaultReplicaInterval = 250 * time.Millisecond
+	// replicaInterval paces the warm-standby replicator.
+	replicaInterval = 250 * time.Millisecond
 )
 
 // Source-side migration phases (MigOutRec.Phase).
@@ -172,14 +178,14 @@ type MigManifest struct {
 	SourceURL string
 }
 
-// migIn is the target's volatile state for one inbound migration:
-// manifest plus assigned addresses. Deliberately not persisted — a
-// target crash before commit simply loses it, the source's commit
-// gets the typed "unknown migration" answer, and the source aborts.
+// migIn is the target's volatile state for one inbound migration: the
+// manifest and each puddle's record at its assigned local address.
+// Deliberately not persisted — a target crash before commit simply
+// loses it, the source's commit gets the typed "unknown migration"
+// answer, and the source aborts.
 type migIn struct {
-	man   *MigManifest
-	addrs map[uid.UUID]uint64 // puddle UUID -> assigned local address
-	sizes map[uid.UUID]uint64
+	man  *MigManifest
+	recs map[uid.UUID]*PuddleRec
 }
 
 // Journal records of the migration entities that change after they are
@@ -202,58 +208,13 @@ func replicaRec(r *ReplicaRec) entRec {
 	return putRec(recReplica, r.Pool, &cp)
 }
 
-// The manifest travels as the Blob of OpMigrateBegin and, with only
-// Pool, PoolUUID and Puddles set, of OpReplicaAttach, in codec.go's
-// grammar; it is part of the wire format, so a change to it bumps
-// proto.ProtocolVersion.
-//
-// manifest: id:uuid pool:bytes poolUUID:uuid root:uuid ownerUID:uv ownerGID:uv mode:uv
-// types (as recTypes) n:uv n×{uuid addr:uv size:uv kind:uv}
-// k:uv k×{uuid uid:uv gid:uv shards:uv} sourceURL:bytes
-func (m *MigManifest) encode() []byte {
-	b := appendStr(append([]byte(nil), m.ID[:]...), m.Pool)
-	b = append(append(b, m.PoolUUID[:]...), m.Root[:]...)
-	b = uvs(b, uint64(m.OwnerUID), uint64(m.OwnerGID), uint64(m.Mode))
-	b = typeList(m.Types).appendBody(b)
-	b = binary.AppendUvarint(b, uint64(len(m.Puddles)))
-	for i := range m.Puddles {
-		p := &m.Puddles[i]
-		b = uvs(append(b, p.UUID[:]...), p.Addr, p.Size, p.Kind)
+// migPuddles lists members as manifest entries (source-space addresses).
+func migPuddles(members []*PuddleRec) []MigPuddle {
+	out := make([]MigPuddle, len(members))
+	for i, m := range members {
+		out[i] = MigPuddle{UUID: m.UUID, Addr: m.Addr, Size: m.Size, Kind: m.Kind}
 	}
-	b = binary.AppendUvarint(b, uint64(len(m.LogSpaces)))
-	for i := range m.LogSpaces {
-		ls := &m.LogSpaces[i]
-		b = uvs(append(b, ls.UUID[:]...), uint64(ls.Creds.UID), uint64(ls.Creds.GID), uint64(ls.Shards))
-	}
-	return appendStr(b, m.SourceURL)
-}
-
-func decodeManifest(blob []byte) (*MigManifest, error) {
-	d := dec{b: blob}
-	m := &MigManifest{
-		ID: d.uuid(), Pool: d.str(), PoolUUID: d.uuid(), Root: d.uuid(),
-		OwnerUID: d.u32(), OwnerGID: d.u32(), Mode: d.u32(), Types: d.types(),
-	}
-	if n := d.count(len(uid.UUID{}) + 3); n > 0 {
-		m.Puddles = make([]MigPuddle, n)
-		for i := range m.Puddles {
-			m.Puddles[i] = MigPuddle{UUID: d.uuid(), Addr: d.uv(), Size: d.uv(), Kind: d.uv()}
-		}
-	}
-	if n := d.count(len(uid.UUID{}) + 3); n > 0 {
-		m.LogSpaces = make([]MigLogSpace, n)
-		for i := range m.LogSpaces {
-			m.LogSpaces[i] = MigLogSpace{UUID: d.uuid(), Creds: Creds{d.u32(), d.u32()}, Shards: d.u32()}
-		}
-	}
-	m.SourceURL = d.str()
-	if d.err == nil && len(d.b) > 0 {
-		d.err = errTrailing
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return m, nil
+	return out
 }
 
 // --- options ---
@@ -271,16 +232,6 @@ func WithAdvertiseURL(url string) Option {
 // "post-commit") — the chaos harness kills daemons inside it.
 func WithMigrationHook(fn func(phase string)) Option {
 	return func(d *Daemon) { d.migHook = fn }
-}
-
-// WithReplicaInterval paces the warm-standby replicator (default
-// 250ms). Tests set it large and drive rounds via SyncReplica.
-func WithReplicaInterval(iv time.Duration) Option {
-	return func(d *Daemon) {
-		if iv > 0 {
-			d.replEvery = iv
-		}
-	}
 }
 
 func (d *Daemon) migPhase(phase string) {
@@ -323,18 +274,6 @@ func dialPeer(target string) (*proto.Conn, error) {
 		return nil, fmt.Errorf("peer handshake %s: %w", target, err)
 	}
 	return c, nil
-}
-
-// rtOK round-trips req and folds a remote error into err.
-func rtOK(c *proto.Conn, req *proto.Request) (*proto.Response, error) {
-	resp, err := c.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, &proto.RemoteError{Msg: resp.Err}
-	}
-	return resp, nil
 }
 
 // --- refusal helpers ---
@@ -393,6 +332,143 @@ func (d *Daemon) unresolvedResp(name string) *proto.Response {
 	return nil
 }
 
+// --- the steps every move shares ---
+
+// frameSink takes one frame of a drained tracked copy: the member
+// puddle, the frame's offset in it, and its bytes, which are only valid
+// during the call.
+type frameSink func(m *PuddleRec, off uint64, b []byte) error
+
+// trackedCopy is the one copy-under-dirt engine: dirty maps over a
+// pool's member puddles, drained a frame at a time through a sink with
+// one reused buffer. Migration drains it straight to the target round
+// by round; the replicator drains it into RAM inside its quiesce
+// window. It is the only thing that arms and releases those maps.
+type trackedCopy struct {
+	dev     *pmem.Device
+	members []*PuddleRec
+	maps    []*pmem.DirtyMap
+	buf     []byte
+}
+
+// trackCopy arms tracking over members with every chunk dirty, so the
+// first drain is a full snapshot. A write racing a drain lands in the
+// maps and goes out with the next one.
+func (d *Daemon) trackCopy(members []*PuddleRec) *trackedCopy {
+	tc := &trackedCopy{dev: d.dev, members: members, maps: make([]*pmem.DirtyMap, len(members))}
+	for i, m := range members {
+		tc.maps[i] = d.dev.TrackDirty(pmem.Range{Start: pmem.Addr(m.Addr), End: pmem.Addr(m.Addr + m.Size)})
+		tc.maps[i].MarkAll()
+	}
+	return tc
+}
+
+// redirty marks a drained frame of member m dirty again: one that may
+// not have been delivered goes out with the next drain.
+func (tc *trackedCopy) redirty(m *PuddleRec, off uint64, n int) {
+	for _, dm := range tc.maps {
+		dm.Mark(pmem.Addr(m.Addr+off), n)
+	}
+}
+
+// drain collects and clears the dirt of every member and hands it to
+// sink in frames of at most migChunkBytes. It returns the bytes sunk
+// before the first sink error.
+func (tc *trackedCopy) drain(sink frameSink) (uint64, error) {
+	if tc.buf == nil {
+		tc.buf = make([]byte, migChunkBytes)
+	}
+	var sunk uint64
+	for i, m := range tc.members {
+		for _, r := range tc.maps[i].CollectClear() {
+			for addr := r.Start; addr < r.End; {
+				b := tc.buf[:min(uint64(r.End-addr), migChunkBytes)]
+				tc.dev.Load(addr, b)
+				if err := sink(m, uint64(addr)-m.Addr, b); err != nil {
+					return sunk, err
+				}
+				sunk += uint64(len(b))
+				addr += pmem.Addr(len(b))
+			}
+		}
+	}
+	return sunk, nil
+}
+
+// release disarms tracking.
+func (tc *trackedCopy) release() {
+	for _, m := range tc.maps {
+		tc.dev.Untrack(m)
+	}
+}
+
+// rewriteMembers translates the pointers of every live object in the
+// data puddles among pus through amap (paper §4.2) and persists each
+// puddle it changed, once. An identity map has nothing to translate.
+func (d *Daemon) rewriteMembers(pus []*PuddleRec, amap *reloc.AddrMap) error {
+	if amap.Identity() {
+		return nil
+	}
+	for _, p := range pus {
+		if puddle.Kind(p.Kind) != puddle.KindData {
+			continue
+		}
+		n, err := reloc.RewritePointers(d.dev, pmem.Addr(p.Addr), d.types, amap.Translate)
+		if err != nil {
+			return fmt.Errorf("opening relocated puddle %v: %w", p.UUID, err)
+		}
+		if n > 0 {
+			d.dev.Persist(pmem.Addr(p.Addr), int(p.Size))
+		}
+	}
+	return nil
+}
+
+// memberAddr finds puddle id's address among members, or 0.
+func memberAddr(members []*PuddleRec, id uid.UUID) pmem.Addr {
+	for _, m := range members {
+		if m.UUID == id {
+			return pmem.Addr(m.Addr)
+		}
+	}
+	return 0
+}
+
+// unfreezeRoot opens a pool whose root carries a quiesce freeze and a
+// stale active-transaction count — copied from the source, or left by a
+// migration that did not happen — for transactions here.
+func (d *Daemon) unfreezeRoot(addr pmem.Addr) {
+	if rp, err := puddle.Open(d.dev, addr); err == nil {
+		d.dev.StoreU64(rp.ActiveTxAddr(), 0)
+		d.dev.Persist(rp.ActiveTxAddr(), 8)
+		rp.SetFreeze(puddle.FreezeNone)
+	}
+}
+
+// retireMigOut forgets an outbound migration, durably.
+func (d *Daemon) retireMigOut(mig *MigOutRec) {
+	d.opMu.RLock()
+	d.poolsMu.Lock()
+	delete(d.st.MigsOut, mig.ID)
+	d.appendBatch([]entRec{delRec(recMigOut, uuidKey(mig.ID))})
+	d.poolsMu.Unlock()
+	d.opMu.RUnlock()
+}
+
+// drainActiveTx waits for the root's on-media active-transaction
+// count to reach zero (bounded). The freeze word is already set, so
+// the count only decreases.
+func (d *Daemon) drainActiveTx(root *puddle.Puddle) bool {
+	deadline := time.Now().Add(migQuiesceTimeout)
+	for d.dev.LoadU64(root.ActiveTxAddr()) != 0 {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	return true
+}
+
 // --- source engine ---
 
 // opMigratePool runs the whole source-side engine. It is dispatched
@@ -425,60 +501,68 @@ func (d *Daemon) opMigratePool(creds Creds, req *proto.Request) *proto.Response 
 	// structural op re-checks migration status under the same lock, so
 	// membership cannot change between the snapshot of it and the
 	// refusals taking effect.
-	man, members, logSpaces, resp := d.beginOutbound(creds, pool, mig, standby)
+	man, members, logSpaces, resp := d.beginOutbound(pool, mig, standby)
 	if resp != nil {
 		return resp
 	}
 
-	// Dirty tracking must be armed before the first snapshot byte is
-	// read: a write racing the snapshot lands in the map and is
-	// re-shipped in a delta round.
-	maps := make([]*pmem.DirtyMap, len(members))
-	for i, m := range members {
-		maps[i] = d.dev.TrackDirty(pmem.Range{Start: pmem.Addr(m.Addr), End: pmem.Addr(m.Addr) + pmem.Addr(m.Size)})
-	}
+	// Tracking is armed before the first snapshot byte is read.
+	tc := d.trackCopy(members)
+	defer tc.release()
 	d.dev.ArmQuiesce()
 
-	var report proto.MigReport
+	var (
+		report proto.MigReport
+		peer   *proto.Conn
+		root   *puddle.Puddle // set once the pool is frozen
+	)
+	abort := func(resp *proto.Response) *proto.Response {
+		if root != nil {
+			root.SetFreeze(puddle.FreezeNone)
+		}
+		if peer != nil {
+			peer.RoundTrip(&proto.Request{Op: proto.OpMigrateAbort, UUID: mig.ID})
+		}
+		d.retireMigOut(mig)
+		d.dev.DisarmQuiesce()
+		d.migAborts.Add(1)
+		return resp
+	}
 	peer, err := dialPeer(req.Target)
 	if err != nil {
-		return d.abortOutbound(nil, mig, members, maps, fail("migrate: %v", err))
+		return abort(fail("migrate: %v", err))
 	}
 	defer peer.Close()
-
-	if _, err := rtOK(peer, &proto.Request{Op: proto.OpMigrateBegin, UUID: mig.ID, Blob: man.encode()}); err != nil {
-		return d.abortOutbound(peer, mig, members, maps, fail("migrate: begin refused: %v", err))
+	if _, err := peer.RoundTrip(&proto.Request{Op: proto.OpMigrateBegin, UUID: mig.ID, Blob: man.encode()}); err != nil {
+		return abort(fail("migrate: begin refused: %v", err))
+	}
+	// The migration's sink: every frame is one round trip to the target.
+	ship := func(op proto.Op) frameSink {
+		return func(m *PuddleRec, off uint64, b []byte) error {
+			_, err := peer.RoundTrip(&proto.Request{Op: op, UUID: mig.ID, Pool: m.UUID, Addr: off, Blob: b})
+			return err
+		}
 	}
 
 	// Full snapshot, streamed chunk-wise off the device while clients
 	// keep writing.
-	for _, m := range members {
-		n, err := d.shipRange(peer, mig.ID, m, pmem.Range{Start: pmem.Addr(m.Addr), End: pmem.Addr(m.Addr) + pmem.Addr(m.Size)}, proto.OpMigrateChunk)
-		report.SnapshotBytes += n
-		if err != nil {
-			return d.abortOutbound(peer, mig, members, maps, fail("migrate: snapshot: %v", err))
-		}
+	if report.SnapshotBytes, err = tc.drain(ship(proto.OpMigrateChunk)); err != nil {
+		return abort(fail("migrate: snapshot: %v", err))
 	}
 	d.migPhase("snapshot")
 
 	// Delta rounds until converged (or bounded).
 	for round := 0; round < migMaxRounds; round++ {
-		var roundBytes uint64
-		for i, m := range members {
-			for _, r := range maps[i].CollectClear() {
-				n, err := d.shipRange(peer, mig.ID, m, r, proto.OpMigrateDelta)
-				roundBytes += n
-				if err != nil {
-					return d.abortOutbound(peer, mig, members, maps, fail("migrate: delta: %v", err))
-				}
-			}
+		n, err := tc.drain(ship(proto.OpMigrateDelta))
+		report.DeltaBytes += n
+		if err != nil {
+			return abort(fail("migrate: delta: %v", err))
 		}
 		report.Rounds = round + 1
-		report.DeltaBytes += roundBytes
 		if round == 0 {
 			d.migPhase("delta")
 		}
-		if roundBytes <= migConvergedBytes {
+		if n <= migConvergedBytes {
 			break
 		}
 	}
@@ -486,25 +570,16 @@ func (d *Daemon) opMigratePool(creds Creds, req *proto.Request) *proto.Response 
 	// Final quiesce: park new transactions, drain in-flight ones, ship
 	// one last (small) delta. This is the only stop-the-world window;
 	// its length depends on one round's dirt, not on pool size.
-	root, err := puddle.Open(d.dev, d.rootAddr(members, man.Root))
-	if err != nil {
-		return d.abortOutbound(peer, mig, members, maps, fail("migrate: opening root: %v", err))
+	if root, err = puddle.Open(d.dev, memberAddr(members, man.Root)); err != nil {
+		return abort(fail("migrate: opening root: %v", err))
 	}
 	pauseStart := time.Now()
 	root.SetFreeze(puddle.FreezeQuiesce)
 	if !d.drainActiveTx(root) {
-		root.SetFreeze(puddle.FreezeNone)
-		return d.abortOutbound(peer, mig, members, maps, fail("migrate: transactions did not drain within %v", migQuiesceTimeout))
+		return abort(fail("migrate: transactions did not drain within %v", migQuiesceTimeout))
 	}
-	for i, m := range members {
-		for _, r := range maps[i].CollectClear() {
-			n, err := d.shipRange(peer, mig.ID, m, r, proto.OpMigrateDelta)
-			report.FinalBytes += n
-			if err != nil {
-				root.SetFreeze(puddle.FreezeNone)
-				return d.abortOutbound(peer, mig, members, maps, fail("migrate: final delta: %v", err))
-			}
-		}
+	if report.FinalBytes, err = tc.drain(ship(proto.OpMigrateDelta)); err != nil {
+		return abort(fail("migrate: final delta: %v", err))
 	}
 	report.DeltaBytes += report.FinalBytes
 
@@ -513,11 +588,10 @@ func (d *Daemon) opMigratePool(creds Creds, req *proto.Request) *proto.Response 
 	// ask the target who owns the pool.
 	mig.Phase = migCommitSent
 	if resp := d.persistMigOut(mig); resp != nil {
-		root.SetFreeze(puddle.FreezeNone)
-		return d.abortOutbound(peer, mig, members, maps, resp)
+		return abort(resp)
 	}
 	d.migPhase("pre-commit")
-	if _, err := rtOK(peer, &proto.Request{Op: proto.OpMigrateCommit, UUID: mig.ID}); err != nil {
+	if _, err := peer.RoundTrip(&proto.Request{Op: proto.OpMigrateCommit, UUID: mig.ID}); err != nil {
 		// The commit may or may not have landed (a transport error hides
 		// the answer). Leave the commitSent record for ResolveMigrations;
 		// the pool stays frozen and answers "unresolved".
@@ -527,18 +601,14 @@ func (d *Daemon) opMigratePool(creds Creds, req *proto.Request) *proto.Response 
 
 	// Cede: one journal batch removes the pool, leaves the tombstone
 	// (and the standby record), and retires the MigOutRec.
-	if resp := d.cedePool(pool, mig, members, logSpaces, man); resp != nil {
+	if resp := d.cedePool(pool, mig, members, logSpaces); resp != nil {
 		// Adoption landed but the cede batch failed to persist: the
 		// commitSent record survives, ResolveMigrations re-sends the
 		// (idempotent) commit and re-cedes.
 		return resp
 	}
-	root.SetFreeze(puddle.FreezeMoved)
 	report.PauseNs = uint64(time.Since(pauseStart).Nanoseconds())
 	report.TotalNs = uint64(time.Since(start).Nanoseconds())
-	for _, m := range maps {
-		d.dev.Untrack(m)
-	}
 	// The quiesce arm deliberately stays: the FreezeMoved tombstone is
 	// what redirects still-attached clients, and they only check it
 	// while the device is armed.
@@ -552,7 +622,7 @@ func (d *Daemon) opMigratePool(creds Creds, req *proto.Request) *proto.Response 
 // beginOutbound snapshots the pool's membership into a manifest and
 // durably publishes the MigOutRec, all under pool.mu so no structural
 // op can slip between the snapshot and the refusals taking effect.
-func (d *Daemon) beginOutbound(creds Creds, pool *PoolRec, mig *MigOutRec, standby bool) (*MigManifest, []*PuddleRec, []*LogSpaceRec, *proto.Response) {
+func (d *Daemon) beginOutbound(pool *PoolRec, mig *MigOutRec, standby bool) (*MigManifest, []*PuddleRec, []*LogSpaceRec, *proto.Response) {
 	d.opMu.RLock()
 	defer d.opMu.RUnlock()
 	if d.closed.Load() {
@@ -569,34 +639,18 @@ func (d *Daemon) beginOutbound(creds Creds, pool *PoolRec, mig *MigOutRec, stand
 	if m := d.migOutFor(pool.Name); m != nil {
 		return nil, nil, nil, fail("pool %q is already migrating", pool.Name)
 	}
+	members, logSpaces := d.poolMembers(pool.Puddles)
 	man := &MigManifest{
 		ID: mig.ID, Pool: pool.Name, PoolUUID: pool.UUID, Root: pool.Root,
 		OwnerUID: pool.OwnerUID, OwnerGID: pool.OwnerGID, Mode: pool.Mode,
-		Types: d.types.All(),
+		Types: d.types.All(), Puddles: migPuddles(members),
 	}
 	if standby {
 		man.SourceURL = d.advertise
 	}
-	var members []*PuddleRec
-	d.poolsMu.RLock()
-	for _, pu := range pool.Puddles {
-		rec := d.st.Puddles[pu]
-		if rec == nil {
-			continue
-		}
-		members = append(members, rec)
-		man.Puddles = append(man.Puddles, MigPuddle{UUID: rec.UUID, Addr: rec.Addr, Size: rec.Size, Kind: rec.Kind})
+	for _, ls := range logSpaces {
+		man.LogSpaces = append(man.LogSpaces, MigLogSpace{UUID: ls.UUID, Creds: ls.Creds, Shards: ls.Shards})
 	}
-	d.poolsMu.RUnlock()
-	var logSpaces []*LogSpaceRec
-	d.lsMu.Lock()
-	for _, pu := range pool.Puddles {
-		if ls := d.st.LogSpaces[pu]; ls != nil {
-			logSpaces = append(logSpaces, ls)
-			man.LogSpaces = append(man.LogSpaces, MigLogSpace{UUID: ls.UUID, Creds: ls.Creds, Shards: ls.Shards})
-		}
-	}
-	d.lsMu.Unlock()
 	d.poolsMu.Lock()
 	d.st.MigsOut[mig.ID] = mig
 	d.poolsMu.Unlock()
@@ -621,85 +675,14 @@ func (d *Daemon) persistMigOut(mig *MigOutRec) *proto.Response {
 	return d.persistOrFail(migOutRec(mig))
 }
 
-// rootAddr finds the root puddle's address among members.
-func (d *Daemon) rootAddr(members []*PuddleRec, root uid.UUID) pmem.Addr {
-	for _, m := range members {
-		if m.UUID == root {
-			return pmem.Addr(m.Addr)
-		}
-	}
-	return 0
-}
-
-// drainActiveTx waits for the root's on-media active-transaction
-// count to reach zero (bounded). The freeze word is already set, so
-// the count only decreases.
-func (d *Daemon) drainActiveTx(root *puddle.Puddle) bool {
-	deadline := time.Now().Add(migQuiesceTimeout)
-	for d.dev.LoadU64(root.ActiveTxAddr()) != 0 {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return true
-}
-
-// shipRange streams one range of puddle m, a frame per chunk.
-// Returns the bytes shipped.
-func (d *Daemon) shipRange(peer *proto.Conn, migID uid.UUID, m *PuddleRec, r pmem.Range, op proto.Op) (uint64, error) {
-	var shipped uint64
-	buf := make([]byte, migChunkBytes)
-	for addr := r.Start; addr < r.End; {
-		n := uint64(r.End - addr)
-		if n > migChunkBytes {
-			n = migChunkBytes
-		}
-		b := buf[:n]
-		d.dev.Load(addr, b)
-		req := &proto.Request{
-			Op: op, UUID: migID, Pool: m.UUID,
-			Addr: uint64(addr) - m.Addr, // offset within the puddle
-			Blob: b,
-		}
-		if _, err := rtOK(peer, req); err != nil {
-			return shipped, err
-		}
-		shipped += n
-		addr += pmem.Addr(n)
-	}
-	return shipped, nil
-}
-
-// abortOutbound unwinds a failed (pre-commit) migration: best-effort
-// remote abort, retire the MigOutRec, disarm tracking.
-func (d *Daemon) abortOutbound(peer *proto.Conn, mig *MigOutRec, members []*PuddleRec, maps []*pmem.DirtyMap, resp *proto.Response) *proto.Response {
-	if peer != nil {
-		peer.RoundTrip(&proto.Request{Op: proto.OpMigrateAbort, UUID: mig.ID})
-	}
-	d.opMu.RLock()
-	d.poolsMu.Lock()
-	delete(d.st.MigsOut, mig.ID)
-	d.appendBatch([]entRec{delRec(recMigOut, uuidKey(mig.ID))})
-	d.poolsMu.Unlock()
-	d.opMu.RUnlock()
-	for _, m := range maps {
-		if m != nil {
-			d.dev.Untrack(m)
-		}
-	}
-	d.dev.DisarmQuiesce()
-	d.migAborts.Add(1)
-	return resp
-}
-
 // cedePool durably transfers ownership away: persist FIRST (one
 // batch: puddle + log-space + pool tombstones, the MovedRec, the
 // MigOutRec retirement, and the StandbyRec when retaining a copy),
-// then mutate the maps and release reservations. While pool.mu is
+// then mark the root moved, mutate the maps and release
+// reservations. While pool.mu is
 // held nothing else can touch the pool, so a failed persist needs no
 // unwind — exactly the opDeletePool idiom.
-func (d *Daemon) cedePool(pool *PoolRec, mig *MigOutRec, members []*PuddleRec, logSpaces []*LogSpaceRec, man *MigManifest) *proto.Response {
+func (d *Daemon) cedePool(pool *PoolRec, mig *MigOutRec, members []*PuddleRec, logSpaces []*LogSpaceRec) *proto.Response {
 	d.opMu.RLock()
 	defer d.opMu.RUnlock()
 	pool.mu.Lock()
@@ -734,6 +717,10 @@ func (d *Daemon) cedePool(pool *PoolRec, mig *MigOutRec, members []*PuddleRec, l
 	}
 	if resp := d.persistOrFail(recs...); resp != nil {
 		return resp
+	}
+	// The root's tombstone is what redirects still-attached clients.
+	if rp, err := puddle.Open(d.dev, memberAddr(members, pool.Root)); err == nil {
+		rp.SetFreeze(puddle.FreezeMoved)
 	}
 	d.poolsMu.Lock()
 	for _, m := range members {
@@ -803,10 +790,10 @@ func (d *Daemon) opMigrateBegin(creds Creds, req *proto.Request) *proto.Response
 	if _, ok := d.migsIn[req.UUID]; ok {
 		return fail("migrate: migration %v already begun", req.UUID)
 	}
-	in := &migIn{man: man, addrs: make(map[uid.UUID]uint64), sizes: make(map[uid.UUID]uint64)}
+	in := &migIn{man: man, recs: make(map[uid.UUID]*PuddleRec)}
 	release := func() {
-		for _, a := range in.addrs {
-			d.space.Release(pmem.Addr(a))
+		for _, rec := range in.recs {
+			d.space.Release(pmem.Addr(rec.Addr))
 		}
 	}
 	infos := make([]proto.PuddleInfo, 0, len(man.Puddles))
@@ -821,64 +808,66 @@ func (d *Daemon) opMigrateBegin(creds Creds, req *proto.Request) *proto.Response
 			release()
 			return fail("migrate: reserving space for %v: %v", p.UUID, err)
 		}
-		in.addrs[p.UUID] = uint64(r.Start)
-		in.sizes[p.UUID] = p.Size
+		in.recs[p.UUID] = &PuddleRec{UUID: p.UUID, Addr: uint64(r.Start), Size: p.Size, Kind: p.Kind, Pool: man.PoolUUID}
 		infos = append(infos, proto.PuddleInfo{UUID: p.UUID, Addr: uint64(r.Start), Size: p.Size, Kind: p.Kind})
+	}
+	for _, ls := range man.LogSpaces {
+		if in.recs[ls.UUID] == nil {
+			release()
+			return fail("migrate: log space %v is not a member puddle", ls.UUID)
+		}
 	}
 	d.migsIn[req.UUID] = in
 	return &proto.Response{Puddles: infos}
 }
 
-// opMigrateFrame lands one snapshot or delta frame. Replication
-// frames (standby side) arrive on the same op, keyed by pool name
-// with a nil migration id.
+// opMigrateFrame lands one snapshot, delta or replication frame —
+// the one lander: a migration's frames are keyed by its id, a
+// standby's by pool name with a nil id. The bounds check cannot wrap,
+// so a frame lands wholly inside the puddle it names or not at all.
 func (d *Daemon) opMigrateFrame(creds Creds, req *proto.Request) *proto.Response {
 	if resp := requireSuper(creds); resp != nil {
 		return resp
 	}
-	if req.UUID == uid.Nil && req.Name != "" {
-		return d.standbyFrame(req)
+	rec, resp := d.frameTarget(req)
+	if resp != nil {
+		return resp
 	}
-	d.migMu.Lock()
-	in := d.migsIn[req.UUID]
-	d.migMu.Unlock()
-	if in == nil {
-		return fail("%s %v", proto.MigUnknownMsg, req.UUID)
+	if n := uint64(len(req.Blob)); req.Addr > rec.Size || n > rec.Size-req.Addr {
+		return fail("frame overruns puddle %v (%d+%d > %d)", req.Pool, req.Addr, n, rec.Size)
 	}
-	base, ok := in.addrs[req.Pool]
-	if !ok {
-		return fail("migrate: frame for unknown puddle %v", req.Pool)
-	}
-	if req.Addr+uint64(len(req.Blob)) > in.sizes[req.Pool] {
-		return fail("migrate: frame overruns puddle %v (%d+%d > %d)", req.Pool, req.Addr, len(req.Blob), in.sizes[req.Pool])
-	}
-	d.dev.Store(pmem.Addr(base+req.Addr), req.Blob)
-	d.dev.Persist(pmem.Addr(base+req.Addr), len(req.Blob))
+	d.dev.Store(pmem.Addr(rec.Addr+req.Addr), req.Blob)
+	d.dev.Persist(pmem.Addr(rec.Addr+req.Addr), len(req.Blob))
 	return &proto.Response{}
 }
 
-// standbyFrame lands one replication delta into a retained standby
-// copy.
-func (d *Daemon) standbyFrame(req *proto.Request) *proto.Response {
-	d.poolsMu.RLock()
-	s := d.st.Standbys[req.Name]
-	d.poolsMu.RUnlock()
-	if s == nil {
-		return fail("pool %q is not a standby here", req.Name)
-	}
-	for i := range s.Puddles {
-		p := &s.Puddles[i]
-		if p.UUID != req.Pool {
-			continue
+// frameTarget resolves the local record of the puddle a frame names:
+// in an inbound migration, or in a standby copy.
+func (d *Daemon) frameTarget(req *proto.Request) (*PuddleRec, *proto.Response) {
+	if req.UUID == uid.Nil && req.Name != "" {
+		d.poolsMu.RLock()
+		defer d.poolsMu.RUnlock()
+		s := d.st.Standbys[req.Name]
+		if s == nil {
+			return nil, fail("pool %q is not a standby here", req.Name)
 		}
-		if req.Addr+uint64(len(req.Blob)) > p.Size {
-			return fail("replica: frame overruns puddle %v", req.Pool)
+		for i := range s.Puddles {
+			if s.Puddles[i].UUID == req.Pool {
+				return &s.Puddles[i], nil
+			}
 		}
-		d.dev.Store(pmem.Addr(p.Addr+req.Addr), req.Blob)
-		d.dev.Persist(pmem.Addr(p.Addr+req.Addr), len(req.Blob))
-		return &proto.Response{}
+		return nil, fail("replica: unknown puddle %v in standby %q", req.Pool, req.Name)
 	}
-	return fail("replica: unknown puddle %v in standby %q", req.Pool, req.Name)
+	d.migMu.Lock()
+	defer d.migMu.Unlock()
+	in := d.migsIn[req.UUID]
+	if in == nil {
+		return nil, fail("%s %v", proto.MigUnknownMsg, req.UUID)
+	}
+	if rec := in.recs[req.Pool]; rec != nil {
+		return rec, nil
+	}
+	return nil, fail("migrate: frame for unknown puddle %v", req.Pool)
 }
 
 func (d *Daemon) opMigrateCommit(creds Creds, req *proto.Request) *proto.Response {
@@ -905,154 +894,61 @@ func (d *Daemon) opMigrateCommit(creds Creds, req *proto.Request) *proto.Respons
 	// Relocation: if any puddle changed address, rewrite every pointer
 	// field of every live object through the same AddrMap translation
 	// the import cascade uses (paper §4.2).
-	var moves []reloc.Move
-	for _, p := range man.Puddles {
-		moves = append(moves, reloc.Move{
-			Old: pmem.Range{Start: pmem.Addr(p.Addr), End: pmem.Addr(p.Addr + p.Size)},
-			New: pmem.Addr(in.addrs[p.UUID]),
-		})
+	pus := make([]*PuddleRec, len(man.Puddles))
+	moves := make([]reloc.Move, len(man.Puddles))
+	for i, p := range man.Puddles {
+		pus[i] = in.recs[p.UUID]
+		moves[i] = reloc.Move{Old: pmem.Range{Start: pmem.Addr(p.Addr), End: pmem.Addr(p.Addr + p.Size)}, New: pmem.Addr(pus[i].Addr)}
 	}
 	amap := reloc.NewAddrMap(moves)
-	if !amap.Identity() {
-		if err := d.rewritePool(man, in, amap); err != nil {
-			return fail("migrate: pointer rewrite: %v", err)
-		}
+	if err := d.rewriteMembers(pus, amap); err != nil {
+		return fail("migrate: pointer rewrite: %v", err)
 	}
 	// The copied root carries the source's quiesce state; the pool is
 	// open for business here.
-	if rootAddr, ok := in.addrs[man.Root]; ok {
-		if rp, err := puddle.Open(d.dev, pmem.Addr(rootAddr)); err == nil {
-			d.dev.StoreU64(rp.ActiveTxAddr(), 0)
-			d.dev.Persist(rp.ActiveTxAddr(), 8)
-			rp.SetFreeze(puddle.FreezeNone)
-		}
-	}
+	d.unfreezeRoot(memberAddr(pus, man.Root))
 	if resp := d.persistTypes(); resp != nil {
 		return resp
 	}
 
-	// Adopt in one journal batch: pool + puddles + log spaces + the
-	// MigDoneRec (and the replica obligation / tombstone retirement),
-	// published-then-rolled-back like opImportDone.
+	// Adopt in one journal batch with the MigDoneRec (and the replica
+	// obligation).
 	pool := &PoolRec{
 		Name: man.Pool, UUID: man.PoolUUID, Root: man.Root,
 		OwnerUID: man.OwnerUID, OwnerGID: man.OwnerGID, Mode: man.Mode,
 	}
-	doneRec := &MigDoneRec{ID: req.UUID, Pool: man.Pool}
+	lss := make([]*LogSpaceRec, len(man.LogSpaces))
+	for i, mls := range man.LogSpaces {
+		lss[i] = &LogSpaceRec{UUID: mls.UUID, Addr: in.recs[mls.UUID].Addr, Creds: mls.Creds, Shards: mls.Shards}
+	}
+	done = &MigDoneRec{ID: req.UUID, Pool: man.Pool}
+	extra := []entRec{putRec(recMigDone, uuidKey(req.UUID), done)}
 	var replica *ReplicaRec
 	if man.SourceURL != "" {
 		replica = &ReplicaRec{Pool: man.Pool, Target: man.SourceURL}
+		extra = append(extra, replicaRec(replica))
 	}
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	recs := make([]entRec, 0, len(man.Puddles)+len(man.LogSpaces)+4)
-	d.poolsMu.Lock()
-	if _, ok := d.st.Pools[man.Pool]; ok {
-		d.poolsMu.Unlock()
-		return fail("migrate: pool %q already exists here", man.Pool)
-	}
-	var newRecs []*PuddleRec
-	for _, p := range man.Puddles {
-		rec := &PuddleRec{UUID: p.UUID, Addr: in.addrs[p.UUID], Size: p.Size, Kind: p.Kind, Pool: pool.UUID}
-		d.st.Puddles[p.UUID] = rec
-		pool.Puddles = append(pool.Puddles, p.UUID)
-		newRecs = append(newRecs, rec)
-		recs = append(recs, putRec(recPuddle, uuidKey(p.UUID), rec))
-	}
-	d.st.Pools[man.Pool] = pool
-	d.st.MigsDone[req.UUID] = doneRec
-	hadMoved := d.st.Moved[man.Pool] != nil // the pool is coming back home
-	if hadMoved {
-		delete(d.st.Moved, man.Pool)
-	}
-	if replica != nil {
-		d.st.Replicas[man.Pool] = replica
-	}
-	d.poolsMu.Unlock()
-	var lsRecs []*LogSpaceRec
-	d.lsMu.Lock()
-	for _, mls := range man.LogSpaces {
-		ls := &LogSpaceRec{UUID: mls.UUID, Addr: in.addrs[mls.UUID], Creds: mls.Creds, Shards: mls.Shards}
-		d.st.LogSpaces[mls.UUID] = ls
-		lsRecs = append(lsRecs, ls)
-		recs = append(recs, putRec(recLogSpace, uuidKey(mls.UUID), ls))
-	}
-	d.lsMu.Unlock()
-	recs = append(recs, pool.rec(), putRec(recMigDone, uuidKey(req.UUID), doneRec))
-	if hadMoved {
-		recs = append(recs, delRec(recMoved, man.Pool))
-	}
-	if replica != nil {
-		recs = append(recs, replicaRec(replica))
-	}
-	if resp := d.persistOrFail(recs...); resp != nil {
-		d.poolsMu.Lock()
-		delete(d.st.Pools, man.Pool)
+	if resp := d.adopt(pool, pus, lss, extra, func() {
+		d.st.MigsDone[req.UUID] = done
+		if replica != nil {
+			d.st.Replicas[man.Pool] = replica
+		}
+	}, func() {
 		delete(d.st.MigsDone, req.UUID)
 		delete(d.st.Replicas, man.Pool)
-		for _, p := range man.Puddles {
-			delete(d.st.Puddles, p.UUID)
-		}
-		d.poolsMu.Unlock()
-		d.lsMu.Lock()
-		for _, ls := range lsRecs {
-			delete(d.st.LogSpaces, ls.UUID)
-		}
-		d.lsMu.Unlock()
-		// Reservations stay with the (still-registered) migIn? No — the
-		// migIn was consumed; put it back so an abort or retry can see it.
+	}); resp != nil {
+		// Put the transfer back so an abort can release its reservations.
 		d.migMu.Lock()
 		d.migsIn[req.UUID] = in
 		d.migMu.Unlock()
 		return resp
 	}
-	_ = newRecs
 	d.migsInN.Add(1)
 	if replica != nil {
-		d.startReplicator(man.Pool, !amap.Identity())
+		d.startReplicator(man.Pool)
 	}
 	d.logf("migrate: adopted pool %q (migration %v, identity=%v)", man.Pool, req.UUID, amap.Identity())
 	return &proto.Response{}
-}
-
-// rewritePool walks every live object of every data puddle and
-// translates its pointer fields into the target address space.
-func (d *Daemon) rewritePool(man *MigManifest, in *migIn, amap *reloc.AddrMap) error {
-	for _, mp := range man.Puddles {
-		if puddle.Kind(mp.Kind) != puddle.KindData {
-			continue
-		}
-		p, err := puddle.Open(d.dev, pmem.Addr(in.addrs[mp.UUID]))
-		if err != nil {
-			return fmt.Errorf("opening relocated puddle %v: %w", mp.UUID, err)
-		}
-		h := alloc.NewHeap(p)
-		// Collect first: the heap lock is held during Objects and the
-		// callback must not reenter the heap.
-		var objs []alloc.Object
-		h.Objects(func(o alloc.Object) bool {
-			objs = append(objs, o)
-			return true
-		})
-		for _, o := range objs {
-			ti, ok := d.types.Lookup(o.TypeID)
-			if !ok {
-				continue // untyped allocation: no declared pointers
-			}
-			for _, pf := range ti.Ptrs {
-				slot := o.Addr + pmem.Addr(pf.Offset)
-				old := d.dev.LoadU64(slot)
-				if old == 0 {
-					continue
-				}
-				if nw, ok := amap.Translate(pmem.Addr(old)); ok {
-					d.dev.StoreU64(slot, uint64(nw))
-					d.dev.Persist(slot, 8)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 func (d *Daemon) opMigrateAbort(creds Creds, req *proto.Request) *proto.Response {
@@ -1066,8 +962,8 @@ func (d *Daemon) opMigrateAbort(creds Creds, req *proto.Request) *proto.Response
 	if in == nil {
 		return &proto.Response{} // already gone — aborting is idempotent
 	}
-	for _, a := range in.addrs {
-		d.space.Release(pmem.Addr(a))
+	for _, rec := range in.recs {
+		d.space.Release(pmem.Addr(rec.Addr))
 	}
 	return &proto.Response{}
 }
@@ -1161,110 +1057,48 @@ func (d *Daemon) opFailover(creds Creds, req *proto.Request) *proto.Response {
 	if d.poolByName(req.Name) != nil {
 		return fail("pool %q already exists here", req.Name)
 	}
-
-	// Owner-space pointers entered this copy with the replication
-	// deltas; translate them back into local space when the owner's
-	// addresses differ. An epoch of zero means no delta ever landed —
-	// the bytes are the original local copy and need no rewrite.
-	if s.Epoch > 0 {
-		var moves []reloc.Move
-		identity := true
-		for i := range s.Puddles {
-			oa := s.OwnerAddrs[i]
-			moves = append(moves, reloc.Move{
-				Old: pmem.Range{Start: pmem.Addr(oa), End: pmem.Addr(oa + s.Puddles[i].Size)},
-				New: pmem.Addr(s.Puddles[i].Addr),
-			})
-			if oa != s.Puddles[i].Addr {
-				identity = false
-			}
-		}
-		if !identity {
-			man := &MigManifest{Root: s.Root}
-			in := &migIn{addrs: make(map[uid.UUID]uint64)}
-			for i := range s.Puddles {
-				man.Puddles = append(man.Puddles, MigPuddle{UUID: s.Puddles[i].UUID, Size: s.Puddles[i].Size, Kind: s.Puddles[i].Kind})
-				in.addrs[s.Puddles[i].UUID] = s.Puddles[i].Addr
-			}
-			if err := d.rewritePool(man, in, reloc.NewAddrMap(moves)); err != nil {
-				return fail("failover: pointer rewrite: %v", err)
-			}
-		}
-	}
-
 	pool := &PoolRec{
 		Name: s.Pool, UUID: s.UUID, Root: s.Root,
 		OwnerUID: s.OwnerUID, OwnerGID: s.OwnerGID, Mode: s.Mode,
 	}
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	recs := make([]entRec, 0, len(s.Puddles)+len(s.LogSpaces)+3)
-	d.poolsMu.Lock()
-	if _, ok := d.st.Pools[s.Pool]; ok {
-		d.poolsMu.Unlock()
-		return fail("pool %q already exists here", s.Pool)
-	}
-	var newRecs []*PuddleRec
+	pus := make([]*PuddleRec, len(s.Puddles))
 	for i := range s.Puddles {
-		rec := new(PuddleRec)
-		*rec = s.Puddles[i]
+		rec := s.Puddles[i]
 		rec.Pool = pool.UUID
-		d.st.Puddles[rec.UUID] = rec
-		pool.Puddles = append(pool.Puddles, rec.UUID)
-		newRecs = append(newRecs, rec)
-		recs = append(recs, putRec(recPuddle, uuidKey(rec.UUID), rec))
+		pus[i] = &rec
 	}
-	d.st.Pools[s.Pool] = pool
-	delete(d.st.Standbys, s.Pool)
-	hadMoved := d.st.Moved[s.Pool] != nil
-	if hadMoved {
-		delete(d.st.Moved, s.Pool)
+	// Owner-space pointers entered this copy with the replication
+	// deltas; translate them back into local space. An epoch of zero
+	// means no delta ever landed — the bytes are the original local copy
+	// and need no rewrite.
+	if s.Epoch > 0 {
+		moves := make([]reloc.Move, len(pus))
+		for i, p := range pus {
+			oa := s.OwnerAddrs[i]
+			moves[i] = reloc.Move{Old: pmem.Range{Start: pmem.Addr(oa), End: pmem.Addr(oa + p.Size)}, New: pmem.Addr(p.Addr)}
+		}
+		if err := d.rewriteMembers(pus, reloc.NewAddrMap(moves)); err != nil {
+			return fail("failover: pointer rewrite: %v", err)
+		}
 	}
-	d.poolsMu.Unlock()
-	var lsRecs []*LogSpaceRec
-	d.lsMu.Lock()
+	lss := make([]*LogSpaceRec, len(s.LogSpaces))
 	for i := range s.LogSpaces {
-		ls := new(LogSpaceRec)
-		*ls = s.LogSpaces[i]
-		// The puddle's local address may differ from where the owner had
-		// it; the standby's puddle record is authoritative.
-		for _, pr := range newRecs {
-			if pr.UUID == ls.UUID {
-				ls.Addr = pr.Addr
-				break
-			}
+		ls := s.LogSpaces[i]
+		// The log space lives where the standby's puddle record says, not
+		// where the owner had it.
+		if a := memberAddr(pus, ls.UUID); a != 0 {
+			ls.Addr = uint64(a)
 		}
-		d.st.LogSpaces[ls.UUID] = ls
-		lsRecs = append(lsRecs, ls)
-		recs = append(recs, putRec(recLogSpace, uuidKey(ls.UUID), ls))
+		lss[i] = &ls
 	}
-	d.lsMu.Unlock()
-	recs = append(recs, pool.rec(), delRec(recStandby, s.Pool))
-	if hadMoved {
-		recs = append(recs, delRec(recMoved, s.Pool))
-	}
-	if resp := d.persistOrFail(recs...); resp != nil {
-		d.poolsMu.Lock()
-		delete(d.st.Pools, s.Pool)
-		d.st.Standbys[s.Pool] = s
-		for _, pr := range newRecs {
-			delete(d.st.Puddles, pr.UUID)
-		}
-		d.poolsMu.Unlock()
-		d.lsMu.Lock()
-		for _, ls := range lsRecs {
-			delete(d.st.LogSpaces, ls.UUID)
-		}
-		d.lsMu.Unlock()
+	if resp := d.adopt(pool, pus, lss, []entRec{delRec(recStandby, s.Pool)},
+		func() { delete(d.st.Standbys, s.Pool) },
+		func() { d.st.Standbys[s.Pool] = s }); resp != nil {
 		return resp
 	}
-	// Reservations were already held for the standby copies; nothing to
-	// reserve. Unfreeze the root so transactions may enter.
-	if rp, err := puddle.Open(d.dev, pmem.Addr(d.rootAddr(newRecs, s.Root))); err == nil {
-		d.dev.StoreU64(rp.ActiveTxAddr(), 0)
-		d.dev.Persist(rp.ActiveTxAddr(), 8)
-		rp.SetFreeze(puddle.FreezeNone)
-	}
+	// The standby copies' reservations carry over; the pool only needs
+	// its root opened for transactions.
+	d.unfreezeRoot(memberAddr(pus, s.Root))
 	d.failovers.Add(1)
 	d.logf("failover: promoted standby %q to owner", s.Pool)
 	return &proto.Response{}
@@ -1272,26 +1106,45 @@ func (d *Daemon) opFailover(creds Creds, req *proto.Request) *proto.Response {
 
 // --- replicator (owner side) ---
 
-// startReplicator launches the background delta shipper for one
-// replicated pool. fullResync forces MarkAll on the first round
-// (adoption relocated the pool, or the owner rebooted and lost its
-// dirty maps — either way the standby's bytes cannot be trusted to
-// match).
-func (d *Daemon) startReplicator(name string, fullResync bool) {
+// replicaFeed is the owner side of one warm standby: its background
+// shipper's stop channel and the tracked copy its rounds drain. round
+// is held from collect to ack, so rounds — SyncReplica callers and the
+// ticker — cannot overtake each other: a round holding older bytes of a
+// chunk never lands after one holding newer bytes.
+type replicaFeed struct {
+	stop  chan struct{}
+	round sync.Mutex
+	tc    *trackedCopy // built by the first round; guarded by round
+}
+
+// feed returns pool name's replica feed, creating it on first use.
+func (d *Daemon) feed(name string) *replicaFeed {
 	d.replMu.Lock()
 	defer d.replMu.Unlock()
-	if d.replStop == nil {
-		d.replStop = make(map[string]chan struct{})
+	if d.feeds == nil {
+		d.feeds = make(map[string]*replicaFeed)
 	}
-	if _, running := d.replStop[name]; running {
-		return
+	f := d.feeds[name]
+	if f == nil {
+		f = &replicaFeed{}
+		d.feeds[name] = f
+	}
+	return f
+}
+
+// startReplicator launches the background delta shipper for one
+// replicated pool. Its first round is a full resync: the feed's tracked
+// copy starts with everything dirty, whether adoption relocated the
+// pool or the owner rebooted and lost its dirty maps.
+func (d *Daemon) startReplicator(name string) {
+	f := d.feed(name)
+	d.replMu.Lock()
+	defer d.replMu.Unlock()
+	if f.stop != nil {
+		return // already running
 	}
 	stop := make(chan struct{})
-	d.replStop[name] = stop
-	iv := d.replEvery
-	if iv <= 0 {
-		iv = defaultReplicaInterval
-	}
+	f.stop = stop
 	go func() {
 		// Armed for the replicator's whole lifetime, not just during
 		// rounds: a transaction that starts between rounds must still
@@ -1299,8 +1152,7 @@ func (d *Daemon) startReplicator(name string, fullResync bool) {
 		// quiesce would not see it and could collect a torn write.
 		d.dev.ArmQuiesce()
 		defer d.dev.DisarmQuiesce()
-		first := fullResync
-		t := time.NewTicker(iv)
+		t := time.NewTicker(replicaInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -1310,33 +1162,21 @@ func (d *Daemon) startReplicator(name string, fullResync bool) {
 				return
 			case <-t.C:
 			}
-			if err := d.syncReplica(name, first); err != nil {
+			if err := d.SyncReplica(name); err != nil {
 				d.logf("replica %q: %v", name, err)
 				if strings.Contains(err.Error(), "not a standby") {
 					d.dropReplica(name)
 					return
 				}
-				continue
 			}
-			first = false
 		}
 	}()
 }
 
-// stopReplicator halts the background shipper for one pool.
-func (d *Daemon) stopReplicator(name string) {
-	d.replMu.Lock()
-	if ch, ok := d.replStop[name]; ok {
-		close(ch)
-		delete(d.replStop, name)
-	}
-	d.replMu.Unlock()
-}
-
 // dropReplica retires a replication obligation (the standby was
-// promoted or dropped).
+// promoted or dropped): journal the retirement, stop the shipper, wait
+// out a round in flight and release the tracked copy.
 func (d *Daemon) dropReplica(name string) {
-	d.stopReplicator(name)
 	d.opMu.RLock()
 	d.poolsMu.Lock()
 	if d.st.Replicas[name] != nil {
@@ -1345,181 +1185,133 @@ func (d *Daemon) dropReplica(name string) {
 	}
 	d.poolsMu.Unlock()
 	d.opMu.RUnlock()
-}
-
-// SyncReplica runs one synchronous replication round for a pool this
-// daemon owns and replicates (tests drive rounds deterministically
-// with this; production rounds come from the background ticker).
-func (d *Daemon) SyncReplica(name string) error {
-	return d.syncReplica(name, false)
-}
-
-// replTracks returns (creating on first use) the dirty maps backing
-// replication for one pool. Guarded by replMu.
-func (d *Daemon) replTracks(name string, members []*PuddleRec, markAll bool) []*pmem.DirtyMap {
 	d.replMu.Lock()
-	defer d.replMu.Unlock()
-	if d.replMaps == nil {
-		d.replMaps = make(map[string][]*pmem.DirtyMap)
-	}
-	maps, ok := d.replMaps[name]
-	if !ok {
-		maps = make([]*pmem.DirtyMap, len(members))
-		for i, m := range members {
-			maps[i] = d.dev.TrackDirty(pmem.Range{Start: pmem.Addr(m.Addr), End: pmem.Addr(m.Addr) + pmem.Addr(m.Size)})
-			maps[i].MarkAll() // fresh tracker: everything is unshipped
-		}
-		d.replMaps[name] = maps
-		return maps
-	}
-	if markAll {
-		for _, m := range maps {
-			m.MarkAll()
-		}
-	}
-	return maps
-}
-
-// dropReplTracks releases a pool's replication dirty maps.
-func (d *Daemon) dropReplTracks(name string) {
-	d.replMu.Lock()
-	maps := d.replMaps[name]
-	delete(d.replMaps, name)
+	f := d.feeds[name]
+	delete(d.feeds, name)
 	d.replMu.Unlock()
-	for _, m := range maps {
-		d.dev.Untrack(m)
+	if f == nil {
+		return
 	}
+	if f.stop != nil {
+		close(f.stop)
+	}
+	f.round.Lock()
+	if f.tc != nil {
+		f.tc.release()
+		f.tc = nil
+	}
+	f.round.Unlock()
 }
 
-// syncReplica ships one quiesced delta round to the standby: freeze
-// the pool briefly, drain in-flight transactions, collect the dirty
-// ranges into RAM, unfreeze, then ship and ack. Copying before the
-// unfreeze makes each round a transaction-consistent snapshot — the
-// stop window is proportional to the round's dirt, exactly like the
-// migration's final delta.
-func (d *Daemon) syncReplica(name string, fullResync bool) error {
-	d.opMu.RLock()
-	if d.closed.Load() {
-		d.opMu.RUnlock()
-		return fmt.Errorf("daemon is shut down")
-	}
-	d.poolsMu.RLock()
-	rep := d.st.Replicas[name]
-	d.poolsMu.RUnlock()
-	if rep == nil {
-		d.opMu.RUnlock()
-		return fmt.Errorf("pool %q has no replica obligation", name)
-	}
-	pool := d.poolByName(name)
-	if pool == nil {
-		d.opMu.RUnlock()
-		return fmt.Errorf("pool %q not found", name)
-	}
-	pool.mu.Lock()
-	memberIDs := append([]uid.UUID(nil), pool.Puddles...)
-	rootID := pool.Root
-	pool.mu.Unlock()
-	var members []*PuddleRec
-	d.poolsMu.RLock()
-	for _, pu := range memberIDs {
-		if rec := d.st.Puddles[pu]; rec != nil {
-			members = append(members, rec)
-		}
-	}
-	d.poolsMu.RUnlock()
-	maps := d.replTracks(name, members, fullResync)
-	d.dev.ArmQuiesce()
-	defer d.dev.DisarmQuiesce()
-
-	// Quiesce, collect, unfreeze.
-	type chunk struct {
+// SyncReplica runs one replication round for a pool this daemon owns
+// and replicates (the background ticker runs them too; tests drive
+// them with this). A round ships one quiesced delta to the standby:
+// freeze the pool briefly, drain in-flight transactions, collect the
+// dirty ranges into RAM, unfreeze, then ship and ack. Copying before
+// the unfreeze makes each round a transaction-consistent snapshot —
+// the stop window is proportional to the round's dirt, exactly like
+// the migration's final delta.
+func (d *Daemon) SyncReplica(name string) error {
+	f := d.feed(name)
+	// Taken before opMu: the round in flight needs opMu.RLock for its
+	// epoch barrier.
+	f.round.Lock()
+	defer f.round.Unlock()
+	type frame struct {
 		pud  *PuddleRec
 		off  uint64
 		data []byte
 	}
-	var chunks []chunk
-	root, err := puddle.Open(d.dev, d.rootAddr(members, rootID))
-	if err != nil {
-		d.opMu.RUnlock()
-		return fmt.Errorf("opening root: %w", err)
-	}
-	root.SetFreeze(puddle.FreezeQuiesce)
-	if !d.drainActiveTx(root) {
-		root.SetFreeze(puddle.FreezeNone)
-		d.opMu.RUnlock()
-		return fmt.Errorf("transactions did not drain")
-	}
-	var roundBytes uint64
-	for i, m := range members {
-		if i >= len(maps) {
-			break
-		}
-		for _, r := range maps[i].CollectClear() {
-			for addr := r.Start; addr < r.End; {
-				n := uint64(r.End - addr)
-				if n > migChunkBytes {
-					n = migChunkBytes
-				}
-				b := make([]byte, n)
-				d.dev.Load(addr, b)
-				chunks = append(chunks, chunk{pud: m, off: uint64(addr) - m.Addr, data: b})
-				roundBytes += n
-				addr += pmem.Addr(n)
-			}
-		}
-	}
-	root.SetFreeze(puddle.FreezeNone)
-	d.opMu.RUnlock()
-
-	if len(chunks) == 0 && !fullResync {
-		return nil // nothing changed; no round, no epoch bump
+	var frames []frame
+	rep, pool, n, err := d.collectRound(name, f, func(m *PuddleRec, off uint64, b []byte) error {
+		frames = append(frames, frame{m, off, append([]byte(nil), b...)})
+		return nil
+	})
+	if err != nil || len(frames) == 0 {
+		return err // nothing changed: no round, no epoch bump
 	}
 
-	// Ship outside every daemon lock.
-	peer, err := dialPeer(rep.Target)
-	if err != nil {
-		return err
-	}
-	defer peer.Close()
-	// (Re-)attach: the standby learns our current addresses and tells
-	// us its acked epoch.
-	attach := &MigManifest{Pool: name, PoolUUID: pool.UUID}
-	for _, m := range members {
-		attach.Puddles = append(attach.Puddles, MigPuddle{UUID: m.UUID, Addr: m.Addr, Size: m.Size, Kind: m.Kind})
-	}
-	if _, err := rtOK(peer, &proto.Request{Op: proto.OpReplicaAttach, Name: name, Blob: attach.encode(), Target: d.advertise}); err != nil {
-		return err
-	}
-	for _, c := range chunks {
-		req := &proto.Request{
-			Op: proto.OpMigrateDelta, Name: name, Pool: c.pud.UUID,
-			Addr: c.off, Blob: c.data,
-		}
-		if _, err := rtOK(peer, req); err != nil {
-			// Undelivered dirt must be re-shipped: re-mark everything (a
-			// partial round at the standby is harmless; frames are
-			// idempotent whole-chunk writes).
-			d.replTracks(name, members, true)
+	// Ship outside every daemon lock but the round's.
+	ship := func() error {
+		peer, err := dialPeer(rep.Target)
+		if err != nil {
 			return err
 		}
-	}
-	// Epoch barrier.
-	d.opMu.RLock()
-	d.poolsMu.Lock()
-	rep.Epoch++
-	epoch := rep.Epoch
-	err = d.appendBatch([]entRec{replicaRec(rep)})
-	d.poolsMu.Unlock()
-	d.opMu.RUnlock()
-	if err != nil {
+		defer peer.Close()
+		// (Re-)attach: the standby learns our current addresses and tells
+		// us its acked epoch.
+		attach := &MigManifest{Pool: name, PoolUUID: pool.UUID, Puddles: migPuddles(f.tc.members)}
+		if _, err := peer.RoundTrip(&proto.Request{Op: proto.OpReplicaAttach, Name: name, Blob: attach.encode(), Target: d.advertise}); err != nil {
+			return err
+		}
+		for _, fr := range frames {
+			if _, err := peer.RoundTrip(&proto.Request{Op: proto.OpMigrateDelta, Name: name, Pool: fr.pud.UUID, Addr: fr.off, Blob: fr.data}); err != nil {
+				return err
+			}
+		}
+		// Epoch barrier.
+		d.opMu.RLock()
+		d.poolsMu.Lock()
+		rep.Epoch++
+		epoch := rep.Epoch
+		err = d.appendBatch([]entRec{replicaRec(rep)})
+		d.poolsMu.Unlock()
+		d.opMu.RUnlock()
+		if err != nil {
+			return err
+		}
+		_, err = peer.RoundTrip(&proto.Request{Op: proto.OpReplicaAck, Name: name, Size: epoch})
 		return err
 	}
-	if _, err := rtOK(peer, &proto.Request{Op: proto.OpReplicaAck, Name: name, Size: epoch}); err != nil {
+	if err := ship(); err != nil {
+		// Undelivered dirt must be re-shipped: re-mark the whole round (a
+		// partial round at the standby is harmless; frames are
+		// idempotent whole-chunk writes).
+		for _, fr := range frames {
+			f.tc.redirty(fr.pud, fr.off, len(fr.data))
+		}
 		return err
 	}
 	d.replSyncs.Add(1)
-	d.replBytes.Add(roundBytes)
+	d.replBytes.Add(n)
 	return nil
+}
+
+// collectRound is a replication round's stop-the-world part: freeze the
+// pool, drain in-flight transactions, drain the feed's tracked copy into
+// sink, unfreeze. The caller holds f.round.
+func (d *Daemon) collectRound(name string, f *replicaFeed, sink frameSink) (*ReplicaRec, *PoolRec, uint64, error) {
+	d.opMu.RLock()
+	defer d.opMu.RUnlock()
+	if d.closed.Load() {
+		return nil, nil, 0, fmt.Errorf("daemon is shut down")
+	}
+	d.poolsMu.RLock()
+	rep, pool := d.st.Replicas[name], d.st.Pools[name]
+	d.poolsMu.RUnlock()
+	switch {
+	case rep == nil:
+		return nil, nil, 0, fmt.Errorf("pool %q has no replica obligation", name)
+	case pool == nil:
+		return nil, nil, 0, fmt.Errorf("pool %q not found", name)
+	}
+	if f.tc == nil {
+		members, _ := d.poolMembers(pool.memberIDs())
+		f.tc = d.trackCopy(members)
+	}
+	root, err := puddle.Open(d.dev, memberAddr(f.tc.members, pool.Root))
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("opening root: %w", err)
+	}
+	d.dev.ArmQuiesce()
+	defer d.dev.DisarmQuiesce()
+	root.SetFreeze(puddle.FreezeQuiesce)
+	defer root.SetFreeze(puddle.FreezeNone)
+	if !d.drainActiveTx(root) {
+		return nil, nil, 0, fmt.Errorf("transactions did not drain")
+	}
+	n, err := f.tc.drain(sink)
+	return rep, pool, n, err
 }
 
 // --- boot-time resolution ---
@@ -1593,9 +1385,7 @@ func (d *Daemon) ResolveMigrations() int {
 		}
 	}
 	for _, name := range replicas {
-		// The owner rebooted: its dirty maps are gone, so the first round
-		// is a full resync.
-		d.startReplicator(name, true)
+		d.startReplicator(name)
 	}
 	return unresolved
 }
@@ -1608,7 +1398,7 @@ func (d *Daemon) askTargetCommitted(mig *MigOutRec) (bool, error) {
 		return false, err
 	}
 	defer peer.Close()
-	_, err = rtOK(peer, &proto.Request{Op: proto.OpMigrateCommit, UUID: mig.ID})
+	_, err = peer.RoundTrip(&proto.Request{Op: proto.OpMigrateCommit, UUID: mig.ID})
 	if err == nil {
 		return true, nil
 	}
@@ -1626,22 +1416,10 @@ func (d *Daemon) resolveAbort(mig *MigOutRec) {
 		peer.RoundTrip(&proto.Request{Op: proto.OpMigrateAbort, UUID: mig.ID})
 		peer.Close()
 	}
-	d.opMu.RLock()
-	d.poolsMu.Lock()
-	delete(d.st.MigsOut, mig.ID)
-	d.appendBatch([]entRec{delRec(recMigOut, uuidKey(mig.ID))})
-	d.poolsMu.Unlock()
-	d.opMu.RUnlock()
+	d.retireMigOut(mig)
 	if pool := d.poolByName(mig.Pool); pool != nil {
-		d.poolsMu.RLock()
-		rootRec := d.st.Puddles[pool.Root]
-		d.poolsMu.RUnlock()
-		if rootRec != nil {
-			if rp, err := puddle.Open(d.dev, pmem.Addr(rootRec.Addr)); err == nil {
-				d.dev.StoreU64(rp.ActiveTxAddr(), 0)
-				d.dev.Persist(rp.ActiveTxAddr(), 8)
-				rp.SetFreeze(puddle.FreezeNone)
-			}
+		if rec := d.puddleRec(pool.Root); rec != nil {
+			d.unfreezeRoot(pmem.Addr(rec.Addr))
 		}
 	}
 	d.migAborts.Add(1)
@@ -1656,49 +1434,16 @@ func (d *Daemon) resolveCede(mig *MigOutRec) {
 		// The pool is already gone (the cede batch landed before the
 		// crash but the MigOutRec retirement did not — impossible in one
 		// batch, but be defensive); just retire the record.
-		d.opMu.RLock()
-		d.poolsMu.Lock()
-		delete(d.st.MigsOut, mig.ID)
-		d.appendBatch([]entRec{delRec(recMigOut, uuidKey(mig.ID))})
-		d.poolsMu.Unlock()
-		d.opMu.RUnlock()
+		d.retireMigOut(mig)
 		return
 	}
-	var members []*PuddleRec
-	var logSpaces []*LogSpaceRec
-	pool.mu.Lock()
-	ids := append([]uid.UUID(nil), pool.Puddles...)
-	pool.mu.Unlock()
-	d.poolsMu.RLock()
-	for _, pu := range ids {
-		if rec := d.st.Puddles[pu]; rec != nil {
-			members = append(members, rec)
-		}
-	}
-	d.poolsMu.RUnlock()
-	d.lsMu.Lock()
-	for _, pu := range ids {
-		if ls := d.st.LogSpaces[pu]; ls != nil {
-			logSpaces = append(logSpaces, ls)
-		}
-	}
-	d.lsMu.Unlock()
+	members, logSpaces := d.poolMembers(pool.memberIDs())
 	// Crash recovery cannot retain a standby: the copy's staleness
-	// relative to the adopted pool is unknowable here (the owner's
-	// replicator would resync it, but only if it knows to attach —
-	// which the manifest's SourceURL already told it; still, drop the
-	// local retention unless it was requested, and let the attach
-	// recreate addresses).
+	// relative to the adopted pool is unknowable here.
 	mig.Standby = false
-	man := &MigManifest{Root: pool.Root}
-	if resp := d.cedePool(pool, mig, members, logSpaces, man); resp != nil {
+	if resp := d.cedePool(pool, mig, members, logSpaces); resp != nil {
 		d.logf("resolve: ceding %q: %s", mig.Pool, resp.Err)
 		return
-	}
-	if rootRec := d.rootAddr(members, pool.Root); rootRec != 0 {
-		if rp, err := puddle.Open(d.dev, rootRec); err == nil {
-			rp.SetFreeze(puddle.FreezeMoved)
-		}
 	}
 	d.migsOutN.Add(1)
 	d.logf("resolve: migration %v of %q committed at target; ceded", mig.ID, mig.Pool)

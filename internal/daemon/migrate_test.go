@@ -1,6 +1,7 @@
 package daemon_test
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -15,20 +16,93 @@ import (
 )
 
 // startDaemon boots a daemon on its own device and serves it on a
-// loopback TCP listener, returning the daemon and its URL.
+// loopback TCP listener, returning the daemon and its URL. The listener
+// binds first so the daemon can advertise its URL, which a
+// standby-retaining source needs (the target ships deltas back to it).
 func startDaemon(t *testing.T, dev *pmem.Device, opts ...daemon.Option) (*daemon.Daemon, string, net.Listener) {
 	t.Helper()
-	d, err := daemon.New(dev, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go d.Serve(l)
 	t.Cleanup(func() { l.Close() })
-	return d, "tcp://" + l.Addr().String(), l
+	url := "tcp://" + l.Addr().String()
+	d, err := daemon.New(dev, append(opts, daemon.WithAdvertiseURL(url))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go d.Serve(l)
+	return d, url, l
+}
+
+// migrate asks the daemon at url to move pool name to target; kind 1
+// retains a warm standby at the source.
+func migrate(t *testing.T, url, name, target string, kind uint64) proto.MigReport {
+	t.Helper()
+	resp, err := superConn(t, url).RoundTrip(&proto.Request{Op: proto.OpMigratePool, Name: name, Target: target, Kind: kind})
+	if err != nil {
+		t.Fatalf("migrate %q: %v", name, err)
+	}
+	return resp.Report
+}
+
+// occupy creates a pool on the daemon at url so that the identity
+// address range of a pool migrating there is taken and the target must
+// relocate it.
+func occupy(t *testing.T, url string, dev *pmem.Device) {
+	t.Helper()
+	blocker, err := core.Dial(url, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { blocker.Close() })
+	if _, err := blocker.CreatePool("filler", 0o666); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// buildList links n nodes of type ti ({next, val}) behind the root
+// object, node i holding value i*step.
+func buildList(t *testing.T, cl *core.Client, pool *core.Pool, ti ptypes.TypeInfo, root pmem.Addr, n int, step uint64) {
+	t.Helper()
+	if err := cl.Run(pool, func(tx *core.Tx) error {
+		prev := root
+		for i := 1; i <= n; i++ {
+			node, err := tx.Alloc(ti.ID, 16)
+			if err != nil {
+				return err
+			}
+			if err := tx.SetU64(node+8, uint64(i)*step); err != nil {
+				return err
+			}
+			if err := tx.SetU64(prev, uint64(node)); err != nil {
+				return err
+			}
+			prev = node
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkList walks the list behind root on dev: exactly n nodes, node i
+// holding value i*step.
+func checkList(t *testing.T, dev *pmem.Device, root pmem.Addr, n int, step uint64) {
+	t.Helper()
+	addr := dev.LoadU64(root)
+	for i := 1; i <= n; i++ {
+		if addr == 0 {
+			t.Fatalf("list truncated at node %d", i)
+		}
+		if got := dev.LoadU64(pmem.Addr(addr) + 8); got != uint64(i)*step {
+			t.Fatalf("node %d: val %d, want %d (pointer not translated?)", i, got, uint64(i)*step)
+		}
+		addr = dev.LoadU64(pmem.Addr(addr))
+	}
+	if addr != 0 {
+		t.Fatalf("list does not terminate: trailing pointer %#x", addr)
+	}
 }
 
 // superConn opens a daemon-to-daemon style superuser connection (TCP
@@ -185,17 +259,7 @@ func TestMigrationPointerRewrite(t *testing.T) {
 	dev1, dev2 := pmem.New(), pmem.New()
 	_, url1, _ := startDaemon(t, dev1)
 	_, url2, _ := startDaemon(t, dev2)
-
-	// Occupy the target's low address space so ReserveAt collides and
-	// the migrated puddles land elsewhere.
-	blocker, err := core.Dial(url2, dev2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer blocker.Close()
-	if _, err := blocker.CreatePool("filler", 0o666); err != nil {
-		t.Fatal(err)
-	}
+	occupy(t, url2, dev2)
 
 	cl, err := core.Dial(url1, dev1)
 	if err != nil {
@@ -215,66 +279,166 @@ func TestMigrationPointerRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build root -> n1 -> n2 -> nil with values 11, 22.
 	const n = 2
+	buildList(t, cl, pool, ti, rootAddr, n, 11)
+	migrate(t, url1, "plist", url2, 0)
+
+	root2 := openRoot(t, url2, dev2, "plist")
+	if root2 == rootAddr {
+		t.Fatal("filler pool failed to force relocation; rewrite path not exercised")
+	}
+	checkList(t, dev2, root2, n, 11)
+}
+
+// openRoot opens pool name on the daemon at url with a fresh client and
+// returns its root object's address.
+func openRoot(t *testing.T, url string, dev *pmem.Device, name string) pmem.Addr {
+	t.Helper()
+	cl, err := core.Dial(url, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	p, err := cl.OpenPool(name)
+	if err != nil {
+		t.Fatalf("open %q: %v", name, err)
+	}
+	root, err := p.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
+
+// TestMigrationRewriteSkipsShortObjects: an object allocated smaller than
+// its type does not hold the pointer fields past its end. Two 16-byte
+// objects of a 32-byte type whose pointer sits at offset 24 share a
+// 16-byte slab; the relocating walk must leave offset 8 of the second —
+// plain data that happens to hold an in-pool address — untouched.
+func TestMigrationRewriteSkipsShortObjects(t *testing.T) {
+	dev1, dev2 := pmem.New(), pmem.New()
+	_, url1, _ := startDaemon(t, dev1)
+	_, url2, _ := startDaemon(t, dev2)
+	occupy(t, url2, dev2)
+
+	cl, err := core.Dial(url1, dev1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	node, err := cl.RegisterType("short.root", 16, []ptypes.PtrField{{Offset: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := cl.RegisterType("short.wide", 32, []ptypes.PtrField{{Offset: 24}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := cl.CreatePool("short", 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootAddr, err := pool.CreateRoot(node.ID, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b pmem.Addr
 	if err := cl.Run(pool, func(tx *core.Tx) error {
-		prev := rootAddr
-		for i := 1; i <= n; i++ {
-			node, err := tx.Alloc(ti.ID, 16)
-			if err != nil {
+		if a, err = tx.Alloc(wide.ID, 16); err != nil {
+			return err
+		}
+		if b, err = tx.Alloc(wide.ID, 16); err != nil {
+			return err
+		}
+		if err := tx.SetU64(b+8, uint64(rootAddr)); err != nil {
+			return err
+		}
+		return tx.SetU64(rootAddr, uint64(a))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if b != a+16 {
+		t.Fatalf("the two short objects sit at %#x and %#x, not in neighbouring slab slots", a, b)
+	}
+	migrate(t, url1, "short", url2, 0)
+
+	root2 := openRoot(t, url2, dev2, "short")
+	if root2 == rootAddr {
+		t.Fatal("filler pool failed to force relocation; rewrite path not exercised")
+	}
+	a2 := pmem.Addr(dev2.LoadU64(root2))
+	if got := dev2.LoadU64(a2 + 16 + 8); got != uint64(rootAddr) {
+		t.Fatalf("the neighbour's data word changed in the move: %#x -> %#x", uint64(rootAddr), got)
+	}
+}
+
+// TestFailoverOfRelocatedStandby: a standby-retaining migration lands at
+// other addresses (a filler pool holds the identity range), the new
+// owner rewrites a linked list's values, one replication round ships the
+// owner-space bytes back, and the promoted standby must walk the list in
+// its own address space with the new values.
+func TestFailoverOfRelocatedStandby(t *testing.T) {
+	dev1, dev2 := pmem.New(), pmem.New()
+	d1, url1, _ := startDaemon(t, dev1)
+	d2, url2, l2 := startDaemon(t, dev2)
+	occupy(t, url2, dev2)
+
+	cl, err := core.Dial(url1, dev1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.RegisterPeerDevice(url2, dev2)
+	ti, err := cl.RegisterType("fo.node", 16, []ptypes.PtrField{{Offset: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := cl.CreatePool("folist", 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootAddr, err := pool.CreateRoot(ti.ID, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	buildList(t, cl, pool, ti, rootAddr, n, 11)
+	migrate(t, url1, "folist", url2, 1)
+
+	if openRoot(t, url2, dev2, "folist") == rootAddr {
+		t.Fatal("filler pool failed to force relocation; rewrite path not exercised")
+	}
+	// Rewrite every value at the owner. The first write finds the pool
+	// moved; the client follows, and the retry walks the relocated list.
+	if err := cl.Run(pool, func(tx *core.Tx) error {
+		root, err := pool.Root()
+		if err != nil {
+			return err
+		}
+		dev, i := cl.Device(), uint64(1)
+		for p := pmem.Addr(dev.LoadU64(root)); p != 0; p = pmem.Addr(dev.LoadU64(p)) {
+			if err := tx.SetU64(p+8, i*100); err != nil {
 				return err
 			}
-			if err := tx.SetU64(node+8, uint64(i*11)); err != nil {
-				return err
-			}
-			if err := tx.SetU64(prev, uint64(node)); err != nil {
-				return err
-			}
-			prev = node
+			i++
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-
-	mc := superConn(t, url1)
-	resp, err := mc.RoundTrip(&proto.Request{Op: proto.OpMigratePool, Name: "plist", Target: url2})
-	if err != nil {
+	if err := d2.SyncReplica("folist"); err != nil {
 		t.Fatal(err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("migrate refused: %s", resp.Err)
 	}
 
-	cl2, err := core.Dial(url2, dev2)
-	if err != nil {
-		t.Fatal(err)
+	// Owner "dies"; promote the standby.
+	l2.Close()
+	if _, err := superConn(t, url1).RoundTrip(&proto.Request{Op: proto.OpFailover, Name: "folist"}); err != nil {
+		t.Fatalf("failover refused: %v", err)
 	}
-	defer cl2.Close()
-	p2, err := cl2.OpenPool("plist")
-	if err != nil {
-		t.Fatal(err)
+	if got := d1.Stats().Failovers; got != 1 {
+		t.Fatalf("Failovers = %d, want 1", got)
 	}
-	root2, err := p2.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root2 == rootAddr {
-		t.Fatal("filler pool failed to force relocation; rewrite path not exercised")
-	}
-	addr := dev2.LoadU64(root2)
-	for i := 1; i <= n; i++ {
-		if addr == 0 {
-			t.Fatalf("list truncated at node %d", i)
-		}
-		if got := dev2.LoadU64(pmem.Addr(addr) + 8); got != uint64(i*11) {
-			t.Fatalf("node %d: val %d, want %d (pointer not translated?)", i, got, i*11)
-		}
-		addr = dev2.LoadU64(pmem.Addr(addr))
-	}
-	if addr != 0 {
-		t.Fatalf("list does not terminate: trailing pointer %#x", addr)
-	}
+	checkList(t, dev1, openRoot(t, url1, dev1, "folist"), n, 100)
 }
 
 // TestWarmStandbyReplicationAndFailover: migrate with standby
@@ -283,33 +447,8 @@ func TestMigrationPointerRewrite(t *testing.T) {
 // survived the failover.
 func TestWarmStandbyReplicationAndFailover(t *testing.T) {
 	dev1, dev2 := pmem.New(), pmem.New()
-
-	// The standby-retaining source must advertise a URL, which is only
-	// known once its listener binds — so bind first, then boot.
-	l1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l1.Close()
-	url1 := "tcp://" + l1.Addr().String()
-	d1, err := daemon.New(dev1, daemon.WithAdvertiseURL(url1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	go d1.Serve(l1)
-
-	l2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	url2 := "tcp://" + l2.Addr().String()
-	// A huge replica interval keeps the background ticker out of the
-	// way; the test drives rounds deterministically with SyncReplica.
-	d2, err := daemon.New(dev2, daemon.WithReplicaInterval(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	go d2.Serve(l2)
+	d1, url1, _ := startDaemon(t, dev1)
+	d2, url2, l2 := startDaemon(t, dev2)
 
 	cl, err := core.Dial(url1, dev1)
 	if err != nil {
@@ -340,14 +479,7 @@ func TestWarmStandbyReplicationAndFailover(t *testing.T) {
 	}
 
 	// Migrate with standby retention (Kind bit 0).
-	mc := superConn(t, url1)
-	resp, err := mc.RoundTrip(&proto.Request{Op: proto.OpMigratePool, Name: "ha", Target: url2, Kind: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("standby migrate refused: %s", resp.Err)
-	}
+	migrate(t, url1, "ha", url2, 1)
 
 	// Write at the new owner through the same client (redirect follows).
 	for i := slots / 2; i < slots; i++ {
@@ -479,6 +611,93 @@ func TestMigrationConcurrentWritersConverge(t *testing.T) {
 		got := dev2.LoadU64(rootAddr + pmem.Addr(w*8))
 		if got != counts[w] {
 			t.Fatalf("worker %d: target counter %d, acked %d", w, got, counts[w])
+		}
+	}
+}
+
+// TestReplicaRoundsDoNotOvertake: replication rounds for one pool — any
+// number of SyncReplica callers plus the background ticker — run one at
+// a time from collect to ack, so a round holding older bytes of a chunk
+// can never land after a round holding newer ones. Concurrent rounds
+// race a writer; after one final round the standby must hold exactly
+// the owner's bytes.
+func TestReplicaRoundsDoNotOvertake(t *testing.T) {
+	dev1, dev2 := pmem.New(), pmem.New()
+	_, url1, _ := startDaemon(t, dev1)
+	d2, url2, _ := startDaemon(t, dev2)
+
+	cl, err := core.Dial(url1, dev1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.RegisterPeerDevice(url2, dev2)
+	ti, err := cl.RegisterType("race.cell", 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := cl.CreatePool("race", 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slots = 16 << 10 // 128 KiB of slots: two dirty-tracking chunks
+	rootAddr, err := pool.CreateRoot(ti.ID, slots*8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	migrate(t, url1, "race", url2, 1)
+
+	stop := make(chan struct{})
+	writerDone := make(chan error, 1)
+	go func() {
+		for seq := uint64(1); ; seq++ {
+			select {
+			case <-stop:
+				writerDone <- nil
+				return
+			default:
+			}
+			slot := seq * 1031 % slots // strides across both chunks
+			if err := cl.Run(pool, func(tx *core.Tx) error {
+				return tx.SetU64(rootAddr+pmem.Addr(slot*8), seq)
+			}); err != nil {
+				writerDone <- fmt.Errorf("write %d: %w", seq, err)
+				return
+			}
+		}
+	}()
+	var syncers sync.WaitGroup
+	errs := make(chan error, 4)
+	for i := 0; i < 4; i++ {
+		syncers.Add(1)
+		go func() {
+			defer syncers.Done()
+			for j := 0; j < 10; j++ {
+				if err := d2.SyncReplica("race"); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	syncers.Wait()
+	close(stop)
+	if err := <-writerDone; err != nil {
+		t.Fatal(err)
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent round: %v", err)
+	}
+	if err := d2.SyncReplica("race"); err != nil {
+		t.Fatal(err)
+	}
+	owner, standby := make([]byte, slots*8), make([]byte, slots*8)
+	dev2.Load(rootAddr, owner)
+	dev1.Load(rootAddr, standby)
+	for i := 0; i < len(owner); i += 8 {
+		if !bytes.Equal(owner[i:i+8], standby[i:i+8]) {
+			t.Fatalf("slot %d: standby holds %x, owner %x", i/8, standby[i:i+8], owner[i:i+8])
 		}
 	}
 }

@@ -478,6 +478,66 @@ func (d *Daemon) persistOrFail(recs ...entRec) *proto.Response {
 	return nil
 }
 
+// adopt installs pool, its member puddles and its log spaces in one
+// journal batch together with extra, the caller's own records — how
+// creation, import, migration and failover all hand a pool to this
+// daemon. It re-checks the name, so two racing adopters cannot both
+// win. The registry is published first under pool.mu, so no op on the
+// new pool can journal ahead of this batch (apply runs under poolsMu
+// for extra's in-memory side), and rolled back if the batch does not
+// persist (undo, likewise); reservations stay with the caller. A moved
+// tombstone under the pool's name retires in the same batch: the pool
+// lives here again.
+func (d *Daemon) adopt(pool *PoolRec, pus []*PuddleRec, lss []*LogSpaceRec, extra []entRec, apply, undo func()) *proto.Response {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	recs := make([]entRec, 0, len(pus)+len(lss)+len(extra)+2)
+	d.poolsMu.Lock()
+	if _, ok := d.st.Pools[pool.Name]; ok {
+		d.poolsMu.Unlock()
+		return fail("pool %q already exists", pool.Name)
+	}
+	for _, rec := range pus {
+		d.st.Puddles[rec.UUID] = rec
+		pool.Puddles = append(pool.Puddles, rec.UUID)
+		recs = append(recs, putRec(recPuddle, uuidKey(rec.UUID), rec))
+	}
+	d.st.Pools[pool.Name] = pool
+	moved := d.st.Moved[pool.Name]
+	if moved != nil {
+		delete(d.st.Moved, pool.Name)
+		extra = append(extra, delRec(recMoved, pool.Name))
+	}
+	apply()
+	d.poolsMu.Unlock()
+	d.lsMu.Lock()
+	for _, ls := range lss {
+		d.st.LogSpaces[ls.UUID] = ls
+		recs = append(recs, putRec(recLogSpace, uuidKey(ls.UUID), ls))
+	}
+	d.lsMu.Unlock()
+	resp := d.persistOrFail(append(append(recs, pool.rec()), extra...)...)
+	if resp == nil {
+		return nil
+	}
+	d.poolsMu.Lock()
+	delete(d.st.Pools, pool.Name)
+	for _, rec := range pus {
+		delete(d.st.Puddles, rec.UUID)
+	}
+	if moved != nil {
+		d.st.Moved[pool.Name] = moved
+	}
+	undo()
+	d.poolsMu.Unlock()
+	d.lsMu.Lock()
+	for _, ls := range lss {
+		delete(d.st.LogSpaces, ls.UUID)
+	}
+	d.lsMu.Unlock()
+	return resp
+}
+
 func (d *Daemon) opCreatePool(creds Creds, req *proto.Request) *proto.Response {
 	if req.Name == "" {
 		return fail("pool name required")
@@ -510,23 +570,9 @@ func (d *Daemon) opCreatePool(creds Creds, req *proto.Request) *proto.Response {
 		return fail("allocating root puddle: %v", err)
 	}
 	pool.Root = root.UUID
-	pool.Puddles = []uid.UUID{root.UUID}
-	// Publish under the pool's lock so a concurrent op on the new pool
-	// cannot journal ahead of the creation batch; re-check the name so
-	// racing creators don't both win.
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	d.poolsMu.Lock()
-	if _, ok := d.st.Pools[req.Name]; ok {
-		d.poolsMu.Unlock()
+	// adopt re-checks the name, so racing creators don't both win.
+	if resp := d.adopt(pool, []*PuddleRec{root}, nil, nil, func() {}, func() {}); resp != nil {
 		d.space.Release(pmem.Addr(root.Addr))
-		return fail("pool %q already exists", req.Name)
-	}
-	d.st.Pools[req.Name] = pool
-	d.st.Puddles[root.UUID] = root
-	d.poolsMu.Unlock()
-	if resp := d.persistOrFail(pool.rec(), putRec(recPuddle, uuidKey(root.UUID), root)); resp != nil {
-		d.unlinkPoolLocked(pool)
 		return resp
 	}
 	return &proto.Response{
@@ -537,20 +583,6 @@ func (d *Daemon) opCreatePool(creds Creds, req *proto.Request) *proto.Response {
 		Writable: true,
 		Puddles:  []proto.PuddleInfo{{UUID: root.UUID, Addr: root.Addr, Size: root.Size, Kind: root.Kind}},
 	}
-}
-
-// unlinkPoolLocked rolls back an unpersistable pool publication.
-// Caller holds pool.mu.
-func (d *Daemon) unlinkPoolLocked(pool *PoolRec) {
-	d.poolsMu.Lock()
-	delete(d.st.Pools, pool.Name)
-	for _, pu := range pool.Puddles {
-		if rec := d.st.Puddles[pu]; rec != nil {
-			delete(d.st.Puddles, pu)
-			d.space.Release(pmem.Addr(rec.Addr))
-		}
-	}
-	d.poolsMu.Unlock()
 }
 
 func (d *Daemon) opOpenPool(creds Creds, req *proto.Request) *proto.Response {
@@ -569,12 +601,15 @@ func (d *Daemon) opOpenPool(creds Creds, req *proto.Request) *proto.Response {
 	if !checkPerm(creds, pool, false) {
 		return fail("permission denied reading pool %q", req.Name)
 	}
-	pool.mu.Lock()
-	members := append([]uid.UUID(nil), pool.Puddles...)
-	rootID := pool.Root
-	pool.mu.Unlock()
+	return d.poolResp(pool, checkPerm(creds, pool, true))
+}
+
+// poolResp describes pool to the client that opened or imported it:
+// its root and every member puddle.
+func (d *Daemon) poolResp(pool *PoolRec, writable bool) *proto.Response {
+	members := pool.memberIDs()
 	d.poolsMu.RLock()
-	root := d.st.Puddles[rootID]
+	root := d.st.Puddles[pool.Root]
 	infos := make([]proto.PuddleInfo, 0, len(members))
 	for _, pu := range members {
 		if rec := d.st.Puddles[pu]; rec != nil {
@@ -583,14 +618,14 @@ func (d *Daemon) opOpenPool(creds Creds, req *proto.Request) *proto.Response {
 	}
 	d.poolsMu.RUnlock()
 	if root == nil {
-		return fail("pool %q has no root puddle", req.Name)
+		return fail("pool %q has no root puddle", pool.Name)
 	}
 	return &proto.Response{
 		Pool:     pool.UUID,
 		UUID:     root.UUID,
 		Addr:     root.Addr,
 		Size:     root.Size,
-		Writable: checkPerm(creds, pool, true),
+		Writable: writable,
 		Puddles:  infos,
 	}
 }
@@ -1208,50 +1243,19 @@ func (d *Daemon) opImportDone(creds Creds, req *proto.Request) *proto.Response {
 		OwnerGID: sess.Creds.GID,
 		Mode:     sess.Mode,
 	}
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	recs := make([]entRec, 0, len(sess.Puddles)+3)
-	d.poolsMu.Lock()
-	if _, ok := d.st.Pools[pool.Name]; ok {
-		d.poolsMu.Unlock()
-		return fail("pool %q already exists", pool.Name)
+	pus := make([]*PuddleRec, len(sess.Puddles))
+	for i, ip := range sess.Puddles {
+		pus[i] = &PuddleRec{UUID: ip.UUID, Addr: ip.NewAddr, Size: ip.Size, Kind: ip.Kind, Pool: pool.UUID}
 	}
-	for i := range sess.Puddles {
-		ip := &sess.Puddles[i]
-		rec := &PuddleRec{
-			UUID: ip.UUID, Addr: ip.NewAddr, Size: ip.Size, Kind: ip.Kind, Pool: pool.UUID,
-		}
-		d.st.Puddles[ip.UUID] = rec
-		pool.Puddles = append(pool.Puddles, ip.UUID)
-		recs = append(recs, putRec(recPuddle, uuidKey(ip.UUID), rec))
-	}
-	d.st.Pools[pool.Name] = pool
-	d.poolsMu.Unlock()
-	delete(d.st.Sessions, sess.ID)
-	recs = append(recs, pool.rec(), delRec(recSession, strconv.FormatUint(sess.ID, 10)))
-	if resp := d.persistOrFail(recs...); resp != nil {
-		// Roll the publication back without releasing the puddles'
-		// reservations — the restored session still owns them.
-		d.st.Sessions[sess.ID] = sess
-		d.poolsMu.Lock()
-		delete(d.st.Pools, pool.Name)
-		for _, pu := range pool.Puddles {
-			delete(d.st.Puddles, pu)
-		}
-		d.poolsMu.Unlock()
+	// A failed batch restores the session, which still owns the puddles'
+	// reservations.
+	if resp := d.adopt(pool, pus, nil, []entRec{delRec(recSession, strconv.FormatUint(sess.ID, 10))},
+		func() { delete(d.st.Sessions, sess.ID) },
+		func() { d.st.Sessions[sess.ID] = sess }); resp != nil {
 		return resp
 	}
 	for i := range sess.Puddles {
 		d.staging.Release(pmem.Addr(sess.Puddles[i].StagedAt))
 	}
-	d.poolsMu.RLock()
-	root := d.st.Puddles[pool.Root]
-	infos := make([]proto.PuddleInfo, 0, len(pool.Puddles))
-	for _, pu := range pool.Puddles {
-		if rec := d.st.Puddles[pu]; rec != nil {
-			infos = append(infos, proto.PuddleInfo{UUID: rec.UUID, Addr: rec.Addr, Size: rec.Size, Kind: rec.Kind})
-		}
-	}
-	d.poolsMu.RUnlock()
-	return &proto.Response{Pool: pool.UUID, UUID: root.UUID, Addr: root.Addr, Size: root.Size, Writable: true, Puddles: infos}
+	return d.poolResp(pool, true)
 }

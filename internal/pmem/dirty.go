@@ -77,6 +77,14 @@ func (m *DirtyMap) MarkAll() {
 	}
 }
 
+// Mark dirties the chunks overlapping [addr, addr+n): a range a
+// collection handed out but that was never delivered goes out again.
+func (m *DirtyMap) Mark(addr Addr, n int) {
+	if n > 0 && m.r.Overlaps(Range{Start: addr, End: addr + Addr(n)}) {
+		m.note(addr, n)
+	}
+}
+
 // Count returns the number of dirty chunks.
 func (m *DirtyMap) Count() int {
 	n := 0

@@ -133,8 +133,8 @@ func decodeBinary(blob []byte) (*Container, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nTypes > 1<<20 {
-		return nil, fmt.Errorf("%w: absurd type count", ErrBadContainer)
+	if nTypes > r.left()/minTypeBytes {
+		return nil, fmt.Errorf("%w: type count %d exceeds the input", ErrBadContainer, nTypes)
 	}
 	c.Types = make([]ptypes.TypeInfo, nTypes)
 	for i := range c.Types {
@@ -154,8 +154,8 @@ func decodeBinary(blob []byte) (*Container, error) {
 		if err != nil {
 			return nil, err
 		}
-		if nPtrs > 1<<20 {
-			return nil, fmt.Errorf("%w: absurd pointer count", ErrBadContainer)
+		if nPtrs > r.left()/8 {
+			return nil, fmt.Errorf("%w: pointer count %d exceeds the input", ErrBadContainer, nPtrs)
 		}
 		ptrs := make([]ptypes.PtrField, nPtrs)
 		for j := range ptrs {
@@ -171,8 +171,8 @@ func decodeBinary(blob []byte) (*Container, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nPud > 1<<24 {
-		return nil, fmt.Errorf("%w: absurd puddle count", ErrBadContainer)
+	if nPud > r.left()/minPuddleBytes {
+		return nil, fmt.Errorf("%w: puddle count %d exceeds the input", ErrBadContainer, nPud)
 	}
 	c.Puddles = make([]PuddleImage, nPud)
 	for i := range c.Puddles {
@@ -196,10 +196,23 @@ func decodeBinary(blob []byte) (*Container, error) {
 	return &c, nil
 }
 
+// The smallest encodings of one type (id, name length, size, pointer
+// count) and one puddle (uuid, addr, size, kind): a count is refused
+// before anything is allocated for it unless the rest of the input could
+// hold that many, so a short input cannot make the decoder allocate much
+// more than its own length.
+const (
+	minTypeBytes   = 4 * 8
+	minPuddleBytes = 16 + 3*8
+)
+
 type sliceReader struct {
 	b   []byte
 	off uint64
 }
+
+// left returns the bytes not yet read.
+func (r *sliceReader) left() uint64 { return uint64(len(r.b)) - r.off }
 
 func (r *sliceReader) take(n uint64) ([]byte, error) {
 	if r.off+n > uint64(len(r.b)) || r.off+n < r.off {

@@ -11,11 +11,23 @@
 // The manager hands out page-aligned, contiguous reservations and
 // supports explicit reservation at a caller-chosen address (used when
 // importing puddles that want their previous location back).
+//
+// Reserve is plain first-fit from the base: the lowest gap that holds
+// the request wins, so a range freed by a delete, an import's staging
+// copy or a migration is the next one handed out. An earlier bump
+// cursor kept fresh allocations moving up the space until the daemon
+// rebooted; every import and grant then landed on never-touched
+// addresses, and the simulated device grew a fresh 64 KiB chunk for
+// each of them. Reuse means a stale handle can address a range that now
+// belongs to someone else: clients check the root puddle's on-media
+// identity before a transaction writes (core.Tx.enterPool) and evict
+// overlapping ranges from their address index (core.Client.indexHeap).
 package addrspace
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -56,7 +68,6 @@ type Manager struct {
 
 	mu   sync.Mutex
 	resv []Reservation // sorted by Range.Start
-	next pmem.Addr     // bump cursor for first-fit-after
 }
 
 // NewManager returns an empty manager over the global puddle space.
@@ -67,7 +78,7 @@ func NewManager() *Manager {
 // NewManagerRange returns an empty manager over [base, base+size).
 // The daemon uses a second manager for its import staging area.
 func NewManagerRange(base pmem.Addr, size uint64) *Manager {
-	return &Manager{base: base, end: base + pmem.Addr(size), next: base}
+	return &Manager{base: base, end: base + pmem.Addr(size)}
 }
 
 func aligned(a pmem.Addr) bool { return uint64(a)%pmem.PageSize == 0 }
@@ -104,62 +115,31 @@ func (m *Manager) ReserveAt(addr pmem.Addr, size uint64, owner string) (pmem.Ran
 	if m.conflict(r) {
 		return pmem.Range{}, ErrConflict
 	}
-	i := m.locate(r.Start)
-	m.resv = append(m.resv, Reservation{})
-	copy(m.resv[i+1:], m.resv[i:])
-	m.resv[i] = Reservation{Range: r, Owner: owner}
+	m.resv = slices.Insert(m.resv, m.locate(r.Start), Reservation{Range: r, Owner: owner})
 	return r, nil
 }
 
-// Reserve finds and reserves a free range of the given size anywhere
-// in the global space.
+// Reserve reserves the lowest free range of the given size (first
+// fit from the base).
 func (m *Manager) Reserve(size uint64, owner string) (pmem.Range, error) {
 	if size == 0 || size%pmem.PageSize != 0 {
 		return pmem.Range{}, ErrNotAligned
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// First-fit starting at the bump cursor, wrapping once. The cursor
-	// keeps fresh allocations dense, which keeps the common import case
-	// (no conflict) common, as the paper intends.
-	start := m.next
-	if r, ok := m.fitFrom(start, size, owner); ok {
-		return r, nil
-	}
-	if r, ok := m.fitFrom(m.base, size, owner); ok {
-		return r, nil
-	}
-	return pmem.Range{}, ErrExhausted
-}
-
-// fitFrom scans for a gap of at least size bytes beginning at or after
-// from; on success it inserts and returns the reservation. Caller
-// holds m.mu.
-func (m *Manager) fitFrom(from pmem.Addr, size uint64, owner string) (pmem.Range, bool) {
-	cursor := from
-	i := m.locate(from)
-	// The gap before reservation i starts at cursor (or after the
-	// previous reservation if it extends past cursor).
-	if i > 0 && m.resv[i-1].Range.End > cursor {
-		cursor = m.resv[i-1].Range.End
-	}
-	for ; ; i++ {
-		var gapEnd pmem.Addr
+	cursor := m.base
+	for i := 0; ; i++ {
+		gapEnd := m.end
 		if i < len(m.resv) {
 			gapEnd = m.resv[i].Range.Start
-		} else {
-			gapEnd = m.end
 		}
 		if gapEnd > cursor && uint64(gapEnd-cursor) >= size {
 			r := pmem.Range{Start: cursor, End: cursor + pmem.Addr(size)}
-			m.resv = append(m.resv, Reservation{})
-			copy(m.resv[i+1:], m.resv[i:])
-			m.resv[i] = Reservation{Range: r, Owner: owner}
-			m.next = r.End
-			return r, true
+			m.resv = slices.Insert(m.resv, i, Reservation{Range: r, Owner: owner})
+			return r, nil
 		}
 		if i >= len(m.resv) {
-			return pmem.Range{}, false
+			return pmem.Range{}, ErrExhausted
 		}
 		cursor = m.resv[i].Range.End
 	}
@@ -173,7 +153,7 @@ func (m *Manager) Release(addr pmem.Addr) error {
 	if i >= len(m.resv) || m.resv[i].Range.Start != addr {
 		return ErrNotFound
 	}
-	m.resv = append(m.resv[:i], m.resv[i+1:]...)
+	m.resv = slices.Delete(m.resv, i, i+1)
 	return nil
 }
 

@@ -103,33 +103,60 @@ func TestReservedQuery(t *testing.T) {
 	}
 }
 
+// TestGapFilling pins first fit from the base: after a Release,
+// Reserve hands out the lowest gap that holds the request — a freed
+// range is reused before any never-touched address — on the global
+// space and on a staging-area manager alike.
 func TestGapFilling(t *testing.T) {
-	m := NewManager()
-	a, _ := m.Reserve(2*mib, "a")
-	b, _ := m.Reserve(2*mib, "b")
-	if _, err := m.Reserve(2*mib, "c"); err != nil {
-		t.Fatal(err)
-	}
-	// Free the middle one; a fresh exact-size request must eventually
-	// land in the gap once the cursor wraps.
-	if err := m.Release(b.Start); err != nil {
-		t.Fatal(err)
-	}
-	_ = a
-	got, err := m.Reserve(Size-6*mib, "big") // force cursor exhaustion path
-	if err != nil {
-		t.Fatalf("big Reserve: %v", err)
-	}
-	_ = got
-	r, err := m.Reserve(2*mib, "d")
-	if err != nil {
-		t.Fatalf("gap Reserve: %v", err)
-	}
-	if r.Start != b.Start {
-		t.Fatalf("expected gap reuse at %v, got %v", b, r)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		m    *Manager
+		base pmem.Addr
+	}{
+		{"global", NewManager(), Base},
+		{"staging", NewManagerRange(End-64*mib, 64*mib), End - 64*mib},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			var r [4]pmem.Range
+			for i := range r {
+				var err error
+				if r[i], err = m.Reserve(2*mib, "x"); err != nil {
+					t.Fatal(err)
+				}
+				if want := tc.base + pmem.Addr(i*2*mib); r[i].Start != want {
+					t.Fatalf("reservation %d at %#x, want %#x", i, r[i].Start, want)
+				}
+			}
+			// Free the second and third: a 4 MiB gap above a 2 MiB one.
+			for _, i := range []int{1, 2} {
+				if err := m.Release(r[i].Start); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Too big for the gap: lands past the last reservation.
+			big, err := m.Reserve(6*mib, "big")
+			if err != nil || big.Start != r[3].End {
+				t.Fatalf("6 MiB Reserve = %v, %v; want it at %#x", big, err, r[3].End)
+			}
+			// Fits: the lowest address of the gap, twice over.
+			for _, want := range []pmem.Addr{r[1].Start, r[2].Start} {
+				got, err := m.Reserve(2*mib, "reuse")
+				if err != nil || got.Start != want {
+					t.Fatalf("Reserve after Release = %v, %v; want %#x", got, err, want)
+				}
+			}
+			// Freeing the lowest reservation makes it the next one again.
+			if err := m.Release(r[0].Start); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := m.Reserve(pmem.PageSize, "low"); err != nil || got.Start != tc.base {
+				t.Fatalf("Reserve after releasing the lowest = %v, %v; want %#x", got, err, tc.base)
+			}
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

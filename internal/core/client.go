@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -503,16 +504,20 @@ func (p *Pool) attach(pd *puddle.Puddle) {
 	}
 	p.mu.Unlock()
 	if h != nil {
-		p.c.indexHeap(pd.Range(), p, h)
+		p.c.indexHeap(p, h)
 	}
 }
 
-// indexHeap publishes a new index snapshot: given a pool and heap it
-// inserts r (fresh sorted copy, next generation, swap); given nils it
-// removes r (pool delete), bumping the generation so stale affinity
-// hints revalidate. The old snapshot stays valid for readers
+// indexHeap publishes a new index snapshot (fresh sorted copy, next
+// generation, swap). Given a pool it installs h over its puddle's range
+// and evicts every entry overlapping that range: a range is reused once
+// its pool is deleted or moved away, and an address in it must not
+// resolve to the departed pool's heap. Given a nil pool it removes h's
+// entry (pool delete or refresh), bumping the generation so stale
+// affinity hints revalidate. The old snapshot stays valid for readers
 // mid-lookup.
-func (c *Client) indexHeap(r pmem.Range, p *Pool, h *alloc.Heap) {
+func (c *Client) indexHeap(p *Pool, h *alloc.Heap) {
+	r := h.P.Range()
 	c.idxMu.Lock()
 	defer c.idxMu.Unlock()
 	var (
@@ -523,23 +528,17 @@ func (c *Client) indexHeap(r pmem.Range, p *Pool, h *alloc.Heap) {
 		prev = old.ranges
 		gen = old.gen + 1
 	}
-	var next []heapRange
-	if h == nil {
-		next = make([]heapRange, 0, len(prev))
-		for _, hr := range prev {
-			if hr.r != r {
-				next = append(next, hr)
-			}
+	next := make([]heapRange, 0, len(prev)+1)
+	for _, hr := range prev {
+		if (p == nil && hr.heap != h) || (p != nil && !hr.r.Overlaps(r)) {
+			next = append(next, hr)
 		}
-		if len(next) == len(prev) {
-			return // nothing removed: keep the published generation
-		}
-	} else {
-		i := sort.Search(len(prev), func(i int) bool { return prev[i].r.Start >= r.Start })
-		next = make([]heapRange, 0, len(prev)+1)
-		next = append(next, prev[:i]...)
-		next = append(next, heapRange{r: r, pool: p, heap: h})
-		next = append(next, prev[i:]...)
+	}
+	if p != nil {
+		i := sort.Search(len(next), func(i int) bool { return next[i].r.Start >= r.Start })
+		next = slices.Insert(next, i, heapRange{r: r, pool: p, heap: h})
+	} else if len(next) == len(prev) {
+		return // nothing removed: keep the published generation
 	}
 	c.rangeIdx.Store(&rangeIndex{gen: gen, ranges: next})
 }
@@ -572,14 +571,8 @@ func (p *Pool) Delete() error {
 	if _, err := p.c.rt(&proto.Request{Op: proto.OpDeletePool, Name: p.Name}); err != nil {
 		return err
 	}
-	p.mu.Lock()
-	puds := make([]*puddle.Puddle, 0, len(p.heapByPud))
-	for pd := range p.heapByPud {
-		puds = append(puds, pd)
-	}
-	p.mu.Unlock()
-	for _, pd := range puds {
-		p.c.indexHeap(pd.Range(), nil, nil)
+	for _, h := range p.snapshotHeaps() {
+		p.c.indexHeap(nil, h)
 	}
 	return nil
 }
@@ -600,13 +593,8 @@ func (p *Pool) Refresh() error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
-	oldPuds := p.puddles
-	p.mu.Unlock()
-	for _, pd := range oldPuds {
-		if pd.Kind() == puddle.KindData {
-			p.c.indexHeap(pd.Range(), nil, nil)
-		}
+	for _, h := range p.snapshotHeaps() {
+		p.c.indexHeap(nil, h)
 	}
 	p.mu.Lock()
 	p.puddles, p.heaps, p.heapByPud, p.root = nil, nil, nil, nil

@@ -239,3 +239,72 @@ func TestClosedClientDoesNotReconnect(t *testing.T) {
 		t.Fatalf("closed client reconnected %d times", cl.Reconnects())
 	}
 }
+
+// TestIndexEvictsRecycledRange: client A holds pool P open while client
+// B deletes P and creates Q, which takes P's freed range. When A opens
+// Q, its address index must resolve Q's addresses to Q's heaps, not to
+// P's stale ones: a free through P's heap fails on a slab-cached block
+// ("parked in a worker allocation cache") and silently leaks a
+// shared-heap one. The daemon restarts between P and Q, so its address
+// manager hands out P's range even where it would otherwise pick a
+// fresh one.
+func TestIndexEvictsRecycledRange(t *testing.T) {
+	r := startRestartable(t)
+	url := "tcp://" + r.addr
+	dial := func() *core.Client {
+		cl, err := core.Dial(url, r.dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	a, b := dial(), dial()
+	p, err := a.CreatePool("P", 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.crashRestart()
+	pb, err := b.OpenPool("P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pb.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreatePool("Q", 0o666); err != nil {
+		t.Fatal(err)
+	}
+	q, err := a.OpenPool("Q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr, qr := p.Puddles()[0].Range(), q.Puddles()[0].Range(); pr != qr {
+		t.Fatalf("set-up: Q's root puddle at %v, P's was at %v — the range was not reused", qr, pr)
+	}
+	ti, err := a.RegisterType("recycle.obj", 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []uint32{200, 400} { // a slab-cached object, then a shared-heap one
+		var obj pmem.Addr
+		if err := a.Run(q, func(tx *core.Tx) (err error) {
+			obj, err = tx.Alloc(ti.ID, size)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		before := q.LiveObjects()
+		if err := a.Run(q, func(tx *core.Tx) error { return tx.Free(obj) }); err != nil {
+			t.Fatalf("freeing a %d B object: %v", size, err)
+		}
+		if after := q.LiveObjects(); after != before-1 {
+			t.Fatalf("freeing a %d B object: Q holds %d live objects, was %d", size, after, before)
+		}
+	}
+	for _, h := range q.Heaps() {
+		if err := h.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -240,13 +241,19 @@ func (t *Tx) ensureLog() error {
 // dance closes the race with a concurrently landing freeze: if the
 // freeze word flipped between our read and our bump, the bump is
 // undone and we wait (quiesce) or bail (moved) instead of writing
-// into a pool that is being — or has been — handed off.
+// into a pool that is being — or has been — handed off. A root whose
+// on-media identity is no longer the handle's counts as moved too: the
+// pool left and its range went to another pool, whose freeze word says
+// nothing about ours.
 func (t *Tx) enterPool() error {
 	root := t.pool.rootPuddle()
 	if root == nil {
 		return ErrPoolMoved // membership mid-rebuild: refresh and retry
 	}
 	for {
+		if root.Stale() {
+			return ErrPoolMoved
+		}
 		switch root.Freeze() {
 		case puddle.FreezeMoved:
 			return ErrPoolMoved
@@ -255,9 +262,9 @@ func (t *Tx) enterPool() error {
 			continue
 		}
 		root.Dev.AddU64(root.ActiveTxAddr(), 1)
-		if f := root.Freeze(); f != puddle.FreezeNone {
+		if f := root.Freeze(); f != puddle.FreezeNone || root.Stale() {
 			root.Dev.AddU64(root.ActiveTxAddr(), ^uint64(0))
-			if f == puddle.FreezeMoved {
+			if f != puddle.FreezeQuiesce {
 				return ErrPoolMoved
 			}
 			time.Sleep(50 * time.Microsecond)
@@ -339,21 +346,22 @@ func rangeGaps(gaps, set []pmem.Range, r pmem.Range) []pmem.Range {
 }
 
 // rangeInsert merges r into set, keeping it sorted and non-overlapping
-// (adjacent ranges coalesce — coverage of [a,b)+[b,c) is [a,c)).
+// (adjacent ranges coalesce — coverage of [a,b)+[b,c) is [a,c)). It
+// edits set in place: an insert that fits its capacity allocates
+// nothing, and one transaction's Adds cost no garbage however many
+// ranges it logs.
 func rangeInsert(set []pmem.Range, r pmem.Range) []pmem.Range {
 	i := sort.Search(len(set), func(i int) bool { return set[i].End >= r.Start })
 	j := i
-	for j < len(set) && set[j].Start <= r.End {
-		if set[j].Start < r.Start {
-			r.Start = set[j].Start
-		}
-		if set[j].End > r.End {
-			r.End = set[j].End
-		}
-		j++
+	for ; j < len(set) && set[j].Start <= r.End; j++ {
+		r.Start = min(r.Start, set[j].Start)
+		r.End = max(r.End, set[j].End)
 	}
-	out := append(set[:i], append([]pmem.Range{r}, set[j:]...)...)
-	return out
+	if i == j {
+		return slices.Insert(set, i, r)
+	}
+	set[i] = r
+	return slices.Delete(set, i+1, j)
 }
 
 // AddVolatile undo-logs a volatile location (FlagVolatile): restored

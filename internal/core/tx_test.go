@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"puddles/internal/pmem"
@@ -212,5 +214,69 @@ func TestRangeGapsAndInsert(t *testing.T) {
 	set = rangeInsert(set, pmem.Range{Start: 200, End: 300})
 	if len(set) != 1 || set[0].Start != 100 || set[0].End != 400 {
 		t.Fatalf("set after bridging insert = %v, want one [100,400)", set)
+	}
+}
+
+// TestRangeInsertMatchesReference checks rangeInsert against a naive
+// merge — a byte map over a small universe, read back as its maximal
+// covered runs — over random ranges inserted in random, ascending and
+// descending order.
+func TestRangeInsertMatchesReference(t *testing.T) {
+	const universe = 512
+	rng := rand.New(rand.NewSource(1))
+	orders := map[string]func([]pmem.Range){
+		"random": func(rs []pmem.Range) { rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] }) },
+		"ascending": func(rs []pmem.Range) {
+			slices.SortFunc(rs, func(a, b pmem.Range) int { return int(a.Start) - int(b.Start) })
+		},
+		"descending": func(rs []pmem.Range) {
+			slices.SortFunc(rs, func(a, b pmem.Range) int { return int(b.Start) - int(a.Start) })
+		},
+	}
+	for name, order := range orders {
+		for trial := 0; trial < 200; trial++ {
+			rs := make([]pmem.Range, 1+rng.Intn(40))
+			for i := range rs {
+				start := rng.Intn(universe - 1)
+				rs[i] = pmem.Range{Start: pmem.Addr(start), End: pmem.Addr(start + 1 + rng.Intn(min(24, universe-start)))}
+			}
+			order(rs)
+			var covered [universe]bool
+			var set []pmem.Range
+			for _, r := range rs {
+				set = rangeInsert(set, r)
+				for a := r.Start; a < r.End; a++ {
+					covered[a] = true
+				}
+			}
+			var want []pmem.Range
+			for a := 0; a < universe; a++ {
+				if !covered[a] {
+					continue
+				}
+				if n := len(want); n > 0 && want[n-1].End == pmem.Addr(a) {
+					want[n-1].End++
+				} else {
+					want = append(want, pmem.Range{Start: pmem.Addr(a), End: pmem.Addr(a + 1)})
+				}
+			}
+			if !slices.Equal(set, want) {
+				t.Fatalf("%s trial %d: inserting %v gave %v, want %v", name, trial, rs, set, want)
+			}
+		}
+	}
+}
+
+// TestRangeInsertAllocs: an insert that fits the set's capacity — a new
+// range in the middle, or one bridging two — allocates nothing.
+func TestRangeInsertAllocs(t *testing.T) {
+	base := []pmem.Range{{Start: 0, End: 8}, {Start: 64, End: 72}, {Start: 128, End: 136}}
+	buf := make([]pmem.Range, 0, 8)
+	for _, r := range []pmem.Range{{Start: 32, End: 40}, {Start: 8, End: 64}, {Start: 4, End: 132}} {
+		if n := testing.AllocsPerRun(100, func() {
+			buf = rangeInsert(append(buf[:0], base...), r)
+		}); n != 0 {
+			t.Errorf("inserting %v: %v allocs, want 0", r, n)
+		}
 	}
 }

@@ -701,3 +701,105 @@ func TestReplicaRoundsDoNotOvertake(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleHandleDoesNotWriteRecycledRange: once a pool has migrated
+// away, its old root range on the source is free, and the next pool
+// created there takes it. A transaction through a handle opened before
+// the move must follow the move, not write into the newcomer's root
+// (whose freeze word says nothing about the departed pool). The source
+// reboots between the move and the create, so its address manager
+// hands out that range even where it would otherwise pick a fresh one.
+func TestStaleHandleDoesNotWriteRecycledRange(t *testing.T) {
+	dev1, dev2 := pmem.New(), pmem.New()
+	d1, url1, l1 := startDaemon(t, dev1)
+	_, url2, _ := startDaemon(t, dev2)
+
+	cl, err := core.Dial(url1, dev1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.RegisterPeerDevice(url2, dev2)
+	ti, err := cl.RegisterType("stale.cell", 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := cl.CreatePool("live", 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveRoot, err := live.CreateRoot(ti.ID, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setRoot := func(v uint64) error {
+		return cl.Run(live, func(tx *core.Tx) error {
+			root, err := live.Root()
+			if err != nil {
+				return err
+			}
+			return tx.SetU64(root, v)
+		})
+	}
+	if err := setRoot(1); err != nil {
+		t.Fatal(err)
+	}
+	migrate(t, url1, "live", url2, 0)
+
+	if err := d1.Detach(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	d1b, err := daemon.New(dev1, daemon.WithAdvertiseURL(url1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d1b.Kill)
+	go d1b.Serve(l1)
+
+	other, err := core.Dial(url1, dev1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	oti, err := other.RegisterType("stale.cell", 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	squatter, err := other.CreatePool("squatter", 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqRoot, err := squatter.CreateRoot(oti.ID, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sqRoot != liveRoot {
+		t.Fatalf("set-up: squatter's root at %#x, live's old root at %#x — the range was not reused", sqRoot, liveRoot)
+	}
+
+	if err := setRoot(2); err != nil {
+		t.Fatalf("transaction through the stale handle: %v", err)
+	}
+	if got := dev1.LoadU64(sqRoot); got != 0 {
+		t.Fatalf("the stale handle wrote %d into squatter's root", got)
+	}
+	if cl.MovesFollowed() == 0 {
+		t.Fatal("the stale handle never followed the move")
+	}
+	cl2, err := core.Dial(url2, dev2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	moved, err := cl2.OpenPool("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := moved.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dev2.LoadU64(root); got != 2 {
+		t.Fatalf("live's root at the target holds %d, want 2", got)
+	}
+}

@@ -993,20 +993,11 @@ func (d *Daemon) opExportPool(creds Creds, req *proto.Request) *proto.Response {
 		Types:    d.types.All(),
 	}
 	for _, pu := range members {
-		rec := d.puddleRec(pu)
-		if rec == nil {
-			continue
+		if rec := d.puddleRec(pu); rec != nil {
+			c.Puddles = append(c.Puddles, reloc.PuddleImage{UUID: rec.UUID, Addr: rec.Addr, Size: rec.Size, Kind: rec.Kind})
 		}
-		content := make([]byte, rec.Size)
-		d.dev.Load(pmem.Addr(rec.Addr), content)
-		c.Puddles = append(c.Puddles, reloc.PuddleImage{
-			UUID: rec.UUID, Addr: rec.Addr, Size: rec.Size, Kind: rec.Kind, Content: content,
-		})
 	}
-	blob, err := c.EncodeBytes()
-	if err != nil {
-		return fail("encoding container: %v", err)
-	}
+	blob := c.EncodeFrom(func(i int, dst []byte) { d.dev.Load(pmem.Addr(c.Puddles[i].Addr), dst) })
 	return &proto.Response{Blob: blob}
 }
 

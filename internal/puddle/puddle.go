@@ -143,6 +143,15 @@ func Open(dev *pmem.Device, base pmem.Addr) (*Puddle, error) {
 // UUID returns the puddle's identifier.
 func (p *Puddle) UUID() uid.UUID { return p.id }
 
+// Stale reports whether the media at the handle's base no longer
+// carries this puddle's identity: its range was freed and handed out
+// again, so the handle addresses someone else's data.
+func (p *Puddle) Stale() bool {
+	var u uid.UUID
+	p.Dev.Load(p.Base+offUUID, u[:])
+	return u != p.id
+}
+
 // Size returns the total puddle size in bytes.
 func (p *Puddle) Size() uint64 { return p.size }
 

@@ -3,7 +3,6 @@ package reloc
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"puddles/internal/ptypes"
 	"puddles/internal/uid"
@@ -18,91 +17,55 @@ import (
 
 const containerMagic = 0x31505845_4c445550 // "PUDLEXP1"
 
-// encodeBinary writes the container. content, when non-nil, supplies
-// puddle i's Size bytes directly into w in place of the materialized
-// Content slice — the streaming path (EncodeStream) large-pool
-// exports and migration use so the whole image never sits in memory.
-func (c *Container) encodeBinary(w io.Writer, content func(i int, w io.Writer) error) error {
-	var scratch [8]byte
-	wU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		_, err := w.Write(scratch[:])
-		return err
-	}
-	wBytes := func(b []byte) error {
-		if err := wU64(uint64(len(b))); err != nil {
-			return err
-		}
-		_, err := w.Write(b)
-		return err
-	}
-	if err := wU64(containerMagic); err != nil {
-		return err
-	}
-	if err := wU64(uint64(c.Version)); err != nil {
-		return err
-	}
-	if err := wBytes([]byte(c.PoolName)); err != nil {
-		return err
-	}
-	if _, err := w.Write(c.PoolUUID[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(c.RootUUID[:]); err != nil {
-		return err
-	}
-	if err := wU64(uint64(len(c.Types))); err != nil {
-		return err
-	}
+// EncodedLen returns the exact length of the container's encoding.
+func (c *Container) EncodedLen() int {
+	n := 3*8 + len(c.PoolName) + 2*16 + 8
 	for _, ti := range c.Types {
-		if err := wU64(uint64(ti.ID)); err != nil {
-			return err
-		}
-		if err := wBytes([]byte(ti.Name)); err != nil {
-			return err
-		}
-		if err := wU64(uint64(ti.Size)); err != nil {
-			return err
-		}
-		if err := wU64(uint64(len(ti.Ptrs))); err != nil {
-			return err
-		}
+		n += minTypeBytes + len(ti.Name) + 8*len(ti.Ptrs)
+	}
+	n += 8
+	for _, p := range c.Puddles {
+		n += minPuddleBytes + int(p.Size)
+	}
+	return n
+}
+
+// EncodeFrom encodes the container into one buffer of exactly
+// EncodedLen bytes. load(i, dst) fills puddle i's bytes straight into
+// their slot (len(dst) == Puddles[i].Size), so an export reads each
+// puddle off the device with no buffer of its own; Content is ignored.
+func (c *Container) EncodeFrom(load func(i int, dst []byte)) []byte {
+	b := make([]byte, 0, c.EncodedLen())
+	b = binary.LittleEndian.AppendUint64(b, containerMagic)
+	b = binary.LittleEndian.AppendUint64(b, uint64(c.Version))
+	b = appendBytes(b, c.PoolName)
+	b = append(b, c.PoolUUID[:]...)
+	b = append(b, c.RootUUID[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(c.Types)))
+	for _, ti := range c.Types {
+		b = binary.LittleEndian.AppendUint64(b, uint64(ti.ID))
+		b = appendBytes(b, ti.Name)
+		b = binary.LittleEndian.AppendUint64(b, uint64(ti.Size))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(ti.Ptrs)))
 		for _, p := range ti.Ptrs {
-			if err := wU64(uint64(p.Offset)); err != nil {
-				return err
-			}
+			b = binary.LittleEndian.AppendUint64(b, uint64(p.Offset))
 		}
 	}
-	if err := wU64(uint64(len(c.Puddles))); err != nil {
-		return err
-	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(c.Puddles)))
 	for i, p := range c.Puddles {
-		if _, err := w.Write(p.UUID[:]); err != nil {
-			return err
-		}
-		if err := wU64(p.Addr); err != nil {
-			return err
-		}
-		if err := wU64(p.Size); err != nil {
-			return err
-		}
-		if err := wU64(p.Kind); err != nil {
-			return err
-		}
-		if content != nil {
-			if err := content(i, w); err != nil {
-				return err
-			}
-			continue
-		}
-		if uint64(len(p.Content)) != p.Size {
-			return fmt.Errorf("reloc: puddle content/size mismatch")
-		}
-		if _, err := w.Write(p.Content); err != nil {
-			return err
-		}
+		b = append(b, p.UUID[:]...)
+		b = binary.LittleEndian.AppendUint64(b, p.Addr)
+		b = binary.LittleEndian.AppendUint64(b, p.Size)
+		b = binary.LittleEndian.AppendUint64(b, p.Kind)
+		b = b[:len(b)+int(p.Size)]
+		load(i, b[len(b)-int(p.Size):])
 	}
-	return nil
+	return b
+}
+
+func appendBytes(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // decodeBinary parses blob. Puddle contents ALIAS blob: callers must

@@ -11,10 +11,8 @@
 package reloc
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"puddles/internal/pmem"
@@ -50,42 +48,15 @@ var (
 	ErrBadContainer = errors.New("reloc: malformed export container")
 )
 
-// Encode writes the container to w in a raw binary format (see
-// codec.go): puddle contents verbatim, no per-object serialization.
-func (c *Container) Encode(w io.Writer) error {
-	return c.encodeBinary(w, nil)
-}
-
-// EncodeStream writes the container, pulling each puddle's content
-// through the supplied callback instead of a materialized Content
-// slice: content(i, w) must write exactly Puddles[i].Size bytes (for
-// example straight off the device in chunk-sized reads). Large-pool
-// export and the migration snapshot path use this so an export never
-// holds the whole pool image in memory; the byte stream is identical
-// to Encode's.
-func (c *Container) EncodeStream(w io.Writer, content func(i int, w io.Writer) error) error {
-	if content == nil {
-		return c.encodeBinary(w, nil)
-	}
-	return c.encodeBinary(w, content)
-}
-
-// EncodeBytes returns the encoded container.
+// EncodeBytes returns the encoded container (see codec.go): puddle
+// contents verbatim, no per-object serialization.
 func (c *Container) EncodeBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
-		return nil, err
+	for _, p := range c.Puddles {
+		if uint64(len(p.Content)) != p.Size {
+			return nil, fmt.Errorf("reloc: puddle content/size mismatch")
+		}
 	}
-	return buf.Bytes(), nil
-}
-
-// Decode reads a container from r and validates it.
-func Decode(r io.Reader) (*Container, error) {
-	blob, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadContainer, err)
-	}
-	return DecodeBytes(blob)
+	return c.EncodeFrom(func(i int, dst []byte) { copy(dst, c.Puddles[i].Content) }), nil
 }
 
 // DecodeBytes decodes an encoded container. Puddle contents alias b —

@@ -2,7 +2,8 @@ package reloc
 
 import (
 	"bytes"
-	"io"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -11,20 +12,21 @@ import (
 	"puddles/internal/uid"
 )
 
+// sample is a two-puddle container with fixed identities, so its
+// encoding can be pinned byte for byte.
 func sample() *Container {
-	root := uid.New()
-	other := uid.New()
+	root := uid.UUID{0: 0x02, 15: 0x0f}
 	return &Container{
 		Version:  ContainerVersion,
 		PoolName: "p",
-		PoolUUID: uid.New(),
+		PoolUUID: uid.UUID{0: 0x01, 15: 0x0f},
 		RootUUID: root,
 		Types: []ptypes.TypeInfo{
 			{ID: 1, Name: "a", Size: 16, Ptrs: []ptypes.PtrField{{Offset: 8}}},
 		},
 		Puddles: []PuddleImage{
-			{UUID: root, Addr: 1 << 40, Size: pmem.PageSize, Content: make([]byte, pmem.PageSize)},
-			{UUID: other, Addr: (1 << 40) + 2*pmem.PageSize, Size: pmem.PageSize, Content: make([]byte, pmem.PageSize)},
+			{UUID: root, Addr: 1 << 40, Size: pmem.PageSize, Kind: 1, Content: make([]byte, pmem.PageSize)},
+			{UUID: uid.UUID{0: 0x03, 15: 0x0f}, Addr: (1 << 40) + 2*pmem.PageSize, Size: pmem.PageSize, Kind: 2, Content: make([]byte, pmem.PageSize)},
 		},
 	}
 }
@@ -113,48 +115,62 @@ func TestQuickContentRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncodeStreamByteEquality pins the contract EncodeStream
-// documents: the streamed byte sequence is identical to Encode's,
-// whatever chunking the content callback uses.
-func TestEncodeStreamByteEquality(t *testing.T) {
+// TestEncodeGolden pins the container format (ContainerVersion 1): the
+// sample's encoding is exactly the bytes an earlier release wrote — the
+// header below, then each puddle's 40-byte descriptor and raw content —
+// whether the contents come from Content or straight from a load
+// callback, and EncodedLen is its exact length.
+func TestEncodeGolden(t *testing.T) {
+	const (
+		head = "5055444c45585031" + "0100000000000000" + // magic, version
+			"0100000000000000" + "70" + // pool name "p"
+			"0100000000000000000000000000000f" + "0200000000000000000000000000000f" + // pool, root
+			"0100000000000000" + // one type:
+			"0100000000000000" + "0100000000000000" + "61" + "1000000000000000" + // id 1, "a", size 16,
+			"0100000000000000" + "0800000000000000" + // one pointer at 8
+			"0200000000000000" // two puddles
+		digest = "ab7575dd3b5d4ddb3aa4dcf86a38fbc0c0387a60ab96e9862e45a46b80d64402"
+	)
+	if ContainerVersion != 1 {
+		t.Fatalf("ContainerVersion = %d: a format change must bump it and re-pin this test", ContainerVersion)
+	}
 	c := sample()
 	for i := range c.Puddles {
 		for j := range c.Puddles[i].Content {
 			c.Puddles[i].Content[j] = byte(i*31 + j)
 		}
 	}
-	var plain bytes.Buffer
-	if err := c.Encode(&plain); err != nil {
+	plain, err := c.EncodeBytes()
+	if err != nil {
 		t.Fatal(err)
 	}
-	var streamed bytes.Buffer
-	err := c.EncodeStream(&streamed, func(i int, w io.Writer) error {
-		// Deliberately awkward chunking: odd sizes, many writes.
-		src := c.Puddles[i].Content
-		for off := 0; off < len(src); {
-			n := 977
-			if off+n > len(src) {
-				n = len(src) - off
-			}
-			if _, err := w.Write(src[off : off+n]); err != nil {
-				return err
-			}
-			off += n
+	if got := hex.EncodeToString(plain[:len(head)/2]); got != head {
+		t.Fatalf("header bytes\n got %s\nwant %s", got, head)
+	}
+	if sum := sha256.Sum256(plain); hex.EncodeToString(sum[:]) != digest || len(plain) != 8386 {
+		t.Fatalf("encoding: %d bytes, sha256 %x; want 8386 bytes, %s", len(plain), sum, digest)
+	}
+	if len(plain) != c.EncodedLen() {
+		t.Fatalf("EncodedLen = %d, encoding is %d bytes", c.EncodedLen(), len(plain))
+	}
+	contents := make([][]byte, len(c.Puddles))
+	for i := range c.Puddles {
+		contents[i], c.Puddles[i].Content = c.Puddles[i].Content, nil
+	}
+	loaded := c.EncodeFrom(func(i int, dst []byte) {
+		if len(dst) != len(contents[i]) {
+			t.Fatalf("load(%d) got a %d-byte slot, want %d", i, len(dst), len(contents[i]))
 		}
-		return nil
+		copy(dst, contents[i])
 	})
+	if !bytes.Equal(loaded, plain) || cap(loaded) != len(plain) {
+		t.Fatalf("EncodeFrom(load) diverged from EncodeBytes (%d/%d vs %d bytes)", len(loaded), cap(loaded), len(plain))
+	}
+	got, err := DecodeBytes(loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plain.Bytes(), streamed.Bytes()) {
-		t.Fatalf("EncodeStream diverged from Encode (%d vs %d bytes)", streamed.Len(), plain.Len())
-	}
-	// And the streamed form decodes back to the same container.
-	got, err := DecodeBytes(streamed.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Puddles[1].Content, c.Puddles[1].Content) {
-		t.Fatal("streamed content corrupted")
+	if !bytes.Equal(got.Puddles[1].Content, contents[1]) {
+		t.Fatal("loaded content corrupted")
 	}
 }

@@ -21,8 +21,6 @@
 //	import <pool> <file>     import a container as a new pool
 //	delete <pool>            delete a pool
 //	migrate <pool> <url>     live-migrate a pool to the daemon at url
-//	standby <pool> <url>     migrate, keeping a warm standby here
-//	failover <pool>          promote this daemon's standby copy to owner
 //	resolve                  retry resolution of in-flight migrations
 //	recover                  force a recovery pass
 //	shutdown                 cleanly stop the daemon
@@ -43,7 +41,7 @@ func main() {
 	gid := flag.Uint("gid", uint(os.Getgid()), "credential gid")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: puddlectl [-socket PATH|URL] <stat|pools|types|export|import|delete|migrate|standby|failover|resolve|recover|shutdown> [args]")
+		fmt.Fprintln(os.Stderr, "usage: puddlectl [-socket PATH|URL] <stat|pools|types|export|import|delete|migrate|resolve|recover|shutdown> [args]")
 		os.Exit(2)
 	}
 	network, address, err := core.ParseURL(*socket)
@@ -109,8 +107,6 @@ func main() {
 		fmt.Printf("quota rejects    %d grants, %d bytes\n", s.GrantCapRejects, s.ByteCapRejects)
 		fmt.Printf("migrations       %d out, %d in, %d aborted\n",
 			s.MigrationsOut, s.MigrationsIn, s.MigrationAborts)
-		fmt.Printf("replication      %d rounds, %d bytes shipped, %d failovers\n",
-			s.ReplicaSyncs, s.ReplicaBytes, s.Failovers)
 	case "pools":
 		resp := must(c, &proto.Request{Op: proto.OpListPools})
 		for _, n := range resp.Names {
@@ -148,21 +144,13 @@ func main() {
 		need(args, 1, "delete <pool>")
 		must(c, &proto.Request{Op: proto.OpDeletePool, Name: args[0]})
 		fmt.Printf("deleted %q\n", args[0])
-	case "migrate", "standby":
-		need(args, 2, cmd+" <pool> <url>")
-		var kind uint64
-		if cmd == "standby" {
-			kind = 1 // retain a warm standby at the source
-		}
-		resp := must(c, &proto.Request{Op: proto.OpMigratePool, Name: args[0], Target: args[1], Kind: kind})
+	case "migrate":
+		need(args, 2, "migrate <pool> <url>")
+		resp := must(c, &proto.Request{Op: proto.OpMigratePool, Name: args[0], Target: args[1]})
 		r := resp.Report
 		fmt.Printf("migrated %q to %s: %d delta rounds, %d snapshot + %d delta bytes, pause %.2fms, total %.1fms\n",
 			args[0], args[1], r.Rounds, r.SnapshotBytes, r.DeltaBytes,
 			float64(r.PauseNs)/1e6, float64(r.TotalNs)/1e6)
-	case "failover":
-		need(args, 1, "failover <pool>")
-		must(c, &proto.Request{Op: proto.OpFailover, Name: args[0]})
-		fmt.Printf("promoted standby %q to owner\n", args[0])
 	case "resolve":
 		resp := must(c, &proto.Request{Op: proto.OpResolveMig})
 		if resp.Size > 0 {

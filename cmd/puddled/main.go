@@ -55,7 +55,6 @@ func main() {
 		maxBytes     = flag.Uint64("max-bytes-per-session", 0, "cumulative carved bytes per session (0 = unlimited)")
 		tlsCert      = flag.String("tls-cert", "", "PEM certificate; with -tls-key, wraps the TCP front end in TLS (tcps://)")
 		tlsKey       = flag.String("tls-key", "", "PEM private key for -tls-cert")
-		advertise    = flag.String("advertise", "", "URL peers reach this daemon at (tcp://host:port or tcps://...), enables acting as a migration source with warm standby")
 		verbose      = flag.Bool("v", false, "log client operations")
 	)
 	flag.Parse()
@@ -74,9 +73,6 @@ func main() {
 		daemon.WithSessionIdle(*sessionIdle),
 		daemon.WithMaxGrantsPerSession(*maxGrants),
 		daemon.WithMaxBytesPerSession(*maxBytes),
-	}
-	if *advertise != "" {
-		opts = append(opts, daemon.WithAdvertiseURL(*advertise))
 	}
 	var tlsConf *tls.Config
 	if *tlsCert != "" || *tlsKey != "" {
@@ -147,8 +143,7 @@ func main() {
 	}
 
 	// Drive any in-flight migrations the previous run left behind to
-	// exactly one owner, and restart replication streams. Runs after
-	// the front ends are up (resolution dials migration peers, who may
+	// exactly one owner. Runs after the front ends are up (resolution dials migration peers, who may
 	// need to dial back).
 	go func() {
 		if n := d.ResolveMigrations(); n > 0 {

@@ -213,8 +213,8 @@ func (t *Tx) ensureLog() error {
 		if err := t.pool.writableCheck(); err != nil {
 			return err
 		}
-		// Migration quiesce gate. Checked only when some migration or
-		// replication epoch is armed on this device, so the common case
+		// Migration quiesce gate. Checked only when a migration or a
+		// moved tombstone has armed this device, so the common case
 		// costs one atomic load and no pool traffic.
 		if t.entered == nil && t.c.device().QuiesceArmed() {
 			if err := t.enterPool(); err != nil {

@@ -9,7 +9,7 @@
 //
 //   - Quiesce (exclusive opMu, O(1)): swap out the pending delta list
 //     (the journal records accumulated by markDirty), capture the
-//     counter block, and switch journal appends to the standby
+//     counter block, and switch journal appends to the other
 //     region. No encoding, no device writes, no state copying —
 //     the registry itself is a copy-on-write image (d.img) that the
 //     plan phase never touches, so the pause is independent of
@@ -194,7 +194,7 @@ func (s *ImportSession) clone() *ImportSession {
 
 // planCheckpoint is the quiesce phase: decide full vs incremental,
 // swap out the pending delta records, capture the counter block and
-// (when allowed and safe) switch journal appends to the standby
+// (when allowed and safe) switch journal appends to the other
 // region. The caller holds ckptMu and either holds opMu exclusively or
 // is the single boot goroutine. With the COW image this is O(1) —
 // full checkpoints included: no entity is read, copied or encoded
@@ -239,9 +239,9 @@ func (d *Daemon) planCheckpoint(wantFull, allowSwitch bool) *ckptPlan {
 	d.pending = nil
 	d.pendMu.Unlock()
 	p.ctrs = *d.countersVal()
-	// Switch appends to the standby journal so the retired region's
+	// Switch appends to the other journal so the retired region's
 	// tail is reclaimed once this checkpoint commits. Safe only when
-	// the standby's old entries are covered by the COMMITTED chain —
+	// the other region's old entries are covered by the COMMITTED chain —
 	// i.e. the checkpoint the active region builds on has committed. If
 	// a previous stream failed, skip the switch: this checkpoint still
 	// commits coverage, and the next compaction switches.
@@ -275,9 +275,8 @@ func cloneState(src *state) *state {
 	for id, s := range src.Sessions {
 		dst.Sessions[id] = s.clone()
 	}
-	// Moved and done records never change; out, standby and replica
-	// records do (phase flips, epoch bumps, owner-address updates replace
-	// fields in place), so the image gets its own copy of those.
+	// Moved and done records never change; out records do (phase flips
+	// replace a field in place), so the image gets its own copy of those.
 	for u, m := range src.MigsOut {
 		cp := *m
 		dst.MigsOut[u] = &cp
@@ -287,14 +286,6 @@ func cloneState(src *state) *state {
 	}
 	for u, m := range src.MigsDone {
 		dst.MigsDone[u] = m
-	}
-	for name, s := range src.Standbys {
-		cp := *s
-		dst.Standbys[name] = &cp
-	}
-	for name, r := range src.Replicas {
-		cp := *r
-		dst.Replicas[name] = &cp
 	}
 	dst.Types = append([]ptypes.TypeInfo(nil), src.Types...)
 	return dst
@@ -336,12 +327,6 @@ func composeImage(prev *state, deltas []entRec, seq uint64) *state {
 	}
 	for u, m := range prev.MigsDone {
 		next.MigsDone[u] = m
-	}
-	for name, s := range prev.Standbys {
-		next.Standbys[name] = s
-	}
-	for name, r := range prev.Replicas {
-		next.Replicas[name] = r
 	}
 	next.Types = prev.Types
 	owned := make(map[string]bool)
@@ -605,12 +590,6 @@ func (d *Daemon) streamCheckpoint(p *ckptPlan) error {
 		for u, m := range next.MigsDone {
 			emit(putRec(recMigDone, uuidKey(u), m))
 		}
-		for name, s := range next.Standbys {
-			emit(putRec(recStandby, name, s))
-		}
-		for name, r := range next.Replicas {
-			emit(putRec(recReplica, name, r))
-		}
 		emit(putRec(recTypes, "", typeList(next.Types)))
 	} else {
 		for _, er := range dedupDeltas(p.deltas) {
@@ -710,8 +689,9 @@ type scanResult struct {
 // exactly like a torn journal entry, and so does a chunk whose CRC
 // holds but whose payload does not decode (logged and counted, like
 // its journal twin in replayRegion) — a chunk applies whole or not at
-// all. A CRC-valid chunk in another metadata format is not the end of
-// a chain but an image this daemon must refuse: ErrMetaFormat.
+// all. A CRC-valid chunk in another metadata format, or one holding a
+// retired record, is not the end of a chain but an image this daemon
+// must refuse: ErrMetaFormat.
 func (d *Daemon) scanHalf(half int) (scanResult, bool, error) {
 	var (
 		sr         scanResult
@@ -796,6 +776,9 @@ scan:
 				break scan // records with no chain start: not a chain
 			}
 			recs, err := decodeBatch(body, nil)
+			if errors.Is(err, ErrMetaFormat) {
+				return scanResult{}, false, fmt.Errorf("checkpoint chunk in half %d at offset %d: %w", h, off, err)
+			}
 			if err != nil {
 				undecodable(err)
 				break scan
@@ -850,8 +833,6 @@ func newState() *state {
 		MigsOut:   make(map[uid.UUID]*MigOutRec),
 		Moved:     make(map[string]*MovedRec),
 		MigsDone:  make(map[uid.UUID]*MigDoneRec),
-		Standbys:  make(map[string]*StandbyRec),
-		Replicas:  make(map[string]*ReplicaRec),
 	}
 }
 

@@ -22,6 +22,8 @@
 // gob generation cannot pass for this one). Any change to a body and
 // any new record kind bumps both. A daemon reads exactly one version
 // and refuses every other with ErrMetaFormat; there is no dual reader.
+// A retired record kind needs no bump: its number stays reserved and a
+// record of it is refused the same way (retiredKinds).
 //
 // The encoding is canonical — varints are minimal, flags are 0 or 1,
 // every length is checked against the bytes left and every body must be
@@ -64,7 +66,18 @@ var (
 	errKind      = errors.New("unknown record kind")
 	errKey       = errors.New("malformed key")
 	errEmpty     = errors.New("empty batch")
+	// errStandbyFlag refuses a migout record written with the retired
+	// warm-standby flag set.
+	errStandbyFlag = fmt.Errorf("%w: migout record with the retired standby flag set", ErrMetaFormat)
 )
+
+// retiredKinds names the record kinds an older daemon wrote and this one
+// refuses with ErrMetaFormat rather than skips: replay must never drop
+// the batches behind one.
+var retiredKinds = map[recKind]string{
+	recRetiredStandby: "standby copy",
+	recRetiredReplica: "replica obligation",
+}
 
 // recValue is an entity value carried by an entRec: it appends its
 // body (see the package comment) to b.
@@ -99,8 +112,6 @@ var recKinds = [...]struct {
 	recMigOut:     {keyUUID, true},
 	recMoved:      {keyName, true},
 	recMigDone:    {keyUUID, true},
-	recStandby:    {keyName, true},
-	recReplica:    {keyName, true},
 }
 
 // --- encode helpers ---
@@ -274,6 +285,9 @@ func decodeBatch(payload []byte, recs []entRec) ([]entRec, error) {
 		tag := d.u8()
 		r := entRec{Kind: recKind(tag &^ recTomb), Del: tag&recTomb != 0}
 		if int(r.Kind) >= len(recKinds) || recKinds[r.Kind].key == 0 {
+			if what, ok := retiredKinds[r.Kind]; ok {
+				return nil, fmt.Errorf("record %d: %w: retired kind %d (%s)", len(recs), ErrMetaFormat, r.Kind, what)
+			}
 			return nil, fmt.Errorf("record %d: %w %d", len(recs), errKind, r.Kind)
 		}
 		r.Key = d.str()
@@ -329,15 +343,14 @@ func decodeBody(kind recKind, key string, body []byte) (recValue, error) {
 		m := memberRef(d.uuid())
 		v = &m
 	case recMigOut:
-		v = &MigOutRec{ID: keyUUIDOf(key), Pool: d.str(), Target: d.str(), Phase: d.u32(), Standby: d.flag()}
+		v = &MigOutRec{ID: keyUUIDOf(key), Pool: d.str(), Target: d.str(), Phase: d.u32()}
+		if d.flag() {
+			d.fail(errStandbyFlag)
+		}
 	case recMoved:
 		v = &MovedRec{Pool: key, Target: d.str()}
 	case recMigDone:
 		v = &MigDoneRec{ID: keyUUIDOf(key), Pool: d.str()}
-	case recStandby:
-		v = d.standby(key)
-	case recReplica:
-		v = &ReplicaRec{Pool: key, Target: d.str(), Epoch: d.uv()}
 	}
 	if d.err == nil && len(d.b) > 0 {
 		d.err = errTrailing
@@ -471,9 +484,11 @@ type memberRef uid.UUID
 func (m *memberRef) appendBody(b []byte) []byte { return append(b, m[:]...) }
 
 // migration out: pool:bytes target:bytes phase:uv standby:u8
+//
+// standby is a retired flag: always written 0, and a 1 is refused.
 func (m *MigOutRec) appendBody(b []byte) []byte {
 	b = appendStr(appendStr(b, m.Pool), m.Target)
-	return appendFlag(binary.AppendUvarint(b, uint64(m.Phase)), m.Standby)
+	return append(binary.AppendUvarint(b, uint64(m.Phase)), 0)
 }
 
 // moved: target:bytes
@@ -482,61 +497,13 @@ func (m *MovedRec) appendBody(b []byte) []byte { return appendStr(b, m.Target) }
 // migration done: pool:bytes
 func (m *MigDoneRec) appendBody(b []byte) []byte { return appendStr(b, m.Pool) }
 
-// replica: target:bytes epoch:uv
-func (r *ReplicaRec) appendBody(b []byte) []byte {
-	return binary.AppendUvarint(appendStr(b, r.Target), r.Epoch)
-}
-
-// standby: uuid root:uuid ownerUID:uv ownerGID:uv mode:uv
-// n:uv n×{uuid puddle-body} m:uv m×ownerAddr:uv k:uv k×{uuid logspace-body}
-// epoch:uv owner:bytes
-func (s *StandbyRec) appendBody(b []byte) []byte {
-	b = append(append(b, s.UUID[:]...), s.Root[:]...)
-	b = uvs(b, uint64(s.OwnerUID), uint64(s.OwnerGID), uint64(s.Mode), uint64(len(s.Puddles)))
-	for i := range s.Puddles {
-		b = s.Puddles[i].appendBody(append(b, s.Puddles[i].UUID[:]...))
-	}
-	b = binary.AppendUvarint(b, uint64(len(s.OwnerAddrs)))
-	b = uvs(b, s.OwnerAddrs...)
-	b = binary.AppendUvarint(b, uint64(len(s.LogSpaces)))
-	for i := range s.LogSpaces {
-		b = s.LogSpaces[i].appendBody(append(b, s.LogSpaces[i].UUID[:]...))
-	}
-	return appendStr(binary.AppendUvarint(b, s.Epoch), s.Owner)
-}
-
-func (d *dec) standby(pool string) *StandbyRec {
-	s := &StandbyRec{Pool: pool, UUID: d.uuid(), Root: d.uuid(), OwnerUID: d.u32(), OwnerGID: d.u32(), Mode: d.u32()}
-	if n := d.count(2*len(uid.UUID{}) + 3); n > 0 {
-		s.Puddles = make([]PuddleRec, n)
-		for i := range s.Puddles {
-			s.Puddles[i] = d.puddle(d.uuid())
-		}
-	}
-	if n := d.count(1); n > 0 {
-		s.OwnerAddrs = make([]uint64, n)
-		for i := range s.OwnerAddrs {
-			s.OwnerAddrs[i] = d.uv()
-		}
-	}
-	if n := d.count(len(uid.UUID{}) + 4); n > 0 {
-		s.LogSpaces = make([]LogSpaceRec, n)
-		for i := range s.LogSpaces {
-			s.LogSpaces[i] = d.logSpace(d.uuid())
-		}
-	}
-	s.Epoch, s.Owner = d.uv(), d.str()
-	return s
-}
-
-// The manifest travels as the Blob of OpMigrateBegin and, with only
-// Pool, PoolUUID and Puddles set, of OpReplicaAttach, in codec.go's
+// The manifest travels as the Blob of OpMigrateBegin, in codec.go's
 // grammar; it is part of the wire format, so a change to it bumps
 // proto.ProtocolVersion.
 //
 // manifest: id:uuid pool:bytes poolUUID:uuid root:uuid ownerUID:uv ownerGID:uv mode:uv
 // types (as recTypes) n:uv n×{uuid addr:uv size:uv kind:uv}
-// k:uv k×{uuid uid:uv gid:uv shards:uv} sourceURL:bytes
+// k:uv k×{uuid uid:uv gid:uv shards:uv}
 func (m *MigManifest) encode() []byte {
 	b := appendStr(append([]byte(nil), m.ID[:]...), m.Pool)
 	b = append(append(b, m.PoolUUID[:]...), m.Root[:]...)
@@ -552,7 +519,7 @@ func (m *MigManifest) encode() []byte {
 		ls := &m.LogSpaces[i]
 		b = uvs(append(b, ls.UUID[:]...), uint64(ls.Creds.UID), uint64(ls.Creds.GID), uint64(ls.Shards))
 	}
-	return appendStr(b, m.SourceURL)
+	return b
 }
 
 func decodeManifest(blob []byte) (*MigManifest, error) {
@@ -573,7 +540,6 @@ func decodeManifest(blob []byte) (*MigManifest, error) {
 			m.LogSpaces[i] = MigLogSpace{UUID: d.uuid(), Creds: Creds{d.u32(), d.u32()}, Shards: d.u32()}
 		}
 	}
-	m.SourceURL = d.str()
 	if d.err == nil && len(d.b) > 0 {
 		d.err = errTrailing
 	}

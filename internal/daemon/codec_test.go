@@ -83,8 +83,8 @@ var goldenRecs = []struct {
 	{"counters/zero", putRec(recCounters, "", &counters{}), "06" + "00" + "05" + "0000000000"},
 	{"link", linkRec("p", &PuddleRec{UUID: u(0x40)}), "07" + "0170" + "10" + "404142434445464748494a4b4c4d4e4f"},
 	{"unlink", unlinkRec("p", &PuddleRec{UUID: u(0x40)}), "08" + "0170" + "10" + "404142434445464748494a4b4c4d4e4f"},
-	{"migout", migOutRec(&MigOutRec{ID: u(0x80), Pool: "p", Target: "tcp://b:1", Phase: migCommitSent, Standby: true}),
-		"09" + "10808182838485868788898a8b8c8d8e8f" + "0e" + "0170" + "097463703a2f2f623a31" + "02" + "01"},
+	{"migout", migOutRec(&MigOutRec{ID: u(0x80), Pool: "p", Target: "tcp://b:1", Phase: migCommitSent}),
+		"09" + "10808182838485868788898a8b8c8d8e8f" + "0e" + "0170" + "097463703a2f2f623a31" + "02" + "00"},
 	{"migout/zero", putRec(recMigOut, uuidKey(uid.Nil), &MigOutRec{}),
 		"09" + "10" + strings.Repeat("00", 16) + "04" + "00000000"},
 	{"migout/tombstone", delRec(recMigOut, uuidKey(u(0x80))), "89" + "10808182838485868788898a8b8c8d8e8f"},
@@ -94,24 +94,28 @@ var goldenRecs = []struct {
 	{"migdone", putRec(recMigDone, uuidKey(u(0x80)), &MigDoneRec{ID: u(0x80), Pool: "p"}),
 		"0b" + "10808182838485868788898a8b8c8d8e8f" + "02" + "0170"},
 	{"migdone/tombstone", delRec(recMigDone, uuidKey(u(0x80))), "8b" + "10808182838485868788898a8b8c8d8e8f"},
-	{"standby", standbyRec(&StandbyRec{
-		Pool: "p", UUID: u(0x10), Root: u(0x20), OwnerUID: 1, OwnerGID: 2, Mode: 0o600,
-		Puddles:    []PuddleRec{{UUID: u(0x20), Addr: 0x2000, Size: 8192, Kind: 1, Pool: u(0x10)}},
-		OwnerAddrs: []uint64{0x3000},
-		LogSpaces:  []LogSpaceRec{{UUID: u(0x50), Addr: 0x1000, Creds: Creds{UID: 7, GID: 8}, Shards: 4}},
-		Epoch:      5, Owner: "tcp://b:1",
-	}), "0c" + "0170" + "6e" +
+}
+
+// retiredRecs are records an older daemon wrote for warm standby, a
+// mechanism since deleted: kinds 12 (standby copy) and 13 (replica
+// obligation), and a migout record with its standby flag set. Each must
+// be refused with ErrMetaFormat naming what it found — never skipped,
+// and never mistaken for a torn batch.
+var retiredRecs = []struct {
+	name, hex, want string
+}{
+	{"standby", "0c" + "0170" + "6e" +
 		"101112131415161718191a1b1c1d1e1f" + "202122232425262728292a2b2c2d2e2f" + "01" + "02" + "8003" +
 		"01" + "202122232425262728292a2b2c2d2e2f" + "8040" + "8040" + "01" + "101112131415161718191a1b1c1d1e1f" +
 		"01" + "8060" +
 		"01" + "505152535455565758595a5b5c5d5e5f" + "8020" + "07" + "08" + "04" +
-		"05" + "097463703a2f2f623a31"},
-	{"standby/zero", putRec(recStandby, "", &StandbyRec{}),
-		"0c" + "00" + "28" + strings.Repeat("00", 32) + "000000" + "00" + "00" + "00" + "00" + "00"},
-	{"standby/tombstone", delRec(recStandby, "p"), "8c" + "0170"},
-	{"replica", replicaRec(&ReplicaRec{Pool: "p", Target: "tcp://b:1", Epoch: 129}),
-		"0d" + "0170" + "0c" + "097463703a2f2f623a31" + "8101"},
-	{"replica/tombstone", delRec(recReplica, "p"), "8d" + "0170"},
+		"05" + "097463703a2f2f623a31", "retired kind 12"},
+	{"standby/zero", "0c" + "00" + "28" + strings.Repeat("00", 32) + "000000" + "00" + "00" + "00" + "00" + "00", "retired kind 12"},
+	{"standby/tombstone", "8c" + "0170", "retired kind 12"},
+	{"replica", "0d" + "0170" + "0c" + "097463703a2f2f623a31" + "8101", "retired kind 13"},
+	{"replica/tombstone", "8d" + "0170", "retired kind 13"},
+	{"migout/standby", "09" + "10808182838485868788898a8b8c8d8e8f" + "0e" + "0170" + "097463703a2f2f623a31" + "02" + "01",
+		"standby flag"},
 }
 
 // maximalPool is a pool record far past the one-byte body-length fast
@@ -126,8 +130,9 @@ func maximalPool() entRec {
 	return putRec(recPool, p.Name, p)
 }
 
-// TestCodecGolden pins the on-media layout of every record kind, and
-// that each decodes back to the value it was built from.
+// TestCodecGolden pins the on-media layout of every record kind, that
+// each decodes back to the value it was built from, and that every
+// retired record is refused as a format this daemon does not read.
 func TestCodecGolden(t *testing.T) {
 	for _, g := range goldenRecs {
 		t.Run(g.name, func(t *testing.T) {
@@ -142,6 +147,18 @@ func TestCodecGolden(t *testing.T) {
 			}
 			if len(recs) != 1 || !reflect.DeepEqual(recs[0], g.rec) {
 				t.Fatalf("round trip\n got %+v\nwant %+v", recs, g.rec)
+			}
+		})
+	}
+	for _, r := range retiredRecs {
+		t.Run(r.name, func(t *testing.T) {
+			raw, _ := hex.DecodeString(r.hex)
+			recs, err := decodeBatch(raw, nil)
+			if !errors.Is(err, ErrMetaFormat) || !strings.Contains(err.Error(), r.want) {
+				t.Fatalf("err = %v, want ErrMetaFormat naming %q", err, r.want)
+			}
+			if recs != nil {
+				t.Fatalf("refused batch still returned %d records", len(recs))
 			}
 		})
 	}
@@ -238,9 +255,9 @@ func TestCodecRejects(t *testing.T) {
 	}
 }
 
-// goldenManifests pins the two blobs daemons exchange inside wire frames:
-// the OpMigrateBegin manifest and the OpReplicaAttach address list. They
-// are part of the wire format: a change here bumps proto.ProtocolVersion.
+// goldenManifests pins the OpMigrateBegin manifest daemons exchange
+// inside wire frames. It is part of the wire format: a change here bumps
+// proto.ProtocolVersion.
 var goldenManifests = []struct {
 	name string
 	man  MigManifest
@@ -251,22 +268,12 @@ var goldenManifests = []struct {
 		Types:     []ptypes.TypeInfo{{ID: 0x0102030405060708, Name: "node", Size: 24, Ptrs: []ptypes.PtrField{{Offset: 8}}}},
 		Puddles:   []MigPuddle{{UUID: u(0x20), Addr: 0x40_0000_0000, Size: 8192, Kind: 1}},
 		LogSpaces: []MigLogSpace{{UUID: u(0x50), Creds: Creds{UID: 7, GID: 8}, Shards: 4}},
-		SourceURL: "tcp://a:1",
 	}, "707172737475767778797a7b7c7d7e7f" + "0170" +
 		"101112131415161718191a1b1c1d1e1f" + "202122232425262728292a2b2c2d2e2f" + "e807" + "64" + "b003" +
 		"01" + "0807060504030201" + "046e6f6465" + "18" + "01" + "08" +
 		"01" + "202122232425262728292a2b2c2d2e2f" + "808080808008" + "8040" + "01" +
-		"01" + "505152535455565758595a5b5c5d5e5f" + "07" + "08" + "04" +
-		"097463703a2f2f613a31"},
-	{"attach", MigManifest{
-		Pool: "p", PoolUUID: u(0x10),
-		Puddles: []MigPuddle{{UUID: u(0x20), Addr: 4096, Size: 8192, Kind: 1}, {UUID: u(0x30), Addr: 12288, Size: 8192}},
-	}, strings.Repeat("00", 16) + "0170" + "101112131415161718191a1b1c1d1e1f" + strings.Repeat("00", 16) + "000000" +
-		"00" +
-		"02" + "202122232425262728292a2b2c2d2e2f" + "8020" + "8040" + "01" +
-		"303132333435363738393a3b3c3d3e3f" + "8060" + "8040" + "00" +
-		"00" + "00"},
-	{"zero", MigManifest{}, strings.Repeat("00", 16) + "00" + strings.Repeat("00", 32) + "000000" + "00" + "00" + "00" + "00"},
+		"01" + "505152535455565758595a5b5c5d5e5f" + "07" + "08" + "04"},
+	{"zero", MigManifest{}, strings.Repeat("00", 16) + "00" + strings.Repeat("00", 32) + "000000" + "00" + "00" + "00"},
 }
 
 // TestManifestCodec: golden bytes, round trip, and the strictness of the
@@ -292,7 +299,7 @@ func TestManifestCodec(t *testing.T) {
 			t.Errorf("%s with a trailing byte: %v", g.name, err)
 		}
 	}
-	zero := goldenManifests[2].man.encode()
+	zero := goldenManifests[1].man.encode()
 	mut := func(at int, v ...byte) []byte {
 		return append(append(append([]byte(nil), zero[:at]...), v...), zero[at+1:]...)
 	}
@@ -312,13 +319,15 @@ func TestManifestCodec(t *testing.T) {
 }
 
 // FuzzMigManifest fuzzes the decoder of the manifest a peer daemon
-// sends with OpMigrateBegin and OpReplicaAttach: it must never panic,
-// must allocate no more than a small multiple of the blob, and an
-// accepted blob must re-encode to exactly its bytes.
+// sends with OpMigrateBegin: it must never panic, must allocate no more
+// than a small multiple of the blob, and an accepted blob must re-encode
+// to exactly its bytes.
 func FuzzMigManifest(f *testing.F) {
 	for _, g := range goldenManifests {
 		f.Add(g.man.encode())
 	}
+	// A version-2 manifest: the begin golden plus its source URL.
+	f.Add(appendStr(goldenManifests[0].man.encode(), "tcp://a:1"))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -388,6 +397,10 @@ func fuzzSeeds(add func(payload []byte)) {
 		all = append(all, g.rec)
 	}
 	add(encodeBatch(nil, all))
+	for _, r := range retiredRecs {
+		raw, _ := hex.DecodeString(r.hex)
+		add(raw)
+	}
 	big := maximalPool()
 	add(appendRec(nil, &big))
 	add([]byte{0x81, 0x7f, 'p'})
@@ -407,7 +420,8 @@ func FuzzJournalBatch(f *testing.F) {
 // input is planted as the CRC-valid opening chunk of a chain, followed
 // by a well-formed commit, and scanHalf must compose exactly what the
 // payload decodes to, end the chain at an undecodable chunk (counting
-// it), or refuse a foreign format byte with ErrMetaFormat.
+// it), or refuse a foreign format byte or a retired record with
+// ErrMetaFormat.
 func FuzzCkptChunk(f *testing.F) {
 	fuzzSeeds(func(p []byte) {
 		f.Add(uint8(ckFull), append([]byte{metaFormat}, p...))
@@ -448,6 +462,12 @@ func FuzzCkptChunk(f *testing.F) {
 			}
 		default:
 			recs, derr := checkDecoded(t, payload[1:])
+			if errors.Is(derr, ErrMetaFormat) {
+				if ok || !errors.Is(err, ErrMetaFormat) {
+					t.Fatalf("retired record (%v): ok=%v err=%v, want ErrMetaFormat", derr, ok, err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("scanHalf: %v", err)
 			}
@@ -573,6 +593,85 @@ func TestOldFormatRefused(t *testing.T) {
 			t.Fatalf("boot over a gob chunk = %v, want ErrMetaFormat naming the byte", err)
 		}
 	})
+}
+
+// TestRetiredFormatRefused: a CRC-valid journal batch or checkpoint
+// chunk holding a retired warm-standby record must fail the boot with
+// ErrMetaFormat naming what it found. Replay must not end quietly at it,
+// as it does at an undecodable batch: that would drop every entry after
+// it. The refused boot writes no metadata byte.
+func TestRetiredFormatRefused(t *testing.T) {
+	retired := func(name string) []byte {
+		for _, r := range retiredRecs {
+			if r.name == name {
+				raw, _ := hex.DecodeString(r.hex)
+				return raw
+			}
+		}
+		t.Fatalf("no retired record %q", name)
+		return nil
+	}
+	for _, c := range []struct {
+		name, rec, want string
+		ckpt            bool
+	}{
+		{"journal kind 12", "standby", "retired kind 12", false},
+		{"journal kind 13", "replica", "retired kind 13", false},
+		{"journal migout standby", "migout/standby", "standby flag", false},
+		{"checkpoint kind 12", "standby", "retired kind 12", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dev := pmem.New()
+			d, err := New(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := d.SelfConn()
+			rt(t, conn, &proto.Request{Op: proto.OpCreatePool, Name: "acked"})
+			conn.Close()
+			after := &PoolRec{Name: "after", UUID: u(0x50), Root: u(0x60)}
+			payload := append(encodeBatch(nil, []entRec{after.rec()}), retired(c.rec)...)
+			if c.ckpt {
+				d := &Daemon{dev: dev, ckptHalf: pmem.MetaCkptSize / 2}
+				for half := 0; half < 2; half++ {
+					off, err := d.writeChunk(half, 0, ckFull, 1, 0, append([]byte{metaFormat}, payload...))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := d.writeChunk(half, off, ckCommit, 1, 1, []byte{metaFormat, 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				plantEntry(d, payload)
+				plantEntry(d, encodeBatch(nil, []entRec{(&PoolRec{Name: "later", UUID: u(0x70)}).rec()}))
+			}
+
+			regions := []pmem.Addr{metaBase, pmem.MetaJournal0, pmem.MetaJournal1,
+				pmem.MetaCkptBase, pmem.MetaCkptBase + pmem.Addr(pmem.MetaCkptSize/2)}
+			snap := func() []byte {
+				var out []byte
+				for _, a := range regions {
+					b := make([]byte, 64<<10)
+					dev.Load(a, b)
+					out = append(out, b...)
+				}
+				return out
+			}
+			before, flushes := snap(), dev.Stats().Flushes
+			d2, err := New(dev)
+			if err == nil {
+				d2.Shutdown()
+				t.Fatal("an image holding a retired record booted")
+			}
+			if !errors.Is(err, ErrMetaFormat) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("boot = %v, want ErrMetaFormat naming %q", err, c.want)
+			}
+			if !bytes.Equal(snap(), before) || dev.Stats().Flushes != flushes {
+				t.Fatal("refused boot wrote to the metadata region")
+			}
+		})
+	}
 }
 
 // TestV1SlotImageRefused: an image of the first metadata format — a

@@ -174,8 +174,6 @@ type state struct {
 	MigsOut  map[uid.UUID]*MigOutRec  // source-side in-flight migrations
 	Moved    map[string]*MovedRec     // ceded pools -> new owner URL
 	MigsDone map[uid.UUID]*MigDoneRec // adopted migrations (idempotent commit)
-	Standbys map[string]*StandbyRec   // warm-standby copies held here
-	Replicas map[string]*ReplicaRec   // pools owned here with a standby to feed
 
 	Recoveries     uint64
 	LogsReplayed   uint64
@@ -301,20 +299,14 @@ type Daemon struct {
 	doneCh             chan struct{}  // closed once the daemon is down
 	doneOnce           sync.Once
 
-	// Live migration + warm-standby replication (migrate.go).
-	migMu     sync.Mutex              // inbound transfer registry
-	migsIn    map[uid.UUID]*migIn     // in-flight inbound migrations (volatile)
-	advertise string                  // this daemon's URL, as peers should dial it
-	migHook   func(phase string)      // test hook: fire at migration phases
-	replMu    sync.Mutex              // feeds
-	feeds     map[string]*replicaFeed // owner side of each warm standby
+	// Live migration (migrate.go).
+	migMu   sync.Mutex          // inbound transfer registry
+	migsIn  map[uid.UUID]*migIn // in-flight inbound migrations (volatile)
+	migHook func(phase string)  // test hook: fire at migration phases
 
 	migsOutN        atomic.Uint64 // pools migrated away
 	migsInN         atomic.Uint64 // pools adopted
 	migAborts       atomic.Uint64 // migrations aborted
-	replSyncs       atomic.Uint64 // standby delta rounds shipped
-	replBytes       atomic.Uint64 // bytes shipped to standbys
-	failovers       atomic.Uint64 // standbys promoted
 	grantCapRejects atomic.Uint64 // grants refused by the per-session grant cap
 	byteCapRejects  atomic.Uint64 // grants refused by the per-session byte cap
 
@@ -462,10 +454,6 @@ func (d *Daemon) boot() error {
 				}
 			}
 		}
-	}
-	// Standby copies are not in st.Puddles but own real address ranges.
-	if err := d.reserveStandbys(); err != nil {
-		return err
 	}
 	// Moved tombstones and in-flight migrations mean attached clients
 	// must check freeze words; arm the quiesce gate before serving.
@@ -1207,9 +1195,6 @@ func (d *Daemon) Stats() proto.Stats {
 		MigrationsOut:   d.migsOutN.Load(),
 		MigrationsIn:    d.migsInN.Load(),
 		MigrationAborts: d.migAborts.Load(),
-		ReplicaSyncs:    d.replSyncs.Load(),
-		ReplicaBytes:    d.replBytes.Load(),
-		Failovers:       d.failovers.Load(),
 	}
 }
 

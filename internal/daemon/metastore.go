@@ -100,14 +100,16 @@ const (
 	// tombstone a ceded pool leaves behind (key: pool name, value: the
 	// new owner's URL); recMigDone marks an adopted migration at the
 	// target (key: raw migration UUID) so a re-sent commit is
-	// idempotent; recStandby is a retained warm-standby copy (key: pool
-	// name); recReplica is the owner's obligation to keep shipping
-	// deltas to a standby (key: pool name).
+	// idempotent.
 	recMigOut
 	recMoved
 	recMigDone
-	recStandby
-	recReplica
+	// Kinds 12 and 13 held warm-standby copies and replication
+	// obligations, a mechanism since deleted. They stay reserved, are
+	// never reused, and a batch or chunk holding either is refused with
+	// ErrMetaFormat (decodeBatch).
+	recRetiredStandby
+	recRetiredReplica
 )
 
 // entRec is one per-entity record of a journal batch or checkpoint
@@ -452,9 +454,9 @@ func (d *Daemon) resetJournalRegion(base pmem.Addr, baseSeq uint64) {
 	d.jTailApprox.Store(d.jTail)
 }
 
-// switchJournal retargets appends to the standby journal region,
+// switchJournal retargets appends to the other journal region,
 // reset on top of the checkpoint being written (baseSeq). The caller
-// (planCheckpoint) must have verified the standby's entries are
+// (planCheckpoint) must have verified the other region's entries are
 // covered by the committed checkpoint chain.
 func (d *Daemon) switchJournal(baseSeq uint64) {
 	other := pmem.MetaJournal0
@@ -466,9 +468,9 @@ func (d *Daemon) switchJournal(baseSeq uint64) {
 
 // initJournals establishes the boot-time journal state after the boot
 // checkpoint committed: journal 0 becomes the empty active region and
-// the standby is invalidated (its entries, like journal 0's old ones,
-// are covered by the checkpoint; a stale standby must not survive
-// into a generation that will reuse it).
+// journal 1 is invalidated (its entries, like journal 0's old ones,
+// are covered by the checkpoint; a stale region must not survive into
+// a generation that will reuse it).
 func (d *Daemon) initJournals() {
 	d.dev.StoreU64(pmem.MetaJournal1+jrnOffMagic, 0)
 	d.dev.Persist(pmem.MetaJournal1+jrnOffMagic, 8)
@@ -484,8 +486,9 @@ func (d *Daemon) initJournals() {
 // on top of state we failed to recover (it can only appear after
 // media corruption); its batches — membership deltas especially —
 // must not be composed onto an older base, so it is skipped. A region
-// in another journal format version is not skipped but refused: its
-// entries are acknowledged metadata this daemon cannot read.
+// in another journal format version, or a batch holding a retired
+// record, is not skipped but refused: its entries are acknowledged
+// metadata this daemon cannot read.
 func (d *Daemon) replayJournals(ckptSeq uint64) (int, error) {
 	type region struct {
 		addr pmem.Addr
@@ -499,7 +502,7 @@ func (d *Daemon) replayJournals(ckptSeq uint64) (int, error) {
 		case magic&(1<<40-1) == journalStem:
 			return 0, fmt.Errorf("%w: journal at %#x has magic PJRNL%c, want PJRNL%d",
 				ErrMetaFormat, uint64(a), byte(magic>>40), metaVersion)
-		} // anything else holds no journal (e.g. an invalidated standby)
+		} // anything else holds no journal (e.g. an invalidated journal 1)
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].base < regs[j].base })
 	applied := 0
@@ -510,7 +513,11 @@ func (d *Daemon) replayJournals(ckptSeq uint64) (int, error) {
 				uint64(rg.addr), rg.base, reached)
 			break
 		}
-		applied += d.replayRegion(rg.addr, ckptSeq, &reached)
+		n, err := d.replayRegion(rg.addr, ckptSeq, &reached)
+		if err != nil {
+			return 0, err
+		}
+		applied += n
 	}
 	return applied, nil
 }
@@ -521,9 +528,11 @@ func (d *Daemon) replayJournals(ckptSeq uint64) (int, error) {
 // whose payload does not decode ends the replay right there, exactly
 // like a torn one (and unlike a torn one is worth a log line and a
 // JournalDecodeErrors tick — the CRC says these are the bytes we
-// wrote). The payload buffer and the record slice are reused across
-// entries; decoded records alias neither.
-func (d *Daemon) replayRegion(base pmem.Addr, ckptSeq uint64, reached *uint64) int {
+// wrote). The exception is a batch in a retired format (ErrMetaFormat):
+// ending there would drop every later entry, so it is returned instead.
+// The payload buffer and the record slice are reused across entries;
+// decoded records alias neither.
+func (d *Daemon) replayRegion(base pmem.Addr, ckptSeq uint64, reached *uint64) (int, error) {
 	var (
 		applied int
 		buf     []byte
@@ -547,6 +556,9 @@ func (d *Daemon) replayRegion(base pmem.Addr, ckptSeq uint64, reached *uint64) i
 		seq := d.dev.LoadU64(ent + 16)
 		var err error
 		if recs, err = decodeBatch(payload, recs[:0]); err != nil {
+			if errors.Is(err, ErrMetaFormat) {
+				return 0, fmt.Errorf("journal at %#x offset %d seq %d: %w", uint64(base), off, seq, err)
+			}
 			d.jDecodeErrs.Add(1)
 			d.logf("boot: journal at %#x offset %d seq %d does not decode (%v); replay ends there",
 				uint64(base), off, seq, err)
@@ -564,7 +576,7 @@ func (d *Daemon) replayRegion(base pmem.Addr, ckptSeq uint64, reached *uint64) i
 		}
 		off += entHdrSize + n
 	}
-	return applied
+	return applied, nil
 }
 
 // applyBatchTo folds one decoded journal batch (or checkpoint chunk)
@@ -622,10 +634,6 @@ func applyRec(st *state, r *entRec, owned map[string]bool) {
 		putOrDel(st.Moved, r.Key, r)
 	case recMigDone:
 		putOrDel(st.MigsDone, keyUUIDOf(r.Key), r)
-	case recStandby:
-		putOrDel(st.Standbys, r.Key, r)
-	case recReplica:
-		putOrDel(st.Replicas, r.Key, r)
 	case recTypes:
 		st.Types = r.Val.(typeList)
 	case recCounters:

@@ -1,6 +1,6 @@
-// Live pool migration and warm-standby replication (paper §4.2
-// applied across machines: location-independent data means a pool can
-// change owners while applications keep writing).
+// Live pool migration (paper §4.2 applied across machines:
+// location-independent data means a pool can change owners while
+// applications keep writing).
 //
 // The engine is iterative pre-copy, the classic live-VM-migration
 // shape recast for puddles:
@@ -32,17 +32,10 @@
 // accordingly. Until that resolution the pool answers only the typed
 // "migration unresolved" refusal; it is never writable in two places.
 //
-// Warm standby runs the chunk pipe in reverse after handoff: the new
-// owner keeps dirty tracking armed and ships quiesced delta rounds
-// back to the source, which retains its copy (StandbyRec) and can be
-// promoted with OpFailover when the owner dies.
-//
-// Every way of moving a pool shares one mechanism per step: a
-// trackedCopy drains dirt through a sink (migration, replication),
-// opMigrateFrame lands a frame (migration target, standby), adopt
-// installs a pool in one journal batch (import, migration, failover),
-// and reloc.RewritePointers fixes pointers (import, migration,
-// failover).
+// Migration is the one way a live pool changes owner; export/import is
+// the other way its bytes move. Both share adopt, which installs a pool
+// in one journal batch, and reloc.RewritePointers, which fixes its
+// pointers.
 package daemon
 
 import (
@@ -50,7 +43,6 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"puddles/internal/pmem"
@@ -77,8 +69,6 @@ const (
 	migQuiesceTimeout = 5 * time.Second
 	// migDialTimeout bounds the peer dial.
 	migDialTimeout = 5 * time.Second
-	// replicaInterval paces the warm-standby replicator.
-	replicaInterval = 250 * time.Millisecond
 )
 
 // Source-side migration phases (MigOutRec.Phase).
@@ -92,11 +82,10 @@ const (
 // ownership is ceded or the migration aborted, and is what boot-time
 // resolution drives from.
 type MigOutRec struct {
-	ID      uid.UUID // migration id (the wire key for every frame)
-	Pool    string
-	Target  string // destination daemon URL
-	Phase   uint32 // migStreaming or migCommitSent
-	Standby bool   // retain a warm-standby copy after ceding
+	ID     uid.UUID // migration id (the wire key for every frame)
+	Pool   string
+	Target string // destination daemon URL
+	Phase  uint32 // migStreaming or migCommitSent
 }
 
 // MovedRec is the tombstone a ceded pool leaves behind: requests for
@@ -113,35 +102,6 @@ type MovedRec struct {
 type MigDoneRec struct {
 	ID   uid.UUID
 	Pool string
-}
-
-// StandbyRec is a warm-standby copy retained on this daemon after
-// ceding (or installed by a replica attach). The puddle records hold
-// LOCAL addresses (still reserved in the address space); OwnerAddrs
-// are the owner's addresses, parallel to Puddles, so a failover can
-// rewrite owner-space pointers back into local space when they
-// differ. Epoch counts acked replication rounds.
-type StandbyRec struct {
-	Pool       string
-	UUID       uid.UUID // pool UUID
-	Root       uid.UUID
-	OwnerUID   uint32
-	OwnerGID   uint32
-	Mode       uint32
-	Puddles    []PuddleRec   // local copies (Addr = local address)
-	OwnerAddrs []uint64      // owner-space addresses, parallel to Puddles
-	LogSpaces  []LogSpaceRec // re-registered on failover
-	Epoch      uint64        // last acked replication round
-	Owner      string        // current owner's URL (for pool-moved answers)
-}
-
-// ReplicaRec is the owner's persistent obligation to keep feeding a
-// standby: rebooting the owner restarts the replication stream (with
-// a full resync, since dirty state is volatile).
-type ReplicaRec struct {
-	Pool   string
-	Target string // the standby's URL
-	Epoch  uint64
 }
 
 // MigPuddle is one member puddle in the wire manifest.
@@ -162,8 +122,6 @@ type MigLogSpace struct {
 
 // MigManifest is the OpMigrateBegin payload: everything the target
 // needs to reserve space, register types, and later adopt the pool.
-// SourceURL, when non-empty, asks the target to replicate back to the
-// source after adoption (warm standby).
 type MigManifest struct {
 	ID        uid.UUID
 	Pool      string
@@ -175,7 +133,6 @@ type MigManifest struct {
 	Types     []ptypes.TypeInfo
 	Puddles   []MigPuddle
 	LogSpaces []MigLogSpace
-	SourceURL string
 }
 
 // migIn is the target's volatile state for one inbound migration: the
@@ -188,24 +145,12 @@ type migIn struct {
 	recs map[uid.UUID]*PuddleRec
 }
 
-// Journal records of the migration entities that change after they are
-// first journaled (phase flips, epoch bumps, owner-address updates):
-// a record's value must never be written again (entRec), so these
-// carry a copy. The slices inside a StandbyRec are only ever replaced
-// whole, so a shallow copy is enough.
+// migOutRec journals a MigOutRec, which changes after it is first
+// journaled (its phase flips): a record's value must never be written
+// again (entRec), so the record carries a copy.
 func migOutRec(m *MigOutRec) entRec {
 	cp := *m
 	return putRec(recMigOut, uuidKey(m.ID), &cp)
-}
-
-func standbyRec(s *StandbyRec) entRec {
-	cp := *s
-	return putRec(recStandby, s.Pool, &cp)
-}
-
-func replicaRec(r *ReplicaRec) entRec {
-	cp := *r
-	return putRec(recReplica, r.Pool, &cp)
 }
 
 // migPuddles lists members as manifest entries (source-space addresses).
@@ -218,14 +163,6 @@ func migPuddles(members []*PuddleRec) []MigPuddle {
 }
 
 // --- options ---
-
-// WithAdvertiseURL sets the URL peers should use to reach this daemon
-// — what pool-moved refusals carry and what a warm standby's owner
-// field records. Required for standby-retaining migrations (the
-// target must know where to ship deltas back to).
-func WithAdvertiseURL(url string) Option {
-	return func(d *Daemon) { d.advertise = url }
-}
 
 // WithMigrationHook installs a test hook fired at named migration
 // phases on the source ("snapshot", "delta", "pre-commit",
@@ -278,18 +215,14 @@ func dialPeer(target string) (*proto.Conn, error) {
 
 // --- refusal helpers ---
 
-// movedResp answers for a pool this daemon no longer owns: a ceded
-// pool's tombstone or a standby copy both refuse with the typed
-// pool-moved error carrying the owner's URL. Returns nil when the
-// name is unclaimed here.
+// movedResp answers for a pool this daemon ceded: its tombstone
+// refuses with the typed pool-moved error carrying the new owner's URL.
+// Returns nil when the name is unclaimed here.
 func (d *Daemon) movedResp(name string) *proto.Response {
 	d.poolsMu.RLock()
 	defer d.poolsMu.RUnlock()
 	if m := d.st.Moved[name]; m != nil {
 		return fail("%s%s", proto.PoolMovedMsg, m.Target)
-	}
-	if s := d.st.Standbys[name]; s != nil && s.Owner != "" {
-		return fail("%s%s", proto.PoolMovedMsg, s.Owner)
 	}
 	return nil
 }
@@ -339,11 +272,10 @@ func (d *Daemon) unresolvedResp(name string) *proto.Response {
 // during the call.
 type frameSink func(m *PuddleRec, off uint64, b []byte) error
 
-// trackedCopy is the one copy-under-dirt engine: dirty maps over a
-// pool's member puddles, drained a frame at a time through a sink with
-// one reused buffer. Migration drains it straight to the target round
-// by round; the replicator drains it into RAM inside its quiesce
-// window. It is the only thing that arms and releases those maps.
+// trackedCopy is the copy-under-dirt engine: dirty maps over a pool's
+// member puddles, drained a frame at a time through a sink with one
+// reused buffer. Migration drains it straight to the target round by
+// round. It is the only thing that arms and releases those maps.
 type trackedCopy struct {
 	dev     *pmem.Device
 	members []*PuddleRec
@@ -361,14 +293,6 @@ func (d *Daemon) trackCopy(members []*PuddleRec) *trackedCopy {
 		tc.maps[i].MarkAll()
 	}
 	return tc
-}
-
-// redirty marks a drained frame of member m dirty again: one that may
-// not have been delivered goes out with the next drain.
-func (tc *trackedCopy) redirty(m *PuddleRec, off uint64, n int) {
-	for _, dm := range tc.maps {
-		dm.Mark(pmem.Addr(m.Addr+off), n)
-	}
 }
 
 // drain collects and clears the dirt of every member and hands it to
@@ -479,10 +403,6 @@ func (d *Daemon) opMigratePool(creds Creds, req *proto.Request) *proto.Response 
 	if req.Name == "" || req.Target == "" {
 		return fail("migrate: pool name and target URL required")
 	}
-	standby := req.Kind&1 != 0
-	if standby && d.advertise == "" {
-		return fail("migrate: standby retention requires this daemon to advertise a URL (-advertise)")
-	}
 	if resp := d.movedResp(req.Name); resp != nil {
 		return resp
 	}
@@ -495,13 +415,13 @@ func (d *Daemon) opMigratePool(creds Creds, req *proto.Request) *proto.Response 
 	}
 
 	start := time.Now()
-	mig := &MigOutRec{ID: uid.New(), Pool: req.Name, Target: req.Target, Phase: migStreaming, Standby: standby}
+	mig := &MigOutRec{ID: uid.New(), Pool: req.Name, Target: req.Target, Phase: migStreaming}
 
 	// Build the manifest and publish the MigOutRec under pool.mu: every
 	// structural op re-checks migration status under the same lock, so
 	// membership cannot change between the snapshot of it and the
 	// refusals taking effect.
-	man, members, logSpaces, resp := d.beginOutbound(pool, mig, standby)
+	man, members, logSpaces, resp := d.beginOutbound(pool, mig)
 	if resp != nil {
 		return resp
 	}
@@ -600,7 +520,7 @@ func (d *Daemon) opMigratePool(creds Creds, req *proto.Request) *proto.Response 
 	d.migPhase("post-commit")
 
 	// Cede: one journal batch removes the pool, leaves the tombstone
-	// (and the standby record), and retires the MigOutRec.
+	// and retires the MigOutRec.
 	if resp := d.cedePool(pool, mig, members, logSpaces); resp != nil {
 		// Adoption landed but the cede batch failed to persist: the
 		// commitSent record survives, ResolveMigrations re-sends the
@@ -622,7 +542,7 @@ func (d *Daemon) opMigratePool(creds Creds, req *proto.Request) *proto.Response 
 // beginOutbound snapshots the pool's membership into a manifest and
 // durably publishes the MigOutRec, all under pool.mu so no structural
 // op can slip between the snapshot and the refusals taking effect.
-func (d *Daemon) beginOutbound(pool *PoolRec, mig *MigOutRec, standby bool) (*MigManifest, []*PuddleRec, []*LogSpaceRec, *proto.Response) {
+func (d *Daemon) beginOutbound(pool *PoolRec, mig *MigOutRec) (*MigManifest, []*PuddleRec, []*LogSpaceRec, *proto.Response) {
 	d.opMu.RLock()
 	defer d.opMu.RUnlock()
 	if d.closed.Load() {
@@ -644,9 +564,6 @@ func (d *Daemon) beginOutbound(pool *PoolRec, mig *MigOutRec, standby bool) (*Mi
 		ID: mig.ID, Pool: pool.Name, PoolUUID: pool.UUID, Root: pool.Root,
 		OwnerUID: pool.OwnerUID, OwnerGID: pool.OwnerGID, Mode: pool.Mode,
 		Types: d.types.All(), Puddles: migPuddles(members),
-	}
-	if standby {
-		man.SourceURL = d.advertise
 	}
 	for _, ls := range logSpaces {
 		man.LogSpaces = append(man.LogSpaces, MigLogSpace{UUID: ls.UUID, Creds: ls.Creds, Shards: ls.Shards})
@@ -676,19 +593,18 @@ func (d *Daemon) persistMigOut(mig *MigOutRec) *proto.Response {
 }
 
 // cedePool durably transfers ownership away: persist FIRST (one
-// batch: puddle + log-space + pool tombstones, the MovedRec, the
-// MigOutRec retirement, and the StandbyRec when retaining a copy),
-// then mark the root moved, mutate the maps and release
-// reservations. While pool.mu is
-// held nothing else can touch the pool, so a failed persist needs no
-// unwind — exactly the opDeletePool idiom.
+// batch: puddle + log-space + pool tombstones, the MovedRec and the
+// MigOutRec retirement), then mark the root moved, mutate the maps and
+// release reservations. While pool.mu is held nothing else can touch
+// the pool, so a failed persist needs no unwind — exactly the
+// opDeletePool idiom.
 func (d *Daemon) cedePool(pool *PoolRec, mig *MigOutRec, members []*PuddleRec, logSpaces []*LogSpaceRec) *proto.Response {
 	d.opMu.RLock()
 	defer d.opMu.RUnlock()
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
 	moved := &MovedRec{Pool: pool.Name, Target: mig.Target}
-	recs := make([]entRec, 0, len(members)+len(logSpaces)+4)
+	recs := make([]entRec, 0, len(members)+len(logSpaces)+3)
 	for _, m := range members {
 		recs = append(recs, delRec(recPuddle, uuidKey(m.UUID)))
 	}
@@ -699,22 +615,6 @@ func (d *Daemon) cedePool(pool *PoolRec, mig *MigOutRec, members []*PuddleRec, l
 		delRec(recPool, pool.Name),
 		putRec(recMoved, pool.Name, moved),
 		delRec(recMigOut, uuidKey(mig.ID)))
-	var standby *StandbyRec
-	if mig.Standby {
-		standby = &StandbyRec{
-			Pool: pool.Name, UUID: pool.UUID, Root: pool.Root,
-			OwnerUID: pool.OwnerUID, OwnerGID: pool.OwnerGID, Mode: pool.Mode,
-			Epoch: 0, Owner: mig.Target,
-		}
-		for _, m := range members {
-			standby.Puddles = append(standby.Puddles, *m)
-			standby.OwnerAddrs = append(standby.OwnerAddrs, m.Addr) // updated on attach if the owner relocated
-		}
-		for _, ls := range logSpaces {
-			standby.LogSpaces = append(standby.LogSpaces, *ls)
-		}
-		recs = append(recs, standbyRec(standby))
-	}
 	if resp := d.persistOrFail(recs...); resp != nil {
 		return resp
 	}
@@ -729,20 +629,14 @@ func (d *Daemon) cedePool(pool *PoolRec, mig *MigOutRec, members []*PuddleRec, l
 	delete(d.st.Pools, pool.Name)
 	d.st.Moved[pool.Name] = moved
 	delete(d.st.MigsOut, mig.ID)
-	if standby != nil {
-		d.st.Standbys[pool.Name] = standby
-	}
 	d.poolsMu.Unlock()
 	d.lsMu.Lock()
 	for _, ls := range logSpaces {
 		delete(d.st.LogSpaces, ls.UUID)
 	}
 	d.lsMu.Unlock()
-	if standby == nil {
-		// A standby keeps its copies, so their reservations stay.
-		for _, m := range members {
-			d.space.Release(pmem.Addr(m.Addr))
-		}
+	for _, m := range members {
+		d.space.Release(pmem.Addr(m.Addr))
 	}
 	return nil
 }
@@ -770,12 +664,6 @@ func (d *Daemon) opMigrateBegin(creds Creds, req *proto.Request) *proto.Response
 	}
 	if d.poolByName(man.Pool) != nil {
 		return fail("migrate: pool %q already exists here", man.Pool)
-	}
-	d.poolsMu.RLock()
-	_, isStandby := d.st.Standbys[man.Pool]
-	d.poolsMu.RUnlock()
-	if isStandby {
-		return fail("migrate: a standby copy of %q is held here; fail over or drop it first", man.Pool)
 	}
 	for _, ti := range man.Types {
 		if err := d.types.Put(ti); err != nil {
@@ -821,53 +709,31 @@ func (d *Daemon) opMigrateBegin(creds Creds, req *proto.Request) *proto.Response
 	return &proto.Response{Puddles: infos}
 }
 
-// opMigrateFrame lands one snapshot, delta or replication frame —
-// the one lander: a migration's frames are keyed by its id, a
-// standby's by pool name with a nil id. The bounds check cannot wrap,
-// so a frame lands wholly inside the puddle it names or not at all.
+// opMigrateFrame lands one snapshot or delta frame of an inbound
+// migration, keyed by its id. The bounds check cannot wrap, so a frame
+// lands wholly inside the puddle it names or not at all.
 func (d *Daemon) opMigrateFrame(creds Creds, req *proto.Request) *proto.Response {
 	if resp := requireSuper(creds); resp != nil {
 		return resp
 	}
-	rec, resp := d.frameTarget(req)
-	if resp != nil {
-		return resp
+	d.migMu.Lock()
+	in := d.migsIn[req.UUID]
+	var rec *PuddleRec
+	if in != nil {
+		rec = in.recs[req.Pool]
 	}
-	if n := uint64(len(req.Blob)); req.Addr > rec.Size || n > rec.Size-req.Addr {
+	d.migMu.Unlock()
+	switch n := uint64(len(req.Blob)); {
+	case in == nil:
+		return fail("%s %v", proto.MigUnknownMsg, req.UUID)
+	case rec == nil:
+		return fail("migrate: frame for unknown puddle %v", req.Pool)
+	case req.Addr > rec.Size || n > rec.Size-req.Addr:
 		return fail("frame overruns puddle %v (%d+%d > %d)", req.Pool, req.Addr, n, rec.Size)
 	}
 	d.dev.Store(pmem.Addr(rec.Addr+req.Addr), req.Blob)
 	d.dev.Persist(pmem.Addr(rec.Addr+req.Addr), len(req.Blob))
 	return &proto.Response{}
-}
-
-// frameTarget resolves the local record of the puddle a frame names:
-// in an inbound migration, or in a standby copy.
-func (d *Daemon) frameTarget(req *proto.Request) (*PuddleRec, *proto.Response) {
-	if req.UUID == uid.Nil && req.Name != "" {
-		d.poolsMu.RLock()
-		defer d.poolsMu.RUnlock()
-		s := d.st.Standbys[req.Name]
-		if s == nil {
-			return nil, fail("pool %q is not a standby here", req.Name)
-		}
-		for i := range s.Puddles {
-			if s.Puddles[i].UUID == req.Pool {
-				return &s.Puddles[i], nil
-			}
-		}
-		return nil, fail("replica: unknown puddle %v in standby %q", req.Pool, req.Name)
-	}
-	d.migMu.Lock()
-	defer d.migMu.Unlock()
-	in := d.migsIn[req.UUID]
-	if in == nil {
-		return nil, fail("%s %v", proto.MigUnknownMsg, req.UUID)
-	}
-	if rec := in.recs[req.Pool]; rec != nil {
-		return rec, nil
-	}
-	return nil, fail("migrate: frame for unknown puddle %v", req.Pool)
 }
 
 func (d *Daemon) opMigrateCommit(creds Creds, req *proto.Request) *proto.Response {
@@ -911,8 +777,7 @@ func (d *Daemon) opMigrateCommit(creds Creds, req *proto.Request) *proto.Respons
 		return resp
 	}
 
-	// Adopt in one journal batch with the MigDoneRec (and the replica
-	// obligation).
+	// Adopt in one journal batch with the MigDoneRec.
 	pool := &PoolRec{
 		Name: man.Pool, UUID: man.PoolUUID, Root: man.Root,
 		OwnerUID: man.OwnerUID, OwnerGID: man.OwnerGID, Mode: man.Mode,
@@ -923,20 +788,9 @@ func (d *Daemon) opMigrateCommit(creds Creds, req *proto.Request) *proto.Respons
 	}
 	done = &MigDoneRec{ID: req.UUID, Pool: man.Pool}
 	extra := []entRec{putRec(recMigDone, uuidKey(req.UUID), done)}
-	var replica *ReplicaRec
-	if man.SourceURL != "" {
-		replica = &ReplicaRec{Pool: man.Pool, Target: man.SourceURL}
-		extra = append(extra, replicaRec(replica))
-	}
-	if resp := d.adopt(pool, pus, lss, extra, func() {
-		d.st.MigsDone[req.UUID] = done
-		if replica != nil {
-			d.st.Replicas[man.Pool] = replica
-		}
-	}, func() {
-		delete(d.st.MigsDone, req.UUID)
-		delete(d.st.Replicas, man.Pool)
-	}); resp != nil {
+	if resp := d.adopt(pool, pus, lss, extra,
+		func() { d.st.MigsDone[req.UUID] = done },
+		func() { delete(d.st.MigsDone, req.UUID) }); resp != nil {
 		// Put the transfer back so an abort can release its reservations.
 		d.migMu.Lock()
 		d.migsIn[req.UUID] = in
@@ -944,9 +798,6 @@ func (d *Daemon) opMigrateCommit(creds Creds, req *proto.Request) *proto.Respons
 		return resp
 	}
 	d.migsInN.Add(1)
-	if replica != nil {
-		d.startReplicator(man.Pool)
-	}
 	d.logf("migrate: adopted pool %q (migration %v, identity=%v)", man.Pool, req.UUID, amap.Identity())
 	return &proto.Response{}
 }
@@ -968,380 +819,19 @@ func (d *Daemon) opMigrateAbort(creds Creds, req *proto.Request) *proto.Response
 	return &proto.Response{}
 }
 
-// --- warm-standby replication ---
-
-// opReplicaAttach (owner → standby) opens or refreshes a replication
-// stream: verify the standby exists and matches the pool identity,
-// record the owner's current addresses (failover needs them to
-// rewrite pointers), and answer the acked epoch so the owner knows
-// whether a full resync is needed. Blob carries the owner's manifest
-// of (uuid, addr) pairs: a MigManifest with only Pool, PoolUUID and
-// Puddles populated.
-func (d *Daemon) opReplicaAttach(creds Creds, req *proto.Request) *proto.Response {
-	if resp := requireSuper(creds); resp != nil {
-		return resp
-	}
-	man, err := decodeManifest(req.Blob)
-	if err != nil {
-		return fail("replica: decoding attach manifest: %v", err)
-	}
-	d.poolsMu.Lock()
-	defer d.poolsMu.Unlock()
-	s := d.st.Standbys[req.Name]
-	if s == nil {
-		return fail("pool %q is not a standby here", req.Name)
-	}
-	if s.UUID != man.PoolUUID {
-		return fail("replica: standby %q is pool %v, not %v", req.Name, s.UUID, man.PoolUUID)
-	}
-	ownerAddrs := make([]uint64, len(s.Puddles))
-	for i := range s.Puddles {
-		found := false
-		for _, p := range man.Puddles {
-			if p.UUID == s.Puddles[i].UUID {
-				ownerAddrs[i] = p.Addr
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fail("replica: owner manifest missing puddle %v", s.Puddles[i].UUID)
-		}
-	}
-	s.OwnerAddrs = ownerAddrs
-	if req.Target != "" {
-		s.Owner = req.Target
-	}
-	if resp := d.persistOrFail(standbyRec(s)); resp != nil {
-		return resp
-	}
-	return &proto.Response{Size: s.Epoch}
-}
-
-// opReplicaAck (owner → standby) persists the epoch barrier after a
-// completed delta round: everything up to Size is durable here.
-func (d *Daemon) opReplicaAck(creds Creds, req *proto.Request) *proto.Response {
-	if resp := requireSuper(creds); resp != nil {
-		return resp
-	}
-	d.poolsMu.Lock()
-	defer d.poolsMu.Unlock()
-	s := d.st.Standbys[req.Name]
-	if s == nil {
-		return fail("pool %q is not a standby here", req.Name)
-	}
-	if req.Size > s.Epoch {
-		s.Epoch = req.Size
-		if resp := d.persistOrFail(standbyRec(s)); resp != nil {
-			return resp
-		}
-	}
-	return &proto.Response{}
-}
-
-// opFailover promotes a retained standby copy to owner. The owner is
-// presumed dead (or is giving the pool back); if it is alive it will
-// keep refusing conflicting ops only by operator discipline — the
-// single-owner invariant the daemons themselves can enforce is the
-// migration protocol's, and failover is the explicit override.
-func (d *Daemon) opFailover(creds Creds, req *proto.Request) *proto.Response {
-	d.poolsMu.RLock()
-	s := d.st.Standbys[req.Name]
-	d.poolsMu.RUnlock()
-	if s == nil {
-		return fail("pool %q is not a standby here", req.Name)
-	}
-	if creds != Superuser && creds.UID != s.OwnerUID {
-		return fail("permission denied: only the owner may fail over %q", req.Name)
-	}
-	if d.poolByName(req.Name) != nil {
-		return fail("pool %q already exists here", req.Name)
-	}
-	pool := &PoolRec{
-		Name: s.Pool, UUID: s.UUID, Root: s.Root,
-		OwnerUID: s.OwnerUID, OwnerGID: s.OwnerGID, Mode: s.Mode,
-	}
-	pus := make([]*PuddleRec, len(s.Puddles))
-	for i := range s.Puddles {
-		rec := s.Puddles[i]
-		rec.Pool = pool.UUID
-		pus[i] = &rec
-	}
-	// Owner-space pointers entered this copy with the replication
-	// deltas; translate them back into local space. An epoch of zero
-	// means no delta ever landed — the bytes are the original local copy
-	// and need no rewrite.
-	if s.Epoch > 0 {
-		moves := make([]reloc.Move, len(pus))
-		for i, p := range pus {
-			oa := s.OwnerAddrs[i]
-			moves[i] = reloc.Move{Old: pmem.Range{Start: pmem.Addr(oa), End: pmem.Addr(oa + p.Size)}, New: pmem.Addr(p.Addr)}
-		}
-		if err := d.rewriteMembers(pus, reloc.NewAddrMap(moves)); err != nil {
-			return fail("failover: pointer rewrite: %v", err)
-		}
-	}
-	lss := make([]*LogSpaceRec, len(s.LogSpaces))
-	for i := range s.LogSpaces {
-		ls := s.LogSpaces[i]
-		// The log space lives where the standby's puddle record says, not
-		// where the owner had it.
-		if a := memberAddr(pus, ls.UUID); a != 0 {
-			ls.Addr = uint64(a)
-		}
-		lss[i] = &ls
-	}
-	if resp := d.adopt(pool, pus, lss, []entRec{delRec(recStandby, s.Pool)},
-		func() { delete(d.st.Standbys, s.Pool) },
-		func() { d.st.Standbys[s.Pool] = s }); resp != nil {
-		return resp
-	}
-	// The standby copies' reservations carry over; the pool only needs
-	// its root opened for transactions.
-	d.unfreezeRoot(memberAddr(pus, s.Root))
-	d.failovers.Add(1)
-	d.logf("failover: promoted standby %q to owner", s.Pool)
-	return &proto.Response{}
-}
-
-// --- replicator (owner side) ---
-
-// replicaFeed is the owner side of one warm standby: its background
-// shipper's stop channel and the tracked copy its rounds drain. round
-// is held from collect to ack, so rounds — SyncReplica callers and the
-// ticker — cannot overtake each other: a round holding older bytes of a
-// chunk never lands after one holding newer bytes.
-type replicaFeed struct {
-	stop  chan struct{}
-	round sync.Mutex
-	tc    *trackedCopy // built by the first round; guarded by round
-}
-
-// feed returns pool name's replica feed, creating it on first use.
-func (d *Daemon) feed(name string) *replicaFeed {
-	d.replMu.Lock()
-	defer d.replMu.Unlock()
-	if d.feeds == nil {
-		d.feeds = make(map[string]*replicaFeed)
-	}
-	f := d.feeds[name]
-	if f == nil {
-		f = &replicaFeed{}
-		d.feeds[name] = f
-	}
-	return f
-}
-
-// startReplicator launches the background delta shipper for one
-// replicated pool. Its first round is a full resync: the feed's tracked
-// copy starts with everything dirty, whether adoption relocated the
-// pool or the owner rebooted and lost its dirty maps.
-func (d *Daemon) startReplicator(name string) {
-	f := d.feed(name)
-	d.replMu.Lock()
-	defer d.replMu.Unlock()
-	if f.stop != nil {
-		return // already running
-	}
-	stop := make(chan struct{})
-	f.stop = stop
-	go func() {
-		// Armed for the replicator's whole lifetime, not just during
-		// rounds: a transaction that starts between rounds must still
-		// register in the pool's active count, or the next round's
-		// quiesce would not see it and could collect a torn write.
-		d.dev.ArmQuiesce()
-		defer d.dev.DisarmQuiesce()
-		t := time.NewTicker(replicaInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-d.doneCh:
-				return
-			case <-t.C:
-			}
-			if err := d.SyncReplica(name); err != nil {
-				d.logf("replica %q: %v", name, err)
-				if strings.Contains(err.Error(), "not a standby") {
-					d.dropReplica(name)
-					return
-				}
-			}
-		}
-	}()
-}
-
-// dropReplica retires a replication obligation (the standby was
-// promoted or dropped): journal the retirement, stop the shipper, wait
-// out a round in flight and release the tracked copy.
-func (d *Daemon) dropReplica(name string) {
-	d.opMu.RLock()
-	d.poolsMu.Lock()
-	if d.st.Replicas[name] != nil {
-		delete(d.st.Replicas, name)
-		d.appendBatch([]entRec{delRec(recReplica, name)})
-	}
-	d.poolsMu.Unlock()
-	d.opMu.RUnlock()
-	d.replMu.Lock()
-	f := d.feeds[name]
-	delete(d.feeds, name)
-	d.replMu.Unlock()
-	if f == nil {
-		return
-	}
-	if f.stop != nil {
-		close(f.stop)
-	}
-	f.round.Lock()
-	if f.tc != nil {
-		f.tc.release()
-		f.tc = nil
-	}
-	f.round.Unlock()
-}
-
-// SyncReplica runs one replication round for a pool this daemon owns
-// and replicates (the background ticker runs them too; tests drive
-// them with this). A round ships one quiesced delta to the standby:
-// freeze the pool briefly, drain in-flight transactions, collect the
-// dirty ranges into RAM, unfreeze, then ship and ack. Copying before
-// the unfreeze makes each round a transaction-consistent snapshot —
-// the stop window is proportional to the round's dirt, exactly like
-// the migration's final delta.
-func (d *Daemon) SyncReplica(name string) error {
-	f := d.feed(name)
-	// Taken before opMu: the round in flight needs opMu.RLock for its
-	// epoch barrier.
-	f.round.Lock()
-	defer f.round.Unlock()
-	type frame struct {
-		pud  *PuddleRec
-		off  uint64
-		data []byte
-	}
-	var frames []frame
-	rep, pool, n, err := d.collectRound(name, f, func(m *PuddleRec, off uint64, b []byte) error {
-		frames = append(frames, frame{m, off, append([]byte(nil), b...)})
-		return nil
-	})
-	if err != nil || len(frames) == 0 {
-		return err // nothing changed: no round, no epoch bump
-	}
-
-	// Ship outside every daemon lock but the round's.
-	ship := func() error {
-		peer, err := dialPeer(rep.Target)
-		if err != nil {
-			return err
-		}
-		defer peer.Close()
-		// (Re-)attach: the standby learns our current addresses and tells
-		// us its acked epoch.
-		attach := &MigManifest{Pool: name, PoolUUID: pool.UUID, Puddles: migPuddles(f.tc.members)}
-		if _, err := peer.RoundTrip(&proto.Request{Op: proto.OpReplicaAttach, Name: name, Blob: attach.encode(), Target: d.advertise}); err != nil {
-			return err
-		}
-		for _, fr := range frames {
-			if _, err := peer.RoundTrip(&proto.Request{Op: proto.OpMigrateDelta, Name: name, Pool: fr.pud.UUID, Addr: fr.off, Blob: fr.data}); err != nil {
-				return err
-			}
-		}
-		// Epoch barrier.
-		d.opMu.RLock()
-		d.poolsMu.Lock()
-		rep.Epoch++
-		epoch := rep.Epoch
-		err = d.appendBatch([]entRec{replicaRec(rep)})
-		d.poolsMu.Unlock()
-		d.opMu.RUnlock()
-		if err != nil {
-			return err
-		}
-		_, err = peer.RoundTrip(&proto.Request{Op: proto.OpReplicaAck, Name: name, Size: epoch})
-		return err
-	}
-	if err := ship(); err != nil {
-		// Undelivered dirt must be re-shipped: re-mark the whole round (a
-		// partial round at the standby is harmless; frames are
-		// idempotent whole-chunk writes).
-		for _, fr := range frames {
-			f.tc.redirty(fr.pud, fr.off, len(fr.data))
-		}
-		return err
-	}
-	d.replSyncs.Add(1)
-	d.replBytes.Add(n)
-	return nil
-}
-
-// collectRound is a replication round's stop-the-world part: freeze the
-// pool, drain in-flight transactions, drain the feed's tracked copy into
-// sink, unfreeze. The caller holds f.round.
-func (d *Daemon) collectRound(name string, f *replicaFeed, sink frameSink) (*ReplicaRec, *PoolRec, uint64, error) {
-	d.opMu.RLock()
-	defer d.opMu.RUnlock()
-	if d.closed.Load() {
-		return nil, nil, 0, fmt.Errorf("daemon is shut down")
-	}
-	d.poolsMu.RLock()
-	rep, pool := d.st.Replicas[name], d.st.Pools[name]
-	d.poolsMu.RUnlock()
-	switch {
-	case rep == nil:
-		return nil, nil, 0, fmt.Errorf("pool %q has no replica obligation", name)
-	case pool == nil:
-		return nil, nil, 0, fmt.Errorf("pool %q not found", name)
-	}
-	if f.tc == nil {
-		members, _ := d.poolMembers(pool.memberIDs())
-		f.tc = d.trackCopy(members)
-	}
-	root, err := puddle.Open(d.dev, memberAddr(f.tc.members, pool.Root))
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("opening root: %w", err)
-	}
-	d.dev.ArmQuiesce()
-	defer d.dev.DisarmQuiesce()
-	root.SetFreeze(puddle.FreezeQuiesce)
-	defer root.SetFreeze(puddle.FreezeNone)
-	if !d.drainActiveTx(root) {
-		return nil, nil, 0, fmt.Errorf("transactions did not drain")
-	}
-	n, err := f.tc.drain(sink)
-	return rep, pool, n, err
-}
-
 // --- boot-time resolution ---
 
 // armIfMigrating arms the device quiesce gate at boot when any moved
 // tombstone or in-flight migration exists: attached clients must
 // check freeze words before entering transactions. Called from boot.
 func (d *Daemon) armIfMigrating() {
-	if len(d.st.MigsOut) > 0 || len(d.st.Moved) > 0 ||
-		len(d.st.Standbys) > 0 || len(d.st.Replicas) > 0 {
+	if len(d.st.MigsOut) > 0 || len(d.st.Moved) > 0 {
 		d.dev.ArmQuiesce()
 	}
 }
 
-// reserveStandbys re-reserves the address ranges of retained standby
-// copies (their puddles are not in st.Puddles). Called from boot.
-func (d *Daemon) reserveStandbys() error {
-	for _, s := range d.st.Standbys {
-		for i := range s.Puddles {
-			p := &s.Puddles[i]
-			if _, err := d.space.ReserveAt(pmem.Addr(p.Addr), p.Size, p.UUID.String()); err != nil {
-				return fmt.Errorf("daemon: re-reserving standby puddle %v: %w", p.UUID, err)
-			}
-		}
-	}
-	return nil
-}
-
 // ResolveMigrations drives every persisted in-flight outbound
-// migration to exactly one owner, and restarts replication streams.
+// migration to exactly one owner.
 // It must run after boot (cmd/puddled calls it right after New; tests
 // call it explicitly) — not inside boot, because resolution may need
 // the journal, which initializes at boot's end.
@@ -1349,9 +839,7 @@ func (d *Daemon) reserveStandbys() error {
 //   - migStreaming: nothing can have been adopted (the target's
 //     transfer state was volatile), so abort locally.
 //   - migCommitSent: ask the target. An idempotent "yes" means the
-//     adopt batch landed — cede (without the standby retention the
-//     original request may have asked for: the copy's freshness is
-//     unknowable after a crash). The typed "unknown migration" answer
+//     adopt batch landed — cede. The typed "unknown migration" answer
 //     means it did not land — abort locally. A transport error leaves
 //     the record (and the pool's "unresolved" refusals) for a later
 //     call.
@@ -1362,10 +850,6 @@ func (d *Daemon) ResolveMigrations() int {
 	migs := make([]*MigOutRec, 0, len(d.st.MigsOut))
 	for _, m := range d.st.MigsOut {
 		migs = append(migs, m)
-	}
-	replicas := make([]string, 0, len(d.st.Replicas))
-	for name := range d.st.Replicas {
-		replicas = append(replicas, name)
 	}
 	d.poolsMu.RUnlock()
 	unresolved := 0
@@ -1383,9 +867,6 @@ func (d *Daemon) ResolveMigrations() int {
 		default:
 			d.resolveAbort(mig)
 		}
-	}
-	for _, name := range replicas {
-		d.startReplicator(name)
 	}
 	return unresolved
 }
@@ -1438,9 +919,6 @@ func (d *Daemon) resolveCede(mig *MigOutRec) {
 		return
 	}
 	members, logSpaces := d.poolMembers(pool.memberIDs())
-	// Crash recovery cannot retain a standby: the copy's staleness
-	// relative to the adopted pool is unknowable here.
-	mig.Standby = false
 	if resp := d.cedePool(pool, mig, members, logSpaces); resp != nil {
 		d.logf("resolve: ceding %q: %s", mig.Pool, resp.Err)
 		return

@@ -1,7 +1,6 @@
 package daemon_test
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -16,9 +15,7 @@ import (
 )
 
 // startDaemon boots a daemon on its own device and serves it on a
-// loopback TCP listener, returning the daemon and its URL. The listener
-// binds first so the daemon can advertise its URL, which a
-// standby-retaining source needs (the target ships deltas back to it).
+// loopback TCP listener, returning the daemon, its URL and the listener.
 func startDaemon(t *testing.T, dev *pmem.Device, opts ...daemon.Option) (*daemon.Daemon, string, net.Listener) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -27,7 +24,7 @@ func startDaemon(t *testing.T, dev *pmem.Device, opts ...daemon.Option) (*daemon
 	}
 	t.Cleanup(func() { l.Close() })
 	url := "tcp://" + l.Addr().String()
-	d, err := daemon.New(dev, append(opts, daemon.WithAdvertiseURL(url))...)
+	d, err := daemon.New(dev, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +32,10 @@ func startDaemon(t *testing.T, dev *pmem.Device, opts ...daemon.Option) (*daemon
 	return d, url, l
 }
 
-// migrate asks the daemon at url to move pool name to target; kind 1
-// retains a warm standby at the source.
-func migrate(t *testing.T, url, name, target string, kind uint64) proto.MigReport {
+// migrate asks the daemon at url to move pool name to target.
+func migrate(t *testing.T, url, name, target string) proto.MigReport {
 	t.Helper()
-	resp, err := superConn(t, url).RoundTrip(&proto.Request{Op: proto.OpMigratePool, Name: name, Target: target, Kind: kind})
+	resp, err := superConn(t, url).RoundTrip(&proto.Request{Op: proto.OpMigratePool, Name: name, Target: target})
 	if err != nil {
 		t.Fatalf("migrate %q: %v", name, err)
 	}
@@ -281,7 +277,7 @@ func TestMigrationPointerRewrite(t *testing.T) {
 	}
 	const n = 2
 	buildList(t, cl, pool, ti, rootAddr, n, 11)
-	migrate(t, url1, "plist", url2, 0)
+	migrate(t, url1, "plist", url2)
 
 	root2 := openRoot(t, url2, dev2, "plist")
 	if root2 == rootAddr {
@@ -360,7 +356,7 @@ func TestMigrationRewriteSkipsShortObjects(t *testing.T) {
 	if b != a+16 {
 		t.Fatalf("the two short objects sit at %#x and %#x, not in neighbouring slab slots", a, b)
 	}
-	migrate(t, url1, "short", url2, 0)
+	migrate(t, url1, "short", url2)
 
 	root2 := openRoot(t, url2, dev2, "short")
 	if root2 == rootAddr {
@@ -369,170 +365,6 @@ func TestMigrationRewriteSkipsShortObjects(t *testing.T) {
 	a2 := pmem.Addr(dev2.LoadU64(root2))
 	if got := dev2.LoadU64(a2 + 16 + 8); got != uint64(rootAddr) {
 		t.Fatalf("the neighbour's data word changed in the move: %#x -> %#x", uint64(rootAddr), got)
-	}
-}
-
-// TestFailoverOfRelocatedStandby: a standby-retaining migration lands at
-// other addresses (a filler pool holds the identity range), the new
-// owner rewrites a linked list's values, one replication round ships the
-// owner-space bytes back, and the promoted standby must walk the list in
-// its own address space with the new values.
-func TestFailoverOfRelocatedStandby(t *testing.T) {
-	dev1, dev2 := pmem.New(), pmem.New()
-	d1, url1, _ := startDaemon(t, dev1)
-	d2, url2, l2 := startDaemon(t, dev2)
-	occupy(t, url2, dev2)
-
-	cl, err := core.Dial(url1, dev1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.RegisterPeerDevice(url2, dev2)
-	ti, err := cl.RegisterType("fo.node", 16, []ptypes.PtrField{{Offset: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := cl.CreatePool("folist", 0o666)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rootAddr, err := pool.CreateRoot(ti.ID, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 3
-	buildList(t, cl, pool, ti, rootAddr, n, 11)
-	migrate(t, url1, "folist", url2, 1)
-
-	if openRoot(t, url2, dev2, "folist") == rootAddr {
-		t.Fatal("filler pool failed to force relocation; rewrite path not exercised")
-	}
-	// Rewrite every value at the owner. The first write finds the pool
-	// moved; the client follows, and the retry walks the relocated list.
-	if err := cl.Run(pool, func(tx *core.Tx) error {
-		root, err := pool.Root()
-		if err != nil {
-			return err
-		}
-		dev, i := cl.Device(), uint64(1)
-		for p := pmem.Addr(dev.LoadU64(root)); p != 0; p = pmem.Addr(dev.LoadU64(p)) {
-			if err := tx.SetU64(p+8, i*100); err != nil {
-				return err
-			}
-			i++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.SyncReplica("folist"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Owner "dies"; promote the standby.
-	l2.Close()
-	if _, err := superConn(t, url1).RoundTrip(&proto.Request{Op: proto.OpFailover, Name: "folist"}); err != nil {
-		t.Fatalf("failover refused: %v", err)
-	}
-	if got := d1.Stats().Failovers; got != 1 {
-		t.Fatalf("Failovers = %d, want 1", got)
-	}
-	checkList(t, dev1, openRoot(t, url1, dev1, "folist"), n, 100)
-}
-
-// TestWarmStandbyReplicationAndFailover: migrate with standby
-// retention, write at the new owner, ship a replication round back,
-// then promote the standby and check the post-migration writes
-// survived the failover.
-func TestWarmStandbyReplicationAndFailover(t *testing.T) {
-	dev1, dev2 := pmem.New(), pmem.New()
-	d1, url1, _ := startDaemon(t, dev1)
-	d2, url2, l2 := startDaemon(t, dev2)
-
-	cl, err := core.Dial(url1, dev1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.RegisterPeerDevice(url2, dev2)
-	ti, err := cl.RegisterType("ha.cell", 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := cl.CreatePool("ha", 0o666)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const slots = 64
-	rootAddr, err := pool.CreateRoot(ti.ID, slots*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < slots/2; i++ {
-		i := i
-		if err := cl.Run(pool, func(tx *core.Tx) error {
-			return tx.SetU64(rootAddr+pmem.Addr(i*8), uint64(i+1))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Migrate with standby retention (Kind bit 0).
-	migrate(t, url1, "ha", url2, 1)
-
-	// Write at the new owner through the same client (redirect follows).
-	for i := slots / 2; i < slots; i++ {
-		i := i
-		if err := cl.Run(pool, func(tx *core.Tx) error {
-			return tx.SetU64(rootAddr+pmem.Addr(i*8), uint64(i+1))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// One replication round carries the new writes back to the standby.
-	if err := d2.SyncReplica("ha"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Owner "dies"; promote the standby.
-	l2.Close()
-	fc := superConn(t, url1)
-	fresp, err := fc.RoundTrip(&proto.Request{Op: proto.OpFailover, Name: "ha"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresp.Err != "" {
-		t.Fatalf("failover refused: %s", fresp.Err)
-	}
-	if got := d1.Stats().Failovers; got != 1 {
-		t.Fatalf("Failovers = %d, want 1", got)
-	}
-
-	cl2, err := core.Dial(url1, dev1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
-	p2, err := cl2.OpenPool("ha")
-	if err != nil {
-		t.Fatalf("open after failover: %v", err)
-	}
-	r2, err := p2.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < slots; i++ {
-		if got := dev1.LoadU64(r2 + pmem.Addr(i*8)); got != uint64(i+1) {
-			t.Fatalf("slot %d after failover: %d, want %d", i, got, i+1)
-		}
-	}
-	// The promoted pool serves transactions again.
-	if err := cl2.Run(p2, func(tx *core.Tx) error {
-		return tx.SetU64(r2, 999)
-	}); err != nil {
-		t.Fatalf("write after failover: %v", err)
 	}
 }
 
@@ -615,93 +447,6 @@ func TestMigrationConcurrentWritersConverge(t *testing.T) {
 	}
 }
 
-// TestReplicaRoundsDoNotOvertake: replication rounds for one pool — any
-// number of SyncReplica callers plus the background ticker — run one at
-// a time from collect to ack, so a round holding older bytes of a chunk
-// can never land after a round holding newer ones. Concurrent rounds
-// race a writer; after one final round the standby must hold exactly
-// the owner's bytes.
-func TestReplicaRoundsDoNotOvertake(t *testing.T) {
-	dev1, dev2 := pmem.New(), pmem.New()
-	_, url1, _ := startDaemon(t, dev1)
-	d2, url2, _ := startDaemon(t, dev2)
-
-	cl, err := core.Dial(url1, dev1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.RegisterPeerDevice(url2, dev2)
-	ti, err := cl.RegisterType("race.cell", 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := cl.CreatePool("race", 0o666)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const slots = 16 << 10 // 128 KiB of slots: two dirty-tracking chunks
-	rootAddr, err := pool.CreateRoot(ti.ID, slots*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	migrate(t, url1, "race", url2, 1)
-
-	stop := make(chan struct{})
-	writerDone := make(chan error, 1)
-	go func() {
-		for seq := uint64(1); ; seq++ {
-			select {
-			case <-stop:
-				writerDone <- nil
-				return
-			default:
-			}
-			slot := seq * 1031 % slots // strides across both chunks
-			if err := cl.Run(pool, func(tx *core.Tx) error {
-				return tx.SetU64(rootAddr+pmem.Addr(slot*8), seq)
-			}); err != nil {
-				writerDone <- fmt.Errorf("write %d: %w", seq, err)
-				return
-			}
-		}
-	}()
-	var syncers sync.WaitGroup
-	errs := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		syncers.Add(1)
-		go func() {
-			defer syncers.Done()
-			for j := 0; j < 10; j++ {
-				if err := d2.SyncReplica("race"); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	syncers.Wait()
-	close(stop)
-	if err := <-writerDone; err != nil {
-		t.Fatal(err)
-	}
-	close(errs)
-	for err := range errs {
-		t.Fatalf("concurrent round: %v", err)
-	}
-	if err := d2.SyncReplica("race"); err != nil {
-		t.Fatal(err)
-	}
-	owner, standby := make([]byte, slots*8), make([]byte, slots*8)
-	dev2.Load(rootAddr, owner)
-	dev1.Load(rootAddr, standby)
-	for i := 0; i < len(owner); i += 8 {
-		if !bytes.Equal(owner[i:i+8], standby[i:i+8]) {
-			t.Fatalf("slot %d: standby holds %x, owner %x", i/8, standby[i:i+8], owner[i:i+8])
-		}
-	}
-}
-
 // TestStaleHandleDoesNotWriteRecycledRange: once a pool has migrated
 // away, its old root range on the source is free, and the next pool
 // created there takes it. A transaction through a handle opened before
@@ -744,12 +489,12 @@ func TestStaleHandleDoesNotWriteRecycledRange(t *testing.T) {
 	if err := setRoot(1); err != nil {
 		t.Fatal(err)
 	}
-	migrate(t, url1, "live", url2, 0)
+	migrate(t, url1, "live", url2)
 
 	if err := d1.Detach(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	d1b, err := daemon.New(dev1, daemon.WithAdvertiseURL(url1))
+	d1b, err := daemon.New(dev1)
 	if err != nil {
 		t.Fatal(err)
 	}

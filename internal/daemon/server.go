@@ -435,12 +435,6 @@ func (d *Daemon) dispatch(creds Creds, req *proto.Request) *proto.Response {
 		return d.opMigrateCommit(creds, req)
 	case proto.OpMigrateAbort:
 		return d.opMigrateAbort(creds, req)
-	case proto.OpReplicaAttach:
-		return d.opReplicaAttach(creds, req)
-	case proto.OpReplicaAck:
-		return d.opReplicaAck(creds, req)
-	case proto.OpFailover:
-		return d.opFailover(creds, req)
 	default:
 		return fail("unknown op %v", req.Op)
 	}
@@ -480,7 +474,7 @@ func (d *Daemon) persistOrFail(recs ...entRec) *proto.Response {
 
 // adopt installs pool, its member puddles and its log spaces in one
 // journal batch together with extra, the caller's own records — how
-// creation, import, migration and failover all hand a pool to this
+// creation, import and migration all hand a pool to this
 // daemon. It re-checks the name, so two racing adopters cannot both
 // win. The registry is published first under pool.mu, so no op on the
 // new pool can journal ahead of this batch (apply runs under poolsMu
@@ -545,8 +539,8 @@ func (d *Daemon) opCreatePool(creds Creds, req *proto.Request) *proto.Response {
 	if d.poolByName(req.Name) != nil {
 		return fail("pool %q already exists", req.Name)
 	}
-	// A moved tombstone or a standby copy reserves the name: creating a
-	// fresh pool under it would fork the identity.
+	// A moved tombstone reserves the name: creating a fresh pool under
+	// it would fork the identity.
 	if resp := d.movedResp(req.Name); resp != nil {
 		return resp
 	}

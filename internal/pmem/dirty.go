@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// Dirty-chunk tracking for live migration (ROADMAP direction 5).
+// Dirty-chunk tracking for live migration.
 //
 // A DirtyMap is a chunk-granular write bitmap over one address range.
 // While any map is registered the device's store paths fold every
@@ -26,9 +26,9 @@ type DirtyMap struct {
 	bits []uint64
 }
 
-// NewDirtyMap builds an unregistered map over r (tests and standby
-// bookkeeping; use Device.TrackDirty to register one).
-func NewDirtyMap(r Range) *DirtyMap {
+// newDirtyMap builds an unregistered map over r; Device.TrackDirty
+// registers one.
+func newDirtyMap(r Range) *DirtyMap {
 	chunks := (r.Size() + TrackChunkSize - 1) / TrackChunkSize
 	return &DirtyMap{r: r, bits: make([]uint64, (chunks+63)/64)}
 }
@@ -74,14 +74,6 @@ func (m *DirtyMap) note(addr Addr, n int) {
 func (m *DirtyMap) MarkAll() {
 	for c := uint64(0); c < m.chunks(); c++ {
 		m.orBit(c)
-	}
-}
-
-// Mark dirties the chunks overlapping [addr, addr+n): a range a
-// collection handed out but that was never delivered goes out again.
-func (m *DirtyMap) Mark(addr Addr, n int) {
-	if n > 0 && m.r.Overlaps(Range{Start: addr, End: addr + Addr(n)}) {
-		m.note(addr, n)
 	}
 }
 
@@ -142,7 +134,7 @@ type dirtyTracker struct {
 // TrackDirty registers a dirty map over r. Stores overlapping r are
 // folded into the returned map until Untrack.
 func (d *Device) TrackDirty(r Range) *DirtyMap {
-	m := NewDirtyMap(r)
+	m := newDirtyMap(r)
 	d.track.mu.Lock()
 	d.track.maps = append(d.track.maps, m)
 	d.track.mu.Unlock()

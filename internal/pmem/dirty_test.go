@@ -57,22 +57,6 @@ func TestDirtyMapMarkAllAndTailClamp(t *testing.T) {
 	}
 }
 
-// TestDirtyMapMark: re-marking an undelivered range dirties exactly the
-// chunks it overlaps, clamped to the map; a range outside it is ignored.
-func TestDirtyMapMark(t *testing.T) {
-	r := Range{Start: 1 << 30, End: 1<<30 + 4*TrackChunkSize}
-	m := NewDirtyMap(r)
-	m.Mark(r.Start+2*TrackChunkSize-8, 16) // chunks 1 and 2
-	m.Mark(r.End-8, 64)                    // chunk 3, clamped at the end
-	m.Mark(r.End+TrackChunkSize, 8)        // outside
-	m.Mark(r.Start-TrackChunkSize, 0)      // empty
-	got := m.CollectClear()
-	want := Range{Start: r.Start + TrackChunkSize, End: r.End}
-	if len(got) != 1 || got[0] != want {
-		t.Fatalf("collected %v, want [%v]", got, want)
-	}
-}
-
 func TestDirtyMapConcurrentWritersNeverLoseAWrite(t *testing.T) {
 	d := New()
 	r := Range{Start: 1 << 30, End: 1<<30 + 64*TrackChunkSize}

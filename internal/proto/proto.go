@@ -45,7 +45,7 @@ const (
 	HandshakeMagic uint64 = 0x3153454c44445550
 	// ProtocolVersion is bumped on every change to the wire format
 	// (wire.go); version 1 was the gob stream.
-	ProtocolVersion uint16 = 2
+	ProtocolVersion uint16 = 3
 )
 
 // Hello is the first frame a client writes on a new connection.
@@ -105,16 +105,13 @@ const (
 	OpRecoverNow               // force a recovery pass (tests)
 	OpShutdown                 // graceful shutdown (marks clean)
 
-	// Live migration + warm-standby replication (ROADMAP direction 5).
+	// Live migration (daemon/migrate.go).
 	OpMigratePool   // operator → source: migrate Name to Target URL
 	OpMigrateBegin  // source → target: manifest; target reserves + assigns addresses
 	OpMigrateChunk  // source → target: one CRC-guarded snapshot chunk frame
 	OpMigrateDelta  // source → target: one CRC-guarded dirty-chunk frame
 	OpMigrateCommit // source → target: adopt the pool (idempotent; the commit point)
 	OpMigrateAbort  // source → target: discard a non-committed migration
-	OpReplicaAttach // owner → standby: open a replication stream for a pool
-	OpReplicaAck    // owner → standby: epoch barrier after a delta round
-	OpFailover      // operator → standby: promote the retained copy to owner
 	OpResolveMig    // operator → daemon: retry resolution of in-flight migrations
 )
 
@@ -132,8 +129,7 @@ var opNames = [...]string{
 	OpMigratePool: "MigratePool", OpMigrateBegin: "MigrateBegin",
 	OpMigrateChunk: "MigrateChunk", OpMigrateDelta: "MigrateDelta",
 	OpMigrateCommit: "MigrateCommit", OpMigrateAbort: "MigrateAbort",
-	OpReplicaAttach: "ReplicaAttach", OpReplicaAck: "ReplicaAck",
-	OpFailover: "Failover", OpResolveMig: "ResolveMig",
+	OpResolveMig: "ResolveMig",
 }
 
 func (o Op) String() string {
@@ -173,7 +169,7 @@ type Request struct {
 	Blob    []byte
 	Session uint64
 	Shards  uint32 // log-space shard count (RegLogSpace); 0 = 1
-	Target  string // destination daemon URL (MigratePool, ReplicaAttach)
+	Target  string // destination daemon URL (MigratePool)
 }
 
 // MigReport summarizes one completed migration (returned in the
@@ -235,9 +231,6 @@ type Stats struct {
 	MigrationsOut   uint64 // pools this daemon migrated away (ownership ceded)
 	MigrationsIn    uint64 // pools this daemon adopted from a peer
 	MigrationAborts uint64 // migrations aborted (error or crash recovery)
-	ReplicaSyncs    uint64 // warm-standby delta rounds shipped
-	ReplicaBytes    uint64 // bytes shipped to warm standbys
-	Failovers       uint64 // standby pools promoted to owner
 }
 
 // Response is the union of all response payloads. ID echoes the

@@ -2,8 +2,10 @@ package proto
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -299,24 +301,27 @@ func TestHandshakeSession(t *testing.T) {
 }
 
 // TestHandshakeVersionReject: a server speaking a different protocol
-// version rejects the connection with a HandshakeError, and the error
-// is sticky.
+// version — a newer one, or version 2 with its since-deleted warm-standby
+// ops and stats — rejects the connection with a HandshakeError, and the
+// error is sticky.
 func TestHandshakeVersionReject(t *testing.T) {
-	client, server := net.Pipe()
-	go func() {
-		sc := NewServerConn(server)
-		defer sc.Close()
-		sc.AcceptHello()
-	}()
-	c := NewConnHello(client, Hello{Version: ProtocolVersion + 1})
-	defer c.Close()
-	_, err := c.RoundTrip(&Request{Op: OpNop})
-	var he *HandshakeError
-	if !errors.As(err, &he) {
-		t.Fatalf("err = %T %v, want HandshakeError", err, err)
-	}
-	if _, err := c.RoundTrip(&Request{Op: OpNop}); !errors.As(err, &he) {
-		t.Fatalf("rejection not sticky: %v", err)
+	for _, v := range []uint16{2, ProtocolVersion + 1} {
+		client, server := net.Pipe()
+		go func() {
+			sc := NewServerConn(server)
+			defer sc.Close()
+			sc.AcceptHello()
+		}()
+		c := NewConnHello(client, Hello{Version: v})
+		_, err := c.RoundTrip(&Request{Op: OpNop})
+		var he *HandshakeError
+		if !errors.As(err, &he) || !strings.Contains(err.Error(), fmt.Sprintf("protocol version %d not supported", v)) {
+			t.Fatalf("version %d: err = %T %v, want the typed version refusal", v, err, err)
+		}
+		if _, err := c.RoundTrip(&Request{Op: OpNop}); !errors.As(err, &he) {
+			t.Fatalf("version %d: rejection not sticky: %v", v, err)
+		}
+		c.Close()
 	}
 }
 

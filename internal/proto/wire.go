@@ -564,7 +564,6 @@ func (c *coder) stats(s *Stats) {
 		&s.AcceptErrors, &s.HandshakeRejects, &s.WireDecodeErrors, &s.SessionResumes,
 		&s.PoolCapRejects, &s.GrantCapRejects, &s.ByteCapRejects,
 		&s.MigrationsOut, &s.MigrationsIn, &s.MigrationAborts,
-		&s.ReplicaSyncs, &s.ReplicaBytes, &s.Failovers,
 	} {
 		c.word(p)
 	}

@@ -69,12 +69,12 @@ var goldens = []struct {
 	msg  any
 	hex  string // the payload; the frame header is checked separately
 }{
-	{"hello", &Hello{Magic: HandshakeMagic, Version: 2, UID: 1000, GID: 100, Session: 0x1122334455667788, Token: 0x99aabbccddeeff00},
-		"505544444c455331" + "0200" + "e8030000" + "64000000" + "8877665544332211" + "00ffeeddccbbaa99"},
-	{"welcome", &Welcome{Version: 2, Session: 0x1122334455667788, Token: 0x99aabbccddeeff00, Resumed: true},
-		"0200" + "0e00" + "8877665544332211" + "00ffeeddccbbaa99"},
-	{"welcome refusal", &Welcome{Version: 2, Err: "no"},
-		"0200" + "0100" + "026e6f"},
+	{"hello", &Hello{Magic: HandshakeMagic, Version: 3, UID: 1000, GID: 100, Session: 0x1122334455667788, Token: 0x99aabbccddeeff00},
+		"505544444c455331" + "0300" + "e8030000" + "64000000" + "8877665544332211" + "00ffeeddccbbaa99"},
+	{"welcome", &Welcome{Version: 3, Session: 0x1122334455667788, Token: 0x99aabbccddeeff00, Resumed: true},
+		"0300" + "0e00" + "8877665544332211" + "00ffeeddccbbaa99"},
+	{"welcome refusal", &Welcome{Version: 3, Err: "no"},
+		"0300" + "0100" + "026e6f"},
 
 	{"req nop", &Request{Op: OpNop, ID: 1, SID: 7},
 		"00" + "01" + "0100" + "0700000000000000"},
@@ -96,8 +96,8 @@ var goldens = []struct {
 		"0f" + "08" + "2080" + "0170" + "02dead"},
 	{"req import map", &Request{Op: OpImportMap, ID: 9, UUID: idA, Session: 5},
 		"11" + "09" + "0210" + "0102030405060708090a0b0c0d0e0f10" + "05"},
-	{"req migrate", &Request{Op: OpMigratePool, ID: 10, Name: "p", Kind: 1, Target: "tcp://h:1"},
-		"17" + "0a" + "6040" + "0170" + "01" + "097463703a2f2f683a31"},
+	{"req migrate", &Request{Op: OpMigratePool, ID: 10, Name: "p", Target: "tcp://h:1"},
+		"17" + "0a" + "2040" + "0170" + "097463703a2f2f683a31"},
 	{"req chunk", &Request{Op: OpMigrateChunk, ID: 11, UUID: idA, Pool: idB, Addr: 4096, Blob: []byte{1}},
 		"19" + "0b" + "0e80" + "0102030405060708090a0b0c0d0e0f10" + "b0b1b2b3b4b5b6b7b8b9babbbcbdbebf" + "8020" + "0101"},
 
@@ -115,8 +115,8 @@ var goldens = []struct {
 			"01" + "0900000000000000" + "0174" + "00" + "00"},
 	{"resp import", &Response{ID: 6, Mapped: true, Session: 5, Blob: []byte{0xbe, 0xef}},
 		"06" + "8048" + "05" + "02beef"},
-	{"resp stat", &Response{ID: 7, Stats: Stats{Pools: 1, WireDecodeErrors: 2, Failovers: 3}},
-		"07" + "0010" + "01" + strings.Repeat("00", 32) + "02" + strings.Repeat("00", 9) + "03"},
+	{"resp stat", &Response{ID: 7, Stats: Stats{Pools: 1, WireDecodeErrors: 2, MigrationAborts: 3}},
+		"07" + "0010" + "01" + strings.Repeat("00", 32) + "02" + strings.Repeat("00", 6) + "03"},
 	{"resp report", &Response{ID: 8, Report: MigReport{Rounds: 2, SnapshotBytes: 3, DeltaBytes: 4, FinalBytes: 5, PauseNs: 6, TotalNs: 7}},
 		"08" + "0020" + "02" + "03" + "04" + "05" + "06" + "07"},
 }
@@ -568,7 +568,7 @@ func TestOpNames(t *testing.T) {
 			t.Errorf("op %d has no name", op)
 		}
 	}
-	if got := (OpResolveMig + 1).String(); got != "Op(33)" {
+	if got := (OpResolveMig + 1).String(); got != "Op(30)" {
 		t.Errorf("unknown op prints %q", got)
 	}
 }

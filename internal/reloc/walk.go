@@ -8,8 +8,7 @@ import (
 )
 
 // RewritePointers is the one pointer walker every relocation uses —
-// the import cascade, live migration's adopt and a standby's failover
-// (paper §4.2, §4.5). The allocator metadata of the data puddle at
+// the import cascade and live migration's adopt (paper §4.2, §4.5). The allocator metadata of the data puddle at
 // base finds the live objects, and their types' pointer maps find the
 // slots. A slot is visited only if it is non-zero and lies wholly inside
 // its object: an object allocated smaller than its type does not hold

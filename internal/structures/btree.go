@@ -29,6 +29,7 @@ type BTree struct {
 const (
 	btOrder   = 8
 	btMaxKeys = btOrder - 1
+	btMinKeys = btOrder/2 - 1 // every node but the root holds at least this many
 
 	boNKeys = 0
 	boLeaf  = 8
@@ -240,36 +241,79 @@ func (t *BTree) insertNonFull(tx pmlib.Tx, n pmem.Addr, key, val uint64) error {
 	}
 }
 
-// Delete removes a key in one transaction. Internal keys swap with
-// their in-order predecessor before leaf removal; underflowed nodes
-// are not rebalanced (search correctness is unaffected; see DESIGN.md
-// §6 on simplifications).
+// Delete removes a key in one transaction, in one pass down from the
+// root (CLRS B-TREE-DELETE). The descent enters a node only once it
+// holds more than btMinKeys keys, topping a child up first by borrowing
+// from a sibling or merging with one, so no node ever underflows. An
+// internal key is replaced by its predecessor or successor, which is
+// then deleted from the subtree that can spare it; if neither can, the
+// key and its two children merge and the descent continues into the
+// merged node.
 func (t *BTree) Delete(key uint64) (bool, error) {
 	found := false
 	err := t.lib.Run(func(tx pmlib.Tx) error {
-		n := t.lib.Deref(t.lib.LoadRef(t.rootAddr))
-		for n != 0 {
+		found = false
+		rootRef := t.lib.LoadRef(t.rootAddr)
+		if rootRef.IsNull() {
+			return nil
+		}
+		n, k := t.lib.Deref(rootRef), key
+		for {
 			nk := t.nkeys(n)
 			i := 0
-			for i < nk && key > t.key(n, i) {
+			for i < nk && k > t.key(n, i) {
 				i++
 			}
-			if i < nk && key == t.key(n, i) {
+			if i < nk && k == t.key(n, i) {
 				found = true
 				if t.isLeaf(n) {
-					return t.removeFromLeaf(tx, n, i)
+					if err := t.removeKey(tx, n, i); err != nil {
+						return err
+					}
+					break
 				}
-				// Swap with the predecessor (max of left subtree).
-				pn, pi := t.maxOf(t.child(n, i))
-				if err := t.setKV(tx, n, i, t.key(pn, pi), t.val(pn, pi)); err != nil {
+				// Replace k by its predecessor or successor, then delete
+				// that from the subtree holding it.
+				y, z := t.child(n, i), t.child(n, i+1)
+				var sub, leaf pmem.Addr
+				var at int
+				switch {
+				case t.nkeys(y) > btMinKeys:
+					sub = y
+					leaf, at = t.maxOf(y)
+				case t.nkeys(z) > btMinKeys:
+					sub, leaf = z, t.minOf(z)
+				default:
+					if err := t.merge(tx, n, i); err != nil {
+						return err
+					}
+					n = y
+					continue
+				}
+				k = t.key(leaf, at)
+				if err := t.setKV(tx, n, i, k, t.val(leaf, at)); err != nil {
 					return err
 				}
-				return t.removeFromLeaf(tx, pn, pi)
+				n = sub
+				continue
 			}
 			if t.isLeaf(n) {
-				return nil // absent
+				break // absent
 			}
-			n = t.child(n, i)
+			c, err := t.fill(tx, n, i)
+			if err != nil {
+				return err
+			}
+			n = c
+		}
+		// A merge under a one-key root leaves the root empty: its only
+		// child becomes the root.
+		root := t.lib.Deref(rootRef)
+		if t.nkeys(root) == 0 && !t.isLeaf(root) {
+			if err := tx.SetRef(t.rootAddr, t.childRef(root, 0)); err != nil {
+				return err
+			}
+			return tx.Free(rootRef)
 		}
 		return nil
 	})
@@ -284,7 +328,17 @@ func (t *BTree) maxOf(n pmem.Addr) (pmem.Addr, int) {
 	return n, t.nkeys(n) - 1
 }
 
-func (t *BTree) removeFromLeaf(tx pmlib.Tx, n pmem.Addr, i int) error {
+// minOf walks to the leftmost leaf under n.
+func (t *BTree) minOf(n pmem.Addr) pmem.Addr {
+	for !t.isLeaf(n) {
+		n = t.child(n, 0)
+	}
+	return n
+}
+
+// removeKey drops key i of n, shifting the keys after it left; moving
+// children is the caller's business.
+func (t *BTree) removeKey(tx pmlib.Tx, n pmem.Addr, i int) error {
 	nk := t.nkeys(n)
 	for j := i; j < nk-1; j++ {
 		if err := t.setKV(tx, n, j, t.key(n, j+1), t.val(n, j+1)); err != nil {
@@ -292,6 +346,128 @@ func (t *BTree) removeFromLeaf(tx pmlib.Tx, n pmem.Addr, i int) error {
 		}
 	}
 	return tx.SetU64(n+boNKeys, uint64(nk-1))
+}
+
+// fill makes child i of n hold more than btMinKeys keys before the
+// descent enters it: rotate a key through n from a sibling that can
+// spare one, or else merge the child with a sibling. It returns the
+// node to descend into.
+func (t *BTree) fill(tx pmlib.Tx, n pmem.Addr, i int) (pmem.Addr, error) {
+	c := t.child(n, i)
+	if t.nkeys(c) > btMinKeys {
+		return c, nil
+	}
+	nk := t.nkeys(n)
+	switch {
+	case i > 0 && t.nkeys(t.child(n, i-1)) > btMinKeys:
+		return c, t.borrowLeft(tx, n, i)
+	case i < nk && t.nkeys(t.child(n, i+1)) > btMinKeys:
+		return c, t.borrowRight(tx, n, i)
+	case i < nk:
+		return c, t.merge(tx, n, i)
+	default:
+		return t.child(n, i-1), t.merge(tx, n, i-1)
+	}
+}
+
+// borrowLeft moves separator i-1 of n down to the front of child i and
+// the last key of child i-1 up into its place, with that key's right
+// child.
+func (t *BTree) borrowLeft(tx pmlib.Tx, n pmem.Addr, i int) error {
+	c, l := t.child(n, i), t.child(n, i-1)
+	cnk, lnk := t.nkeys(c), t.nkeys(l)
+	for j := cnk - 1; j >= 0; j-- {
+		if err := t.setKV(tx, c, j+1, t.key(c, j), t.val(c, j)); err != nil {
+			return err
+		}
+	}
+	if !t.isLeaf(c) {
+		for j := cnk; j >= 0; j-- {
+			if err := tx.SetRef(t.childSlot(c, j+1), t.childRef(c, j)); err != nil {
+				return err
+			}
+		}
+		if err := tx.SetRef(t.childSlot(c, 0), t.childRef(l, lnk)); err != nil {
+			return err
+		}
+	}
+	if err := t.setKV(tx, c, 0, t.key(n, i-1), t.val(n, i-1)); err != nil {
+		return err
+	}
+	if err := t.setKV(tx, n, i-1, t.key(l, lnk-1), t.val(l, lnk-1)); err != nil {
+		return err
+	}
+	if err := tx.SetU64(l+boNKeys, uint64(lnk-1)); err != nil {
+		return err
+	}
+	return tx.SetU64(c+boNKeys, uint64(cnk+1))
+}
+
+// borrowRight moves separator i of n down to the end of child i and the
+// first key of child i+1 up into its place, with that key's left child.
+func (t *BTree) borrowRight(tx pmlib.Tx, n pmem.Addr, i int) error {
+	c, r := t.child(n, i), t.child(n, i+1)
+	cnk, rnk := t.nkeys(c), t.nkeys(r)
+	if err := t.setKV(tx, c, cnk, t.key(n, i), t.val(n, i)); err != nil {
+		return err
+	}
+	if err := t.setKV(tx, n, i, t.key(r, 0), t.val(r, 0)); err != nil {
+		return err
+	}
+	if !t.isLeaf(c) {
+		if err := tx.SetRef(t.childSlot(c, cnk+1), t.childRef(r, 0)); err != nil {
+			return err
+		}
+		for j := 0; j < rnk; j++ {
+			if err := tx.SetRef(t.childSlot(r, j), t.childRef(r, j+1)); err != nil {
+				return err
+			}
+		}
+	}
+	if err := t.removeKey(tx, r, 0); err != nil {
+		return err
+	}
+	return tx.SetU64(c+boNKeys, uint64(cnk+1))
+}
+
+// merge folds separator i of n and child i+1 into child i, removes both
+// from n and frees the emptied node.
+func (t *BTree) merge(tx pmlib.Tx, n pmem.Addr, i int) error {
+	y, zRef := t.child(n, i), t.childRef(n, i+1)
+	z := t.lib.Deref(zRef)
+	ynk, znk, nk := t.nkeys(y), t.nkeys(z), t.nkeys(n)
+	if err := t.setKV(tx, y, ynk, t.key(n, i), t.val(n, i)); err != nil {
+		return err
+	}
+	for j := 0; j < znk; j++ {
+		if err := t.setKV(tx, y, ynk+1+j, t.key(z, j), t.val(z, j)); err != nil {
+			return err
+		}
+	}
+	if !t.isLeaf(y) {
+		for j := 0; j <= znk; j++ {
+			if err := tx.SetRef(t.childSlot(y, ynk+1+j), t.childRef(z, j)); err != nil {
+				return err
+			}
+		}
+	}
+	if err := tx.SetU64(y+boNKeys, uint64(ynk+1+znk)); err != nil {
+		return err
+	}
+	for j := i + 1; j < nk; j++ {
+		if err := t.setKV(tx, n, j-1, t.key(n, j), t.val(n, j)); err != nil {
+			return err
+		}
+	}
+	for j := i + 2; j <= nk; j++ {
+		if err := tx.SetRef(t.childSlot(n, j-1), t.childRef(n, j)); err != nil {
+			return err
+		}
+	}
+	if err := tx.SetU64(n+boNKeys, uint64(nk-1)); err != nil {
+		return err
+	}
+	return tx.Free(zRef)
 }
 
 // Walk visits all key/value pairs in ascending key order.

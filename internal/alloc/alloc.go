@@ -307,9 +307,9 @@ func (h *Heap) Unlease() {
 	<-h.lease
 }
 
-// Format initialises an empty heap: the block map is carved into the
-// largest aligned buddy blocks that fit, all free.
-func Format(p *puddle.Puddle, m Mutator) *Heap {
+// Format writes an empty heap's block map: the heap is carved into the
+// largest aligned buddy blocks that fit, all free. Open it with NewHeap.
+func Format(p *puddle.Puddle, m Mutator) {
 	blocks := p.Blocks()
 	bm := make([]byte, blocks)
 	var i uint64
@@ -319,7 +319,6 @@ func Format(p *puddle.Puddle, m Mutator) *Heap {
 		i += 1 << o
 	}
 	m.Write(p.BlockMapAddr(), bm)
-	return NewHeap(p)
 }
 
 // largestOrderAt returns the biggest order whose block is aligned at

@@ -17,7 +17,8 @@ func newHeap(t *testing.T, size uint64) *Heap {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Format(p, Direct{Dev: dev})
+	Format(p, Direct{Dev: dev})
+	return NewHeap(p)
 }
 
 const tNode = ptypes.TypeID(0x1001)

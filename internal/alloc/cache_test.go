@@ -406,8 +406,9 @@ func BenchmarkFindFreeSlot(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			h := Format(p, Direct{Dev: dev})
 			m := Direct{Dev: dev}
+			Format(p, m)
+			h := NewHeap(p)
 			// A nearly full slab is the worst case: the scan walks the
 			// whole bitmap to find the one free slot near the end.
 			a, err := h.Alloc(m, tNode, 16)

@@ -83,7 +83,8 @@ func TestConcurrentAllocFreeSiblingHeaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Format(p, Direct{Dev: dev})
+		Format(p, Direct{Dev: dev})
+		return NewHeap(p)
 	}
 	h1 := mk(0x100000)
 	h2 := mk(0x100000 + 8<<20)

@@ -10,7 +10,9 @@
 //   - Fast mode: stores write through to the backing store and
 //     Flush/Fence only maintain counters. Used by throughput benchmarks;
 //     the cost model is uniform across every library in this repository,
-//     so comparative results remain meaningful.
+//     so comparative results remain meaningful. Zero reads before it
+//     writes: it never backs an untouched chunk and skips words that
+//     are zero already.
 //
 //   - Chaos mode: stores land in a volatile overlay of 64-byte
 //     cachelines. Flush stages lines, Fence writes staged lines to the
@@ -18,6 +20,7 @@
 //     persisting each volatile line with probability ½ (modelling
 //     arbitrary cache eviction). This makes crash-consistency testing
 //     real: data that was not flushed and fenced genuinely disappears.
+//     Zero here is a plain store of zeros, one persist event per page.
 //
 // The device also supports a fault hook used by the relocation engine
 // to emulate userfaultfd-style on-demand puddle mapping, and snapshot
@@ -146,6 +149,25 @@ func (c *chunk) storeBytes(off int, data []byte) {
 	}
 	if i < len(data) {
 		c.rmw(off>>3, 0, data[i:])
+	}
+}
+
+// zeroBytes clears n bytes at chunk offset off, storing only to whole
+// words that load nonzero; partial head/tail words merge through rmw,
+// which skips its CAS when the bytes are zero already.
+func (c *chunk) zeroBytes(off, n int) {
+	if r := off & 7; r != 0 {
+		k := min(n, 8-r)
+		c.rmw(off>>3, r, zeroPage[:k])
+		off, n = off+k, n-k
+	}
+	for ; n >= 8; off, n = off+8, n-8 {
+		if atomic.LoadUint64(&c[off>>3]) != 0 {
+			atomic.StoreUint64(&c[off>>3], 0)
+		}
+	}
+	if n > 0 {
+		c.rmw(off>>3, 0, zeroPage[:n])
 	}
 }
 
@@ -940,15 +962,33 @@ func (d *Device) StoreU8(addr Addr, v uint8) {
 	d.Store(addr, []byte{v})
 }
 
-// Zero clears [addr, addr+n).
+// zeroPage is the zeros Zero and zeroBytes store from; nothing writes
+// to it.
+var zeroPage [PageSize]byte
+
+// Zero clears [addr, addr+n) a page at a time; the fault hook and dirty
+// maps see each page as a Store of zeros shows it. Fast mode skips a
+// chunk never backed and every word that loads as zero, so clearing a
+// mostly zero header costs loads, not locked stores.
 func (d *Device) Zero(addr Addr, n int) {
-	var zeros [4096]byte
 	for n > 0 {
-		k := n
-		if k > len(zeros) {
-			k = len(zeros)
+		k := min(n, PageSize)
+		if d.mode == Chaos {
+			d.Store(addr, zeroPage[:k])
+		} else {
+			d.checkFault(addr, k)
+			if d.track.armed.Load() {
+				d.noteDirty(addr, k)
+			}
+			for a, end := addr, addr+Addr(k); a < end; {
+				off := int(a & chunkMask)
+				m := min(int(end-a), ChunkSize-off)
+				if c := d.chunkFor(a, false); c != nil {
+					c.zeroBytes(off, m)
+				}
+				a += Addr(m)
+			}
 		}
-		d.Store(addr, zeros[:k])
 		addr += Addr(k)
 		n -= k
 	}

@@ -3,7 +3,7 @@
 // (fixed op counts, execution-time rows); these benches give per-op
 // costs for the same code paths and feed `go test -bench`.
 //
-// Index (see DESIGN.md §5 and EXPERIMENTS.md):
+// Index:
 //
 //	BenchmarkFig1_*   — fat vs native pointer overhead (Figure 1)
 //	BenchmarkTable3_* — API primitive latencies (Table 3)

@@ -1,7 +1,6 @@
 // Benchrunner regenerates every table and figure of the paper's
 // evaluation (§5) on the simulated substrate. Each subcommand prints
-// the same rows/series the paper reports; EXPERIMENTS.md records the
-// shape comparison.
+// the same rows/series the paper reports.
 //
 // Usage:
 //

@@ -2,8 +2,8 @@
 // lists pools, inspects daemon state, exports and imports pool
 // containers, and triggers recovery — all over the daemon protocol on
 // the UNIX socket. (Data-plane access — mapping puddles — requires
-// sharing the daemon's device and is in-process only; see DESIGN.md
-// §2 on the fd-passing substitution.)
+// sharing the daemon's device and is in-process only: the shared
+// simulated device stands in for the paper's fd passing.)
 //
 // Usage:
 //

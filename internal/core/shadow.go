@@ -34,7 +34,7 @@ var ErrShadowPublished = errors.New("core: shadow transaction already has a publ
 // ShadowTx is one shadow-commit transaction.
 type ShadowTx struct {
 	t      *Tx
-	shadow []pmem.Range // plain-store ranges to flush before the fence
+	shadow pmem.FlushSet // lines the shadow stores dirtied, merged as they come
 	pubA   pmem.Addr
 	pubV   uint64
 	hasPub bool
@@ -63,20 +63,13 @@ func (s *ShadowTx) Free(addr pmem.Addr) error { return s.t.Free(addr) }
 // committed can reach, made durable by commit's single fence.
 func (s *ShadowTx) Store(addr pmem.Addr, data []byte) {
 	s.t.c.device().Store(addr, data)
-	s.note(addr, len(data))
+	s.shadow.Add(addr, len(data))
 }
 
 // StoreU64 writes an 8-byte shadow value.
 func (s *ShadowTx) StoreU64(addr pmem.Addr, v uint64) {
 	s.t.c.device().StoreU64(addr, v)
-	s.note(addr, 8)
-}
-
-func (s *ShadowTx) note(addr pmem.Addr, n int) {
-	if n <= 0 {
-		return
-	}
-	s.shadow = append(s.shadow, pmem.Range{Start: addr, End: addr + pmem.Addr(n)})
+	s.shadow.Add(addr, 8)
 }
 
 // Publish registers the commit's root-pointer flip: an atomic 8-byte
@@ -92,9 +85,12 @@ func (s *ShadowTx) Publish(addr pmem.Addr, v uint64) error {
 	return nil
 }
 
-// Commit makes the shadow writes durable (one fence — or for free,
-// when the wrapped transaction's own stage-1 fence already covers
-// them), then publishes the root flip. The publish store is flushed
+// Commit makes the shadow writes durable, then publishes the root
+// flip. The shadow lines were write-combined as they were stored, so
+// commit issues one flush per distinct line run and one fence — or no
+// fence of its own when the wrapped transaction logged something (an
+// extent carve): the lines are flushed just before its stage-1 fence,
+// which orders them with everything else. The publish store is flushed
 // but not fenced: the next operation's fence (or Sync on the
 // structure) pushes it down, and until then recovery sees the old
 // root with the old version intact.
@@ -103,24 +99,11 @@ func (s *ShadowTx) Commit() error {
 		return ErrTxDone
 	}
 	dev := s.t.c.device()
-	var err error
-	if s.t.Pending() {
-		// The wrapped tx logged something (extent carve): register the
-		// shadow ranges as fresh payloads so its stage-1 flush+fence
-		// makes them durable along with everything else.
-		for _, r := range s.shadow {
-			s.t.RegisterNew(r.Start, int(r.Size()))
-		}
-		err = s.t.Commit()
-	} else {
-		var fs pmem.FlushSet
-		for _, r := range s.shadow {
-			fs.Add(r.Start, int(r.Size()))
-		}
-		fs.Flush(dev)
+	s.shadow.Flush(dev)
+	if !s.t.Pending() {
 		dev.Fence() // the discipline's one ordering point
-		err = s.t.Commit()
 	}
+	err := s.t.Commit()
 	if err != nil && !errors.Is(err, ErrLogRelease) {
 		return err // rolled back: the unpublished copy is garbage
 	}

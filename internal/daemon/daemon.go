@@ -40,7 +40,8 @@ import (
 	"puddles/internal/uid"
 )
 
-// Meta region geometry (below the global puddle space, DESIGN.md §4.4).
+// Meta region geometry (below the global puddle space; the formats are
+// in README.md, "On-media metadata format").
 // The addresses are a device property shared by every daemon
 // generation, so they are owned by internal/pmem (see pmem/meta.go);
 // the superblock format lives here.
@@ -66,7 +67,7 @@ const (
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // Creds identify a client (SO_PEERCRED-verified on UNIX sockets,
-// client-asserted elsewhere; DESIGN.md §2).
+// client-asserted elsewhere; README.md, "Deployment & transport").
 type Creds struct{ UID, GID uint32 }
 
 // Superuser credentials bypass permission checks.

@@ -51,7 +51,7 @@ func TestServeOverUnixSocket(t *testing.T) {
 		t.Fatal("no grant over socket")
 	}
 	// A full data-plane client over the socket (sharing the device
-	// in-process, as DESIGN.md §2 documents).
+	// in-process, as puddlectl's package comment documents).
 	cl := core.Connect(dial(), dev)
 	defer cl.Close()
 	ti, err := cl.RegisterType("sock.node", 8, nil)

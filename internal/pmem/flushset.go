@@ -1,6 +1,9 @@
 package pmem
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // FlushSet is a write-combining buffer for cacheline flushes (clwb).
 //
@@ -88,12 +91,12 @@ func (fs *FlushSet) Pending() int {
 func (fs *FlushSet) merged() []Range {
 	if sp := fs.spill; sp != nil {
 		if len(sp) > 1 {
-			sort.Slice(sp, func(i, j int) bool { return sp[i].Start < sp[j].Start })
+			slices.SortFunc(sp, func(a, b Range) int { return cmp.Compare(a.Start, b.Start) })
 		}
 		return coalesce(sp)
 	}
-	// Insertion sort: sort.Slice takes its slice as an interface, which
-	// would send the inline array, and so the whole set, to the heap.
+	// Insertion sort: at most flushInline ranges, sorted in place
+	// without sending the inline array, and so the whole set, to the heap.
 	rs := fs.inline[:fs.n]
 	for i := 1; i < len(rs); i++ {
 		for j := i; j > 0 && rs[j].Start < rs[j-1].Start; j-- {

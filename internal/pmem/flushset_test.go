@@ -1,6 +1,9 @@
 package pmem
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 func TestFlushSetMergesOverlapAndAdjacency(t *testing.T) {
 	d := New()
@@ -145,4 +148,82 @@ func TestFlushSetInlineAndSpilled(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("%v allocations for a batch of %d ranges, want 0", allocs, flushInline)
 	}
+}
+
+// fuzzFlushWindow bounds FuzzFlushSet's addresses: a 14-bit start plus
+// a length under 2 KiB, so every line a range can touch is in view.
+const fuzzFlushWindow = 1<<14 + 2048
+
+// flushRecords encodes (addr, len) pairs the way FuzzFlushSet reads
+// them: a little-endian uint16 address and int16 length per record.
+func flushRecords(rs ...[2]int) []byte {
+	var b []byte
+	for _, r := range rs {
+		b = binary.LittleEndian.AppendUint16(b, uint16(r[0]))
+		b = binary.LittleEndian.AppendUint16(b, uint16(int16(r[1])))
+	}
+	return b
+}
+
+// FuzzFlushSet checks the lines a FlushSet flushes against a naive line
+// bitmap: every line in the window is dirtied, the set is flushed and
+// fenced, and the unflushed lines are dropped. Exactly the bitmap's
+// lines must survive, in one flush per maximal run of them.
+func FuzzFlushSet(f *testing.F) {
+	var desc [][2]int
+	for i := 63; i >= 0; i-- {
+		desc = append(desc, [2]int{i * 2 * LineSize, 8})
+	}
+	f.Add(flushRecords(desc...))
+	var spill [][2]int
+	for i := 0; i <= flushInline; i++ {
+		spill = append(spill, [2]int{0x1000 + i*3*LineSize, 16})
+	}
+	f.Add(flushRecords(spill...))
+	f.Add(flushRecords([2]int{0x100, 0}, [2]int{0x200, -4}, [2]int{0x140, 64}, [2]int{0x3fff, 2047}, [2]int{0x180, -2048}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dev := NewChaos(1)
+		var fs FlushSet
+		var want [fuzzFlushWindow / LineSize]bool
+		requests := uint64(0)
+		for ; len(data) >= 4; data = data[4:] {
+			addr := Addr(binary.LittleEndian.Uint16(data) & (1<<14 - 1))
+			n := int(int16(binary.LittleEndian.Uint16(data[2:]))) % 2048
+			fs.Add(addr, n)
+			if n <= 0 {
+				continue
+			}
+			requests++
+			for la := addr / LineSize; la <= (addr+Addr(n)-1)/LineSize; la++ {
+				want[la] = true
+			}
+		}
+		runs := 0
+		for la := range want {
+			if want[la] && (la == 0 || !want[la-1]) {
+				runs++
+			}
+			dev.StoreU64(Addr(la)*LineSize, uint64(la)+1)
+		}
+		if got := fs.Pending(); got != runs {
+			t.Fatalf("Pending() = %d, the bitmap has %d runs", got, runs)
+		}
+		if issued := fs.Flush(dev); issued != runs {
+			t.Fatalf("Flush issued %d flushes, the bitmap has %d runs", issued, runs)
+		}
+		if st := dev.Stats(); st.Flushes != uint64(runs) || st.FlushRequests != requests {
+			t.Fatalf("device saw %d flushes and %d requests, want %d and %d", st.Flushes, st.FlushRequests, runs, requests)
+		}
+		dev.Fence()
+		dev.DropVolatile()
+		for la, w := range want {
+			got := dev.LoadU64(Addr(la) * LineSize)
+			if w && got != uint64(la)+1 {
+				t.Fatalf("line %#x was added but not flushed", la*LineSize)
+			}
+			if !w && got != 0 {
+				t.Fatalf("line %#x was flushed but never added", la*LineSize)
+			}
+		}
+	})
 }

@@ -1,9 +1,9 @@
 // Package pmem simulates a byte-addressable persistent memory device.
 //
 // The device stands in for the Optane DC-PMM + DAX substrate the paper
-// runs on (see DESIGN.md §2). It exposes a flat 64-bit address space
-// with load/store access and the x86 persistence primitives the paper's
-// code depends on: cacheline flushes (clwb) and store fences (sfence).
+// runs on. It exposes a flat 64-bit address space with load/store
+// access and the x86 persistence primitives the paper's code depends
+// on: cacheline flushes (clwb) and store fences (sfence).
 //
 // Two modes share one API:
 //

@@ -6,7 +6,7 @@
 // binary frames (wire.go) over any net.Conn (a real UNIX socket for
 // cmd/puddled, an in-process net.Pipe for tests and benchmarks) and
 // return grant records {address, size, writability} standing in for
-// the fd capability (DESIGN.md §2).
+// the fd capability.
 package proto
 
 import (

@@ -65,6 +65,7 @@ type shadowCore struct {
 	extents []pmem.Addr
 	free    []pmem.Addr // reusable slots: unreachable AND durably so
 	limbo   []pmem.Addr // retired by the latest op; freed after next fence
+	spare   []pmem.Addr // the previous limbo's buffer, reused for retirees
 	count   int
 }
 
@@ -80,7 +81,7 @@ type pend struct {
 func (s *shadowCore) reset(p *pend) {
 	p.avail = s.free
 	p.carved = nil
-	p.retired = nil
+	p.retired = s.spare[:0]
 	p.newExt = 0
 }
 
@@ -121,7 +122,8 @@ func (s *shadowCore) take(st *core.ShadowTx, p *pend) (pmem.Addr, error) {
 // settle applies a successful attempt: consumed slots leave the free
 // list, the previous op's limbo (now durably unreachable — this
 // commit's fence hardened the publish that orphaned it) is recycled,
-// and this op's retirees take its place.
+// and this op's retirees take its place. The old limbo's buffer,
+// copied out, becomes the spare the next op's retirees fill.
 func (s *shadowCore) settle(p *pend, delta int) {
 	s.free = p.avail
 	if p.newExt != 0 {
@@ -129,7 +131,7 @@ func (s *shadowCore) settle(p *pend, delta int) {
 	}
 	s.free = append(s.free, p.carved...)
 	s.free = append(s.free, s.limbo...)
-	s.limbo = p.retired
+	s.spare, s.limbo = s.limbo, p.retired
 	s.count += delta
 }
 

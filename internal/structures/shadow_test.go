@@ -8,7 +8,7 @@ import (
 	"puddles/internal/kvstore"
 )
 
-func shadowEnv(t *testing.T) *puddleslib.Lib {
+func shadowEnv(t testing.TB) *puddleslib.Lib {
 	t.Helper()
 	pl, err := puddleslib.New()
 	if err != nil {
@@ -238,4 +238,200 @@ func TestShadowFencesPerOp(t *testing.T) {
 		t.Fatalf("shadow (%d) not cheaper than undo (%d)", shadowFences, undoFences)
 	}
 	t.Logf("fences/op: shadow %.2f, undo %.2f", float64(shadowFences)/n, float64(undoFences)/n)
+}
+
+// loadShadowMap boots a fresh stack and fills a new map with keys
+// 0..n-1.
+func loadShadowMap(t testing.TB, n uint64) (*puddleslib.Lib, *ShadowMap) {
+	t.Helper()
+	pl := shadowEnv(t)
+	m, err := NewShadowMap(pl.Client(), pl.Pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < n; k++ {
+		if err := m.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pl, m
+}
+
+// TestShadowPutCosts pins what a carve-free ShadowMap.Put costs: Go
+// heap allocations, exactly one fence, and the flush counts of the
+// write-combined shadow copy (integers, so a deterministic key walk
+// repeats them exactly).
+func TestShadowPutCosts(t *testing.T) {
+	const (
+		records = 20000
+		puts    = 4000
+	)
+	pl, m := loadShadowMap(t, records)
+	dev := pl.Device()
+	i := uint64(0)
+	put := func() {
+		k := (i * 7919) % records
+		i++
+		if err := m.Put(k, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 100; j++ { // settle the free list and limbo buffers
+		put()
+	}
+	live0 := pl.Pool().LiveObjects()
+	st0 := dev.Stats()
+	for j := 0; j < puts; j++ {
+		put()
+	}
+	st := dev.Stats()
+	if live := pl.Pool().LiveObjects(); live != live0 {
+		t.Fatalf("the walk carved %d extents; it must stay carve-free", live-live0)
+	}
+	fences := st.Fences - st0.Fences
+	flushes := st.Flushes - st0.Flushes
+	requests := st.FlushRequests - st0.FlushRequests
+	t.Logf("per Put: %.3f fences, %.3f flushes, %.3f flush requests",
+		float64(fences)/puts, float64(flushes)/puts, float64(requests)/puts)
+	if fences != puts {
+		t.Fatalf("%d fences for %d Puts, want exactly one each", fences, puts)
+	}
+	// The same stores merged once at commit flush exactly this much:
+	// merging them as they are made must not change a single flush.
+	if flushes != 37447 || requests != 159235 {
+		t.Fatalf("%d flushes and %d flush requests over the walk, want 37447 and 159235", flushes, requests)
+	}
+	allocs := testing.AllocsPerRun(1000, put)
+	t.Logf("per Put: %v heap allocations", allocs)
+	if allocs > 3 {
+		t.Fatalf("%v heap allocations per Put, want <= 3", allocs)
+	}
+}
+
+// BenchmarkShadowMap_Put times a carve-free update on a 20k-key map.
+func BenchmarkShadowMap_Put(b *testing.B) {
+	const records = 20000
+	_, m := loadShadowMap(b, records)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Put(uint64(i*7919)%records, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestShadowRetiredSlotReuse churns two maps and a queue in one pool
+// with a seeded mix of updates, inserts, deletes (present and absent)
+// and Syncs. Each structure reuses one buffer for the slots its ops
+// retire, so a retiree landing in a buffer still read as limbo — or a
+// limbo slot recycled twice — shows up in the model or the census.
+func TestShadowRetiredSlotReuse(t *testing.T) {
+	const ops = 6000
+	pl := shadowEnv(t)
+	c, pool := pl.Client(), pl.Pool()
+	var maps [2]*ShadowMap
+	var models [2]map[uint64]uint64
+	for i := range maps {
+		m, err := NewShadowMap(c, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps[i], models[i] = m, map[uint64]uint64{}
+	}
+	q, err := NewShadowQueue(c, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qmodel []uint64
+	validate := func(op int) {
+		t.Helper()
+		for i, m := range maps {
+			if err := m.Validate(); err != nil {
+				t.Fatalf("op %d: map %d: %v", op, i, err)
+			}
+		}
+		if err := q.Validate(); err != nil {
+			t.Fatalf("op %d: queue: %v", op, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(37))
+	for op := 0; op < ops; op++ {
+		i := rng.Intn(2)
+		m, model := maps[i], models[i]
+		k := uint64(rng.Intn(400))
+		switch r := rng.Intn(100); {
+		case r < 45:
+			v := rng.Uint64()
+			if err := m.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			model[k] = v
+		case r < 65:
+			_, want := model[k]
+			got, err := m.Delete(k)
+			if err != nil || got != want {
+				t.Fatalf("op %d: Delete(%d) = %v,%v want %v", op, k, got, err, want)
+			}
+			delete(model, k)
+		case r < 72:
+			if ok, err := m.Delete(1000 + k); err != nil || ok {
+				t.Fatalf("op %d: Delete of an absent key = %v,%v", op, ok, err)
+			}
+		case r < 84:
+			v := rng.Uint64()
+			if err := q.Enqueue(v); err != nil {
+				t.Fatal(err)
+			}
+			qmodel = append(qmodel, v)
+		case r < 96:
+			v, ok, err := q.Dequeue()
+			if err != nil || ok != (len(qmodel) > 0) {
+				t.Fatalf("op %d: Dequeue = %v,%v with %d queued", op, ok, err, len(qmodel))
+			}
+			if ok {
+				if v != qmodel[0] {
+					t.Fatalf("op %d: Dequeue = %d, want %d", op, v, qmodel[0])
+				}
+				qmodel = qmodel[1:]
+			}
+		default:
+			m.Sync()
+			q.Sync()
+			validate(op)
+		}
+	}
+	validate(ops)
+	for i, m := range maps {
+		if m.Len() != len(models[i]) {
+			t.Fatalf("map %d: Len = %d, want %d", i, m.Len(), len(models[i]))
+		}
+		for k, v := range models[i] {
+			if got, ok := m.Get(k); !ok || got != v {
+				t.Fatalf("map %d: Get(%d) = %d,%v want %d", i, k, got, ok, v)
+			}
+		}
+	}
+	if got := q.Values(); len(got) != len(qmodel) {
+		t.Fatalf("queue holds %d values, want %d", len(got), len(qmodel))
+	} else {
+		for i := range got {
+			if got[i] != qmodel[i] {
+				t.Fatalf("queue[%d] = %d, want %d", i, got[i], qmodel[i])
+			}
+		}
+	}
+	for i, m := range maps {
+		m.Sync()
+		m2, err := OpenShadowMap(c, pool, m.Desc())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m2.Validate(); err != nil {
+			t.Fatalf("reopened map %d: %v", i, err)
+		}
+		if m2.Len() != len(models[i]) {
+			t.Fatalf("reopened map %d: Len = %d, want %d", i, m2.Len(), len(models[i]))
+		}
+	}
 }

@@ -62,7 +62,7 @@ type Workload struct {
 
 // Workloads returns the standard suite. G is the common write-only
 // extension (100% update) the paper reports alongside A–F; standard
-// YCSB defines only A–F (see DESIGN.md §5).
+// YCSB defines only A–F.
 func Workloads() []Workload {
 	return []Workload{
 		{Name: "A", ReadProp: 0.5, UpdateProp: 0.5},

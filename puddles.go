@@ -21,7 +21,7 @@
 //     can be cloned, exported, shipped between machines and imported
 //     with on-demand incremental relocation.
 //
-// Persistent memory itself is simulated (see DESIGN.md §2): the
+// Persistent memory itself is simulated (see internal/pmem): the
 // Device type models a byte-addressable PM with explicit cacheline
 // flush/fence semantics and genuine crash injection.
 //

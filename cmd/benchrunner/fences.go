@@ -18,7 +18,7 @@ import (
 )
 
 // fences: the fence-minimal commit evaluation (emits -fencesjson,
-// default BENCH_9.json), three claims in one artifact:
+// default BENCH_9.json), two claims in one artifact:
 //
 //  1. Commit-discipline sweep: the same keyed-update workload through
 //     the undo-log kvstore (per-append log fence + multi-stage commit)
@@ -30,9 +30,6 @@ import (
 //     registry checkpoint must stay flat as the registry grows 10×
 //     (200 → 2000 puddles) — the pause swaps a pending-delta list, it
 //     no longer encodes or copies the registry.
-//  3. Spill: a full registry image larger than one checkpoint-arena
-//     half still checkpoints (it continues into the dead half), where
-//     it previously wedged compaction forever.
 
 const fenceLatency = 200 * time.Nanosecond // Optane-class eADR-less drain
 
@@ -52,20 +49,11 @@ type fenceCkptPoint struct {
 	PauseMaxUs  float64 `json:"quiesce_max_us"`
 }
 
-type fenceSpillResult struct {
-	ArenaBytes uint64 `json:"arena_bytes"`
-	HalfBytes  uint64 `json:"half_bytes"`
-	ImageBytes uint64 `json:"image_bytes"`
-	Spills     uint64 `json:"spills"`
-	Ok         bool   `json:"checkpointed_ok"`
-}
-
 type fenceReport struct {
 	Benchmark      string           `json:"benchmark"`
 	FenceLatencyNs int64            `json:"fence_latency_ns"`
 	Sweep          []fencePoint     `json:"commit_discipline_sweep"`
 	Checkpoint     []fenceCkptPoint `json:"checkpoint_quiesce"`
-	Spill          fenceSpillResult `json:"oversized_image_spill"`
 }
 
 func runFences() error {
@@ -105,14 +93,6 @@ func runFences() error {
 		fmt.Printf("quiesce @%d puddles: p50 %.1fµs, max %.1fµs\n",
 			pt.Puddles, pt.PauseP50Us, pt.PauseMaxUs)
 	}
-
-	spill, err := fenceSpill1()
-	if err != nil {
-		return fmt.Errorf("spill: %w", err)
-	}
-	report.Spill = spill
-	fmt.Printf("spill: %d B image over %d B half → %d spill(s), ok=%v\n",
-		spill.ImageBytes, spill.HalfBytes, spill.Spills, spill.Ok)
 
 	blob, err := json.MarshalIndent(&report, "", "  ")
 	if err != nil {
@@ -282,43 +262,4 @@ func fenceCkpt1(size int) (fenceCkptPoint, error) {
 		PauseP50Us:  float64(pauses[len(pauses)/2].Nanoseconds()) / 1000,
 		PauseMaxUs:  float64(pauses[len(pauses)-1].Nanoseconds()) / 1000,
 	}, nil
-}
-
-// fenceSpill1 builds a registry whose full image outgrows one
-// checkpoint-arena half and proves the full checkpoint still commits
-// by spilling into the dead half.
-func fenceSpill1() (fenceSpillResult, error) {
-	const arena = 128 << 10
-	dev := pmem.New()
-	d, err := daemon.New(dev,
-		daemon.WithCheckpointArena(arena),
-		daemon.WithCheckpointChunkBytes(2<<10))
-	if err != nil {
-		return fenceSpillResult{}, err
-	}
-	c := d.SelfConn()
-	defer c.Close()
-	for i := 0; i < 600; i++ { // ≈ 170 B of image per pool+puddle pair: ~100 KiB
-		resp, err := c.RoundTrip(&proto.Request{
-			Op: proto.OpCreatePool, Name: fmt.Sprintf("spill-%d", i),
-		})
-		if err != nil {
-			return fenceSpillResult{}, err
-		}
-		if _, err := c.RoundTrip(&proto.Request{
-			Op: proto.OpGetNewPuddle, Pool: resp.Pool, Size: puddle.MinSize,
-		}); err != nil {
-			return fenceSpillResult{}, err
-		}
-	}
-	before := d.Stats()
-	_, err = d.CheckpointFull()
-	after := d.Stats()
-	return fenceSpillResult{
-		ArenaBytes: arena,
-		HalfBytes:  arena / 2,
-		ImageBytes: after.CheckpointBytes - before.CheckpointBytes,
-		Spills:     after.CheckpointSpills,
-		Ok:         err == nil,
-	}, err
 }

@@ -65,7 +65,7 @@ func main() {
 		{"allocmt", "alloc/free cache scaling + 32/64-worker YCSB A (emits -allocmtjson artifact)", runAllocMT},
 		{"connmt", "64-4096 real-socket connection scaling + restart chaos (emits -connmtjson artifact)", runConnMT},
 		{"connchaos", "daemon kill/restart churn under live TCP clients", runConnChaos},
-		{"fences", "undo vs MOD-shadow commit fences, O(1) checkpoint capture, arena spill (emits -fencesjson artifact)", runFences},
+		{"fences", "undo vs MOD-shadow commit fences, O(1) checkpoint capture (emits -fencesjson artifact)", runFences},
 		{"migrate", "live-migration quiesce pause vs pool size under a sustained writer (emits -migratejson artifact)", runMigrate},
 	}
 	want := flag.Arg(0)

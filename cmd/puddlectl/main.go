@@ -83,7 +83,7 @@ func main() {
 			s.BootLoadNs/1e3, s.BootReplayNs/1e3, s.JournalReplayed, s.JournalDecodeErrors)
 		fmt.Printf("checkpoints      %d (seq %d, %d chunks, %d bytes)\n",
 			s.Checkpoints, s.CheckpointSeq, s.CheckpointChunks, s.CheckpointBytes)
-		fmt.Printf("ckpt spills      %d (registry gen %d)\n", s.CheckpointSpills, s.RegistryGen)
+		fmt.Printf("registry gen     %d\n", s.RegistryGen)
 		avg := uint64(0)
 		if s.Checkpoints > 0 {
 			avg = s.CkptPauseTotalNs / s.Checkpoints

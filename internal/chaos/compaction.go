@@ -16,10 +16,10 @@ import (
 // the checkpoint protocol: inside the quiesce, mid-chunk while a
 // checkpoint streams, on the commit chunk, mid-journal-double-buffer
 // switch and mid-journal-reset. After each "power failure" the daemon
-// reboots from checkpoint chain + journals; the registry must be
-// bidirectionally consistent and the pre-churn sentinel pool — whose
-// record travels through full checkpoint, increments and journal
-// switches — must still open.
+// reboots from the newest committed checkpoint + journals; the
+// registry must be bidirectionally consistent and the pre-churn
+// sentinel pool — whose record travels through checkpoint images in
+// both arena halves and journal switches — must still open.
 func CompactionChurn(maxOffset, stride int64) (Result, error) {
 	res := Result{Scenario: "daemon-compaction-churn"}
 	opts := []daemon.Option{

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -34,9 +35,8 @@ func TestFailedCheckpointSideEffectFree(t *testing.T) {
 		}
 		d.ckptHalf = half
 		// The dirty set must have been restored: the next compaction's
-		// increment re-captures "kept", and a dirty reboot — whose
-		// journal entries were reclaimed by that compaction — still
-		// shows it.
+		// image re-captures "kept", and a dirty reboot — whose journal
+		// entries were reclaimed by that compaction — still shows it.
 		if _, err := d.CompactNow(); err != nil {
 			t.Fatal(err)
 		}
@@ -56,10 +56,10 @@ func TestFailedCheckpointSideEffectFree(t *testing.T) {
 	})
 }
 
-// TestChunkedCheckpointCompose: several incremental checkpoints with
-// tiny chunks — multi-chunk fulls, increments carrying replacements
-// AND tombstones — must compose with the journal into exactly the
-// live registry after a dirty reboot.
+// TestChunkedCheckpointCompose: several checkpoints with tiny chunks —
+// multi-chunk images taken after creations and after deletions — must
+// compose with the journal into exactly the live registry after a
+// dirty reboot.
 func TestChunkedCheckpointCompose(t *testing.T) {
 	dev := pmem.New()
 	d, err := New(dev, WithCheckpointChunkBytes(256))
@@ -71,13 +71,13 @@ func TestChunkedCheckpointCompose(t *testing.T) {
 		resp := rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: fmt.Sprintf("pool-%d", i)})
 		rt(t, c, &proto.Request{Op: proto.OpGetNewPuddle, Pool: resp.Pool, Size: puddle.MinSize})
 	}
-	if _, err := d.CompactNow(); err != nil { // increment 1: creations
+	if _, err := d.CompactNow(); err != nil { // image 1: after creations
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
 		rt(t, c, &proto.Request{Op: proto.OpDeletePool, Name: fmt.Sprintf("pool-%d", i)})
 	}
-	if _, err := d.CompactNow(); err != nil { // increment 2: tombstones
+	if _, err := d.CompactNow(); err != nil { // image 2: after deletions
 		t.Fatal(err)
 	}
 	rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "journal-only"})
@@ -114,7 +114,7 @@ func TestChunkedCheckpointCompose(t *testing.T) {
 // span journal double-buffer switches — including the window where a
 // compaction switched journals but its checkpoint FAILED to commit,
 // so the acked mutations live split across BOTH journal regions on
-// top of an older chain.
+// top of an older checkpoint.
 func TestJournalSwitchCompose(t *testing.T) {
 	dev := pmem.New()
 	d, err := New(dev)
@@ -134,7 +134,7 @@ func TestJournalSwitchCompose(t *testing.T) {
 	}
 	d.ckptHalf = half
 	rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "c"}) // journal 0
-	c.Close()                                                   // dirty: chain covers only "a"; "b" and "c" span both journals
+	c.Close()                                                   // dirty: checkpoint covers only "a"; "b" and "c" span both journals
 
 	d2, err := New(dev)
 	if err != nil {
@@ -152,8 +152,8 @@ func TestJournalSwitchCompose(t *testing.T) {
 
 // TestRecoveryCounterSurvivesCleanReboot regresses a sequence-tie
 // bug found driving the real daemon: counters mutate WITHOUT journal
-// appends, so a dirty boot's full checkpoint and the previous run's
-// chain commit the SAME sequence with different recovery counters.
+// appends, so a dirty boot's checkpoint and the previous run's commit
+// the SAME sequence with different recovery counters.
 // Boot used to pick whichever arena half scanned first — after
 // recover + dirty reboot + clean shutdown the recovery-pass counter
 // went backwards. The commit-generation tie-break pins the newest.
@@ -248,25 +248,24 @@ func TestCompactionUnderLoad(t *testing.T) {
 	}
 }
 
-// TestFullCheckpointSpillsAcrossHalves regresses the full-image
-// wedge: before cross-half spilling, a registry whose FULL checkpoint
-// image outgrew one arena half could never complete a full checkpoint
-// again — every attempt died with errCkptFull the moment the registry
-// crossed the half boundary, even though the live chain was tiny and
-// nearly the whole arena sat dead. Now the head half ends in a jump
-// chunk and the image continues right-justified in the dead region of
-// the other half. The spilled chain must recompose across dirty
-// reboots (the boot scan follows the jump); a boot whose own full
-// cannot fit next to the live spilled chain defers it instead of
-// failing; and once the registry shrinks, a full fits in the head
-// room the right-justified spill preserved — the arena un-wedges.
-func TestFullCheckpointSpillsAcrossHalves(t *testing.T) {
+// withCheckpointHalf shrinks each checkpoint-arena half to n bytes so
+// a modest registry outgrows one.
+func withCheckpointHalf(n uint64) Option {
+	return func(d *Daemon) { d.ckptHalf = n }
+}
+
+// TestOversizedImageNeverWedges: a registry whose image outgrows one
+// arena half fails its checkpoint with errCkptFull and nothing else. A
+// dirty reboot still composes every pool from the committed checkpoint
+// plus both journals, defers its own checkpoint instead of failing the
+// boot, and once the registry shrinks the next compaction commits.
+func TestOversizedImageNeverWedges(t *testing.T) {
 	// 64 KiB halves: 600 pool+puddle pairs (≈ 170 B each) are a ~100 KiB
-	// image — bigger than one half, comfortably inside the 128 KiB arena.
-	arena := []Option{WithCheckpointArena(128 << 10), WithCheckpointChunkBytes(2 << 10)}
+	// image.
+	opts := []Option{withCheckpointHalf(64 << 10), WithCheckpointChunkBytes(2 << 10)}
 	const pools = 600
 	dev := pmem.New()
-	d, err := New(dev, arena...)
+	d, err := New(dev, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,57 +274,42 @@ func TestFullCheckpointSpillsAcrossHalves(t *testing.T) {
 		resp := rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: fmt.Sprintf("wedge-%03d", i)})
 		rt(t, c, &proto.Request{Op: proto.OpGetNewPuddle, Pool: resp.Pool, Size: puddle.MinSize})
 	}
-	if _, err := d.CheckpointFull(); err != nil {
-		t.Fatalf("full checkpoint of an oversized registry: %v", err)
-	}
-	if d.ckptSpills.Load() == 0 {
-		t.Fatal("registry image fit one half — spill path not exercised, grow the registry")
-	}
-	st := rt(t, c, &proto.Request{Op: proto.OpStat}).Stats
-	if st.CheckpointSpills == 0 || st.RegistryGen == 0 {
-		t.Fatalf("spill/generation stats not surfaced: spills=%d gen=%d", st.CheckpointSpills, st.RegistryGen)
+	if _, err := d.CompactNow(); !errors.Is(err, errCkptFull) {
+		t.Fatalf("checkpoint of an oversized registry: err = %v, want errCkptFull", err)
 	}
 	rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "journal-only"})
-	c.Close() // dirty: boot must jump-follow the spilled chain
+	c.Close() // dirty: the committed checkpoint is the empty first-boot image
 
-	d2, err := New(dev, arena...)
+	d2, err := New(dev, opts...)
 	if err != nil {
-		t.Fatalf("reboot over spilled chain: %v", err)
+		t.Fatalf("reboot over an oversized registry: %v", err)
 	}
 	c2 := d2.SelfConn()
 	defer c2.Close()
-	for _, i := range []int{0, pools / 2, pools - 1} {
+	for i := 0; i < pools; i++ {
 		opened := rt(t, c2, &proto.Request{Op: proto.OpOpenPool, Name: fmt.Sprintf("wedge-%03d", i)})
 		if len(opened.Puddles) != 2 {
 			t.Fatalf("wedge-%03d has %d puddles, want 2", i, len(opened.Puddles))
 		}
 	}
 	rt(t, c2, &proto.Request{Op: proto.OpOpenPool, Name: "journal-only"})
-	if got := rt(t, c2, &proto.Request{Op: proto.OpStat}).Stats.Pools; got != pools+1 {
-		t.Fatalf("pools after spilled reboot = %d, want %d", got, pools+1)
-	}
 	if err := d2.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	// The boot-time full could not fit next to the ~100 KiB live chain
-	// (the arena holds two images only while they sum under 128 KiB),
-	// so it must have been deferred — not failed — leaving forceFull up.
-	if !d2.forceFull {
-		t.Fatal("oversized boot checkpoint neither committed nor deferred")
+	// The boot checkpoint could not fit one half, so it must have been
+	// deferred — not failed, and not committed.
+	if n, errs := d2.ckptCount.Load(), d2.persistErrs.Load(); n != 0 || errs != 1 {
+		t.Fatalf("boot checkpoint: %d committed, %d failed; want deferred (0, 1)", n, errs)
 	}
-	// Shrink the registry below the head room the right-justified
-	// spill preserved; the deferred full now fits and un-wedges the
-	// arena. A left-justified spill would have left a few hundred
-	// bytes of head room here and wedged forever.
 	for i := 20; i < pools; i++ {
 		rt(t, c2, &proto.Request{Op: proto.OpDeletePool, Name: fmt.Sprintf("wedge-%03d", i)})
 	}
-	if _, err := d2.CheckpointFull(); err != nil {
-		t.Fatalf("full checkpoint after shrink (arena still wedged): %v", err)
+	if _, err := d2.CompactNow(); err != nil {
+		t.Fatalf("checkpoint after shrink (arena still wedged): %v", err)
 	}
-	c2.Close() // dirty again: compose the fresh chain over the dead spill
+	c2.Close() // dirty again: compose the fresh checkpoint
 
-	d3, err := New(dev, arena...)
+	d3, err := New(dev, opts...)
 	if err != nil {
 		t.Fatalf("second reboot: %v", err)
 	}
@@ -337,6 +321,40 @@ func TestFullCheckpointSpillsAcrossHalves(t *testing.T) {
 	rt(t, c3, &proto.Request{Op: proto.OpOpenPool, Name: "journal-only"})
 	if err := d3.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointSizeFollowsLiveRegistry: a checkpoint is one image of
+// the live registry, so grant/free churn that leaves the registry the
+// same size leaves the checkpoint the same size — a freed puddle costs
+// the image nothing.
+func TestCheckpointSizeFollowsLiveRegistry(t *testing.T) {
+	dev := pmem.New()
+	d, err := New(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := d.SelfConn()
+	defer c.Close()
+	pool := rt(t, c, &proto.Request{Op: proto.OpCreatePool, Name: "churn"})
+	for i := 0; i < 30; i++ {
+		rt(t, c, &proto.Request{Op: proto.OpGetNewPuddle, Pool: pool.Pool, Size: puddle.MinSize})
+	}
+	compact := func() uint64 {
+		t.Helper()
+		before := d.ckptBytes.Load()
+		if _, err := d.CompactNow(); err != nil {
+			t.Fatal(err)
+		}
+		return d.ckptBytes.Load() - before
+	}
+	idle := compact()
+	for i := 0; i < 1000; i++ {
+		pu := rt(t, c, &proto.Request{Op: proto.OpGetNewPuddle, Pool: pool.Pool, Size: puddle.MinSize})
+		rt(t, c, &proto.Request{Op: proto.OpFreePuddle, UUID: pu.UUID})
+	}
+	if churned := compact(); churned != idle {
+		t.Fatalf("checkpoint after 1000 grant/free pairs streamed %d bytes, after none %d", churned, idle)
 	}
 }
 

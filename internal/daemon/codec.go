@@ -11,8 +11,8 @@
 //	uuid   := 16×u8
 //
 // A journal entry's payload is one batch. A checkpoint chunk's payload
-// is metaFormat:u8 followed by a batch (ckFull, ckRecs), by full:u8
-// (ckCommit) or by the u64le spill offset (ckJump). The per-kind bodies
+// is metaFormat:u8 followed by a batch (ckFull, ckRecs) or by full:u8
+// (ckCommit; always 1 — see ckpt.go for the retired kinds). The per-kind bodies
 // are listed at their appendBody methods below; a body never repeats
 // what the key already says (a puddle's UUID, a pool's name).
 //

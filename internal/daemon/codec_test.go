@@ -417,11 +417,11 @@ func FuzzJournalBatch(f *testing.F) {
 }
 
 // FuzzCkptChunk fuzzes the checkpoint arena reader end to end: the
-// input is planted as the CRC-valid opening chunk of a chain, followed
+// input is planted as the CRC-valid opening chunk of a half, followed
 // by a well-formed commit, and scanHalf must compose exactly what the
-// payload decodes to, end the chain at an undecodable chunk (counting
-// it), or refuse a foreign format byte or a retired record with
-// ErrMetaFormat.
+// payload decodes to, end the scan at an undecodable chunk (counting
+// it), or refuse with ErrMetaFormat a foreign format byte, a retired
+// record, a retired chunk kind (4–7) or an incremental commit.
 func FuzzCkptChunk(f *testing.F) {
 	fuzzSeeds(func(p []byte) {
 		f.Add(uint8(ckFull), append([]byte{metaFormat}, p...))
@@ -429,8 +429,8 @@ func FuzzCkptChunk(f *testing.F) {
 	})
 	f.Add(uint8(ckRecs), []byte{metaFormat, 0x86, 0x00})
 	f.Add(uint8(ckCommit), []byte{metaFormat, 1})
-	f.Add(uint8(ckJump), []byte{metaFormat, 0, 1, 0, 0, 0, 0, 0, 0})
-	f.Add(uint8(ckSFull), []byte{metaFormat, 0x81, 0x01, 'p'})
+	f.Add(uint8(ckRetiredMin), []byte{metaFormat, 0, 1, 0, 0, 0, 0, 0, 0}) // a cross-half jump
+	f.Add(uint8(ckRetiredMin+1), []byte{metaFormat, 0x81, 0x01, 'p'})      // a spill-full chunk
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		if len(payload) == 0 || len(payload) > 8<<10 {
 			return
@@ -446,17 +446,18 @@ func FuzzCkptChunk(f *testing.F) {
 		}
 		sr, ok, err := d.scanHalf(0)
 		switch {
-		case kind < uint8(ckFull) || kind > uint8(ckJump):
-			// Not a head-half chunk kind: the scan stops before reading it.
+		case kind < uint8(ckFull) || kind > uint8(ckRetiredMax):
+			// Not a chunk kind: the scan stops before reading it.
 			if ok || err != nil {
 				t.Fatalf("kind %d: ok=%v err=%v, want an empty half", kind, ok, err)
 			}
-		case payload[0] != metaFormat:
-			if !errors.Is(err, ErrMetaFormat) {
-				t.Fatalf("format byte %#x: err = %v, want ErrMetaFormat", payload[0], err)
+		case payload[0] != metaFormat, kind >= uint8(ckRetiredMin),
+			kind == uint8(ckCommit) && bytes.Equal(payload, []byte{metaFormat, 0}):
+			if ok || !errors.Is(err, ErrMetaFormat) {
+				t.Fatalf("kind %d payload %x: ok=%v err=%v, want ErrMetaFormat", kind, payload, ok, err)
 			}
 		case kind != uint8(ckFull):
-			// Records, a commit or a jump with no chain open: not a chain.
+			// Records or a commit with no image open: not a checkpoint.
 			if ok || err != nil {
 				t.Fatalf("kind %d first: ok=%v err=%v, want an empty half", kind, ok, err)
 			}
@@ -596,10 +597,12 @@ func TestOldFormatRefused(t *testing.T) {
 }
 
 // TestRetiredFormatRefused: a CRC-valid journal batch or checkpoint
-// chunk holding a retired warm-standby record must fail the boot with
-// ErrMetaFormat naming what it found. Replay must not end quietly at it,
-// as it does at an undecodable batch: that would drop every entry after
-// it. The refused boot writes no metadata byte.
+// chunk holding a retired warm-standby record, and a CRC-valid chunk of
+// the retired checkpoint chain (a committed increment, a cross-half
+// jump, a spill chunk), must fail the boot with ErrMetaFormat naming
+// what it found. Replay must not end quietly at it, as it does at an
+// undecodable batch: that would drop every entry after it. The refused
+// boot writes no metadata byte.
 func TestRetiredFormatRefused(t *testing.T) {
 	retired := func(name string) []byte {
 		for _, r := range retiredRecs {
@@ -611,14 +614,29 @@ func TestRetiredFormatRefused(t *testing.T) {
 		t.Fatalf("no retired record %q", name)
 		return nil
 	}
+	type chunk struct {
+		kind    uint32
+		payload []byte
+	}
+	after := encodeBatch(nil, []entRec{(&PoolRec{Name: "after", UUID: u(0x50), Root: u(0x60)}).rec()})
+	later := encodeBatch(nil, []entRec{(&PoolRec{Name: "later", UUID: u(0x70)}).rec()})
+	recs := func(batch ...[]byte) []byte { return append([]byte{metaFormat}, bytes.Join(batch, nil)...) }
+	commit := []byte{metaFormat, 1}
 	for _, c := range []struct {
 		name, rec, want string
-		ckpt            bool
+		chunks          []chunk // planted in both arena halves; nil plants journal entries
 	}{
-		{"journal kind 12", "standby", "retired kind 12", false},
-		{"journal kind 13", "replica", "retired kind 13", false},
-		{"journal migout standby", "migout/standby", "standby flag", false},
-		{"checkpoint kind 12", "standby", "retired kind 12", true},
+		{"journal kind 12", "standby", "retired kind 12", nil},
+		{"journal kind 13", "replica", "retired kind 13", nil},
+		{"journal migout standby", "migout/standby", "standby flag", nil},
+		{"checkpoint kind 12", "", "retired kind 12",
+			[]chunk{{ckFull, recs(after, retired("standby"))}, {ckCommit, commit}}},
+		{"checkpoint increment after a full", "", "after the commit",
+			[]chunk{{ckFull, recs(after)}, {ckCommit, commit}, {ckRecs, recs(later)}, {ckCommit, []byte{metaFormat, 0}}}},
+		{"checkpoint jump", "", "jump or spill",
+			[]chunk{{ckFull, recs(after)}, {ckRetiredMin, []byte{metaFormat, 0, 0, 1, 0, 0, 0, 0, 0}}}},
+		{"checkpoint spill at zero", "", "jump or spill",
+			[]chunk{{ckRetiredMin + 1, recs(after)}, {ckRetiredMin + 2, commit}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dev := pmem.New()
@@ -629,22 +647,23 @@ func TestRetiredFormatRefused(t *testing.T) {
 			conn := d.SelfConn()
 			rt(t, conn, &proto.Request{Op: proto.OpCreatePool, Name: "acked"})
 			conn.Close()
-			after := &PoolRec{Name: "after", UUID: u(0x50), Root: u(0x60)}
-			payload := append(encodeBatch(nil, []entRec{after.rec()}), retired(c.rec)...)
-			if c.ckpt {
+			if c.chunks != nil {
 				d := &Daemon{dev: dev, ckptHalf: pmem.MetaCkptSize / 2}
 				for half := 0; half < 2; half++ {
-					off, err := d.writeChunk(half, 0, ckFull, 1, 0, append([]byte{metaFormat}, payload...))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := d.writeChunk(half, off, ckCommit, 1, 1, []byte{metaFormat, 1}); err != nil {
-						t.Fatal(err)
+					off := uint64(0)
+					for _, ch := range c.chunks {
+						gen := uint64(0)
+						if ch.kind == ckCommit {
+							gen = 1
+						}
+						if off, err = d.writeChunk(half, off, ch.kind, 1, gen, ch.payload); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 			} else {
-				plantEntry(d, payload)
-				plantEntry(d, encodeBatch(nil, []entRec{(&PoolRec{Name: "later", UUID: u(0x70)}).rec()}))
+				plantEntry(d, bytes.Join([][]byte{after, retired(c.rec)}, nil))
+				plantEntry(d, later)
 			}
 
 			regions := []pmem.Addr{metaBase, pmem.MetaJournal0, pmem.MetaJournal1,

@@ -11,7 +11,7 @@
 // Daemon metadata (pool and puddle registries, log-space
 // registrations, pointer maps, import sessions) persists in a reserved
 // meta region via a per-entity journal compacted into streamed,
-// chunked, incremental checkpoints (metastore.go, ckpt.go), so the
+// chunked, full checkpoints (metastore.go, ckpt.go), so the
 // daemon itself recovers from crashes without depending on the logging
 // machinery it is responsible for replaying.
 package daemon
@@ -224,19 +224,18 @@ type Daemon struct {
 
 	// Checkpoint state (ckpt.go). ckptMu serializes checkpoint writers
 	// and is acquired BEFORE opMu (maybeCompact try-locks it, then
-	// quiesces); chain and forceFull are guarded by it. img is the
+	// quiesces); chain is guarded by it. img is the
 	// committed copy-on-write registry generation (immutable once
 	// stored — the PR 6 range-index pattern applied to the daemon);
 	// pending holds the pre-encoded journal records appended since the
 	// image's generation, in per-entity journal order.
-	ckptMu    sync.Mutex
-	chain     chainState
-	forceFull bool
-	img       atomic.Pointer[regImage]
-	pendMu    sync.Mutex
-	pending   []entRec
-	// chainCounters is the counter block the committed chain covers —
-	// set when a commit lands and when a chain is composed at boot.
+	ckptMu  sync.Mutex
+	chain   chainState
+	img     atomic.Pointer[regImage]
+	pendMu  sync.Mutex
+	pending []entRec
+	// chainCounters is the counter block the committed checkpoint
+	// covers — set when a commit lands and when one is loaded at boot.
 	// Counters mutate without journal appends, so sequence equality
 	// alone cannot prove a checkpoint would be redundant; this can
 	// (the counters-only fast path, counterOnlyQuiescent).
@@ -254,10 +253,9 @@ type Daemon struct {
 	panics      atomic.Uint64 // request handlers that panicked (recovered)
 	closed      atomic.Bool
 
-	ckptCount      atomic.Uint64 // committed checkpoints (full + incremental)
+	ckptCount      atomic.Uint64 // committed checkpoints
 	ckptChunks     atomic.Uint64 // chunks streamed into the arena
 	ckptBytes      atomic.Uint64 // bytes streamed into the arena
-	ckptSpills     atomic.Uint64 // full images that crossed into the other half
 	ckptSeq        atomic.Uint64 // seq of the last committed checkpoint
 	ckptPauseTotal atomic.Uint64 // cumulative exclusive quiesce ns
 	ckptPauseMax   atomic.Uint64 // worst single quiesce ns
@@ -345,18 +343,6 @@ func WithCheckpointChunkBytes(n int) Option {
 	}
 }
 
-// WithCheckpointArena caps the checkpoint arena at n bytes — two
-// halves of n/2 (default and maximum pmem.MetaCkptSize). Tests shrink
-// it so a modest registry exercises the cross-half spill path that a
-// production image only hits past 32 MiB of metadata.
-func WithCheckpointArena(n uint64) Option {
-	return func(d *Daemon) {
-		if n >= 4<<10 && n <= pmem.MetaCkptSize {
-			d.ckptHalf = n / 2
-		}
-	}
-}
-
 // New boots a daemon on dev: it restores the metadata snapshot,
 // replays registered logs if the previous run ended in a dirty
 // shutdown, and marks the device in-use. It must run before any
@@ -404,14 +390,14 @@ func (d *Daemon) boot() error {
 	magic := d.dev.LoadU64(metaBase + sbOffMag)
 	firstBoot := magic != sbMagic
 	if firstBoot {
-		d.chain = chainState{half: -1} // no committed chain yet
+		d.chain = chainState{half: -1} // no committed checkpoint yet
 		d.st = *newState()
 		d.st.NextSession = 1
 		d.dev.StoreU64(metaBase+sbOffMag, sbMagic)
 		d.dev.StoreU64(metaBase+sbOffDirt, 0)
 		d.dev.Persist(metaBase, 16)
 	} else {
-		// Checkpoint first — the best chunked chain — then fold in the
+		// Checkpoint first — the best committed image — then fold in the
 		// per-entity journal batches appended since, from both journal
 		// regions in base order.
 		t0 := time.Now()
@@ -419,7 +405,7 @@ func (d *Daemon) boot() error {
 			return fmt.Errorf("daemon: restoring metadata: %w", err)
 		}
 		t1 := time.Now()
-		// The freshly composed state is exactly what the winning chain
+		// The freshly composed state is exactly what the winning checkpoint
 		// covers; journal replay and recovery mutate it from here.
 		d.chainCounters = *d.countersVal()
 		d.seq = d.st.Seq
@@ -471,34 +457,29 @@ func (d *Daemon) boot() error {
 	}
 	d.dev.StoreU64(metaBase+sbOffDirt, 1)
 	d.dev.Persist(metaBase+sbOffDirt, 8)
-	// Full checkpoint, then fresh journals: this rotates the arena
-	// halves over time. The order matters — the journals reset only
-	// once the checkpoint that covers their entries is durable, so a
-	// crash anywhere in boot still composes the previous chain + the
-	// old journals.
+	// Checkpoint, then fresh journals: this rotates the arena halves
+	// over time. The order matters — the journals reset only once the
+	// checkpoint that covers their entries is durable, so a crash
+	// anywhere in boot still composes the previous checkpoint + the old
+	// journals.
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	if d.counterOnlyQuiescent() {
-		// Quiescent reboot over a committed chain: every journal entry
-		// is already covered (seq equality), so resetting the journals
-		// below loses nothing and the full checkpoint would only
-		// re-stream state the chain already holds.
+		// Quiescent reboot over a committed checkpoint: every journal
+		// entry is already covered (seq equality), so resetting the
+		// journals below loses nothing and the checkpoint would only
+		// re-stream state the committed one already holds.
 		d.initJournals()
 		return nil
 	}
-	if err := d.checkpointSync(true); err != nil {
+	if err := d.checkpointSync(); err != nil {
 		if !errors.Is(err, errCkptFull) {
 			return err
 		}
-		// The arena cannot hold the live chain AND a fresh full image —
-		// the registry is near arena capacity. Not fatal: the previous
-		// chain plus the intact journals (NOT reset below) still compose
-		// this exact state, so serve on and retry the full once the
-		// registry shrinks. forceFull stays up so no incremental streams
-		// in the meantime: pending only tracks post-boot deltas, the
-		// journal-replayed entries live in the boot image alone, and an
-		// increment over the stale chain would miss them.
-		d.forceFull = true
+		// The image outgrew one arena half. Not fatal: the previous
+		// checkpoint plus the intact journals (NOT reset below) still
+		// compose this exact state, so serve on; the next compaction
+		// streams the image again once the registry shrinks.
 		d.logf("boot checkpoint deferred: %v", err)
 		return nil
 	}
@@ -506,8 +487,7 @@ func (d *Daemon) boot() error {
 	return nil
 }
 
-// Shutdown checkpoints metadata (incrementally — only what changed
-// since the last compaction) and marks the device cleanly closed.
+// Shutdown checkpoints metadata and marks the device cleanly closed.
 func (d *Daemon) Shutdown() {
 	if d.closed.Swap(true) {
 		return
@@ -518,14 +498,14 @@ func (d *Daemon) Shutdown() {
 	d.opMu.Lock() // quiesce in-flight requests; they complete first
 	defer d.opMu.Unlock()
 	if d.counterOnlyQuiescent() {
-		// Nothing happened since the chain's last commit — writing a
-		// checkpoint would stream zero entity records plus a redundant
-		// counters chunk. Just mark the device clean.
+		// Nothing happened since the last commit — writing a
+		// checkpoint would re-stream the committed image. Just mark the
+		// device clean.
 		d.dev.StoreU64(metaBase+sbOffDirt, 0)
 		d.dev.Persist(metaBase+sbOffDirt, 8)
 		return
 	}
-	if err := d.checkpointSync(false); err != nil {
+	if err := d.checkpointSync(); err != nil {
 		d.logf("shutdown checkpoint: %v", err)
 		return // leave the dirty flag set rather than losing the journal
 	}
@@ -537,12 +517,12 @@ func (d *Daemon) Shutdown() {
 // standing in for DAX mappings).
 func (d *Daemon) Device() *pmem.Device { return d.dev }
 
-// loadMeta restores the best committed checkpoint chain: the two arena
+// loadMeta restores the best committed checkpoint: the two arena
 // halves compete on (committed sequence, commit generation), and the
 // highest wins. The generation tie-break matters because counters
 // mutate without journal appends, so two commits can share a sequence
 // number with different counter values — the newer commit must win.
-// An image with no readable chain is refused; that includes an image
+// An image with no readable checkpoint is refused; that includes an image
 // of the first metadata format, whose whole-state snapshot slots (now
 // the reserved hole in pmem/meta.go) no daemon reads any more.
 func (d *Daemon) loadMeta() error {
@@ -555,11 +535,7 @@ func (d *Daemon) loadMeta() error {
 		}
 		if ok && (best == nil || sr.st.Seq > best.st.Seq || (sr.st.Seq == best.st.Seq && sr.gen > best.gen)) {
 			best = &sr
-			d.chain = chainState{
-				half: half, seq: sr.st.Seq, gen: sr.gen, tail: sr.tail,
-				incs: sr.incs, headEnd: sr.headEnd,
-				spilled: sr.spilled, spillStart: sr.spillStart,
-			}
+			d.chain = chainState{half: half, seq: sr.st.Seq, gen: sr.gen}
 		}
 	}
 	if best == nil {
@@ -724,8 +700,8 @@ func (d *Daemon) runRecovery() {
 		// caller sees the same unwind as with serial recovery.
 		panic(downPanic)
 	}
-	// Callers checkpoint after recovery: boot writes its full
-	// checkpoint right after, opRecoverNow streams an incremental one.
+	// Callers checkpoint after recovery: boot and opRecoverNow both
+	// stream one right after.
 }
 
 // replayUnits turns conflict groups into schedulable units. A group
@@ -1172,7 +1148,6 @@ func (d *Daemon) Stats() proto.Stats {
 		CheckpointChunks: d.ckptChunks.Load(),
 		CheckpointBytes:  d.ckptBytes.Load(),
 		CheckpointSeq:    d.ckptSeq.Load(),
-		CheckpointSpills: d.ckptSpills.Load(),
 		RegistryGen:      d.RegistryGen(),
 		CkptPauseTotalNs: d.ckptPauseTotal.Load(),
 		CkptPauseMaxNs:   d.ckptPauseMax.Load(),

@@ -1,6 +1,6 @@
 // Metadata persistence, journal layer: per-entity records appended to
-// a double-buffered journal, compacted into chunked checkpoints
-// (ckpt.go).
+// a double-buffered journal, compacted into chunked full-image
+// checkpoints (ckpt.go).
 //
 // Rewriting the whole `state` struct on every pool, puddle or
 // log-space change would make puddle churn from one client
@@ -22,8 +22,8 @@
 //     until the checkpoint that covers its entries commits, so boot
 //     can always compose checkpoint + retired journal + live journal.
 //
-//   - Checkpoints: chunked, incremental, streamed into the checkpoint
-//     arena with the request path running — see ckpt.go.
+//   - Checkpoints: one full image each, chunked and streamed into the
+//     checkpoint arena with the request path running — see ckpt.go.
 //
 // The journal write is around a hundred bytes regardless of how many
 // pools and puddles exist, so metadata persistence cost is
@@ -206,8 +206,8 @@ type jreq struct {
 }
 
 // appendBatch makes recs durable as one atomic journal entry, bumps
-// the metadata sequence number and marks the touched entities dirty
-// for the next incremental checkpoint. Callers hold the lock of every
+// the metadata sequence number and hands the records to markDirty as
+// deltas for the next checkpoint image. Callers hold the lock of every
 // entity named in recs (so per-entity journal order matches in-memory
 // order); the encode and checksum run with no lock held.
 //
@@ -457,7 +457,7 @@ func (d *Daemon) resetJournalRegion(base pmem.Addr, baseSeq uint64) {
 // switchJournal retargets appends to the other journal region,
 // reset on top of the checkpoint being written (baseSeq). The caller
 // (planCheckpoint) must have verified the other region's entries are
-// covered by the committed checkpoint chain.
+// covered by the committed checkpoint.
 func (d *Daemon) switchJournal(baseSeq uint64) {
 	other := pmem.MetaJournal0
 	if d.jBase == pmem.MetaJournal0 {

@@ -213,6 +213,16 @@ func dialPeer(target string) (*proto.Conn, error) {
 	return c, nil
 }
 
+// peerTrip is one round trip to a migration target. A response frame
+// this daemon refuses counts in WireDecodeErrors, as a refused request
+// frame does on the serving side. (The abort messages sent after a
+// failure reuse the dead connection and are not counted again.)
+func (d *Daemon) peerTrip(peer *proto.Conn, req *proto.Request) error {
+	_, err := peer.RoundTrip(req)
+	d.noteWireError(err)
+	return err
+}
+
 // --- refusal helpers ---
 
 // movedResp answers for a pool this daemon ceded: its tombstone
@@ -453,14 +463,13 @@ func (d *Daemon) opMigratePool(creds Creds, req *proto.Request) *proto.Response 
 		return abort(fail("migrate: %v", err))
 	}
 	defer peer.Close()
-	if _, err := peer.RoundTrip(&proto.Request{Op: proto.OpMigrateBegin, UUID: mig.ID, Blob: man.encode()}); err != nil {
+	if err := d.peerTrip(peer, &proto.Request{Op: proto.OpMigrateBegin, UUID: mig.ID, Blob: man.encode()}); err != nil {
 		return abort(fail("migrate: begin refused: %v", err))
 	}
 	// The migration's sink: every frame is one round trip to the target.
 	ship := func(op proto.Op) frameSink {
 		return func(m *PuddleRec, off uint64, b []byte) error {
-			_, err := peer.RoundTrip(&proto.Request{Op: op, UUID: mig.ID, Pool: m.UUID, Addr: off, Blob: b})
-			return err
+			return d.peerTrip(peer, &proto.Request{Op: op, UUID: mig.ID, Pool: m.UUID, Addr: off, Blob: b})
 		}
 	}
 
@@ -511,7 +520,7 @@ func (d *Daemon) opMigratePool(creds Creds, req *proto.Request) *proto.Response 
 		return abort(resp)
 	}
 	d.migPhase("pre-commit")
-	if _, err := peer.RoundTrip(&proto.Request{Op: proto.OpMigrateCommit, UUID: mig.ID}); err != nil {
+	if err := d.peerTrip(peer, &proto.Request{Op: proto.OpMigrateCommit, UUID: mig.ID}); err != nil {
 		// The commit may or may not have landed (a transport error hides
 		// the answer). Leave the commitSent record for ResolveMigrations;
 		// the pool stays frozen and answers "unresolved".
@@ -879,7 +888,7 @@ func (d *Daemon) askTargetCommitted(mig *MigOutRec) (bool, error) {
 		return false, err
 	}
 	defer peer.Close()
-	_, err = peer.RoundTrip(&proto.Request{Op: proto.OpMigrateCommit, UUID: mig.ID})
+	err = d.peerTrip(peer, &proto.Request{Op: proto.OpMigrateCommit, UUID: mig.ID})
 	if err == nil {
 		return true, nil
 	}

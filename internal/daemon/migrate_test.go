@@ -2,6 +2,7 @@ package daemon_test
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -546,5 +547,73 @@ func TestStaleHandleDoesNotWriteRecycledRange(t *testing.T) {
 	}
 	if got := dev2.LoadU64(root); got != 2 {
 		t.Fatalf("live's root at the target holds %d, want 2", got)
+	}
+}
+
+// TestMigrationTargetBadFrameCounted: a target that completes the
+// handshake and then answers the migration's begin with a frame failing
+// its CRC is a wire error seen by this daemon as a client. It counts in
+// WireDecodeErrors exactly once, the migration aborts, and the pool
+// stays here.
+func TestMigrationTargetBadFrameCounted(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	served := make(chan error, 1)
+	go func() {
+		nc, err := l.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer nc.Close()
+		sc := proto.NewServerConn(nc)
+		if _, err := sc.AcceptHello(); err != nil {
+			served <- err
+			return
+		}
+		req, err := sc.Recv()
+		if err != nil {
+			served <- err
+			return
+		}
+		if req.Op != proto.OpMigrateBegin {
+			served <- fmt.Errorf("first request %v, want OpMigrateBegin", req.Op)
+			return
+		}
+		// len 2, CRC that the payload does not have.
+		if _, err := nc.Write([]byte{2, 0, 0, 0, 0xef, 0xbe, 0xad, 0xde, 0, 0}); err != nil {
+			served <- err
+			return
+		}
+		served <- nil
+		io.Copy(io.Discard, nc) // until the source hangs up
+	}()
+
+	d, err := daemon.New(pmem.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := d.SelfConn()
+	defer c.Close()
+	if _, err := c.RoundTrip(&proto.Request{Op: proto.OpCreatePool, Name: "stays"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.RoundTrip(&proto.Request{Op: proto.OpMigratePool, Name: "stays", Target: "tcp://" + l.Addr().String()})
+	if err == nil {
+		t.Fatal("migration to a target answering with a bad frame succeeded")
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("fake target: %v", err)
+	}
+	st := d.Stats()
+	if st.WireDecodeErrors != 1 || st.MigrationAborts != 1 {
+		t.Fatalf("WireDecodeErrors = %d, MigrationAborts = %d; want 1 and 1 (migrate: %v)",
+			st.WireDecodeErrors, st.MigrationAborts, err)
+	}
+	if _, err := c.RoundTrip(&proto.Request{Op: proto.OpOpenPool, Name: "stays"}); err != nil {
+		t.Fatalf("pool left after an aborted migration: %v", err)
 	}
 }

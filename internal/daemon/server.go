@@ -453,7 +453,7 @@ func (d *Daemon) opRecoverNow() *proto.Response {
 		return fail("daemon is shut down")
 	}
 	d.runRecovery()
-	if err := d.checkpointSync(false); err != nil {
+	if err := d.checkpointSync(); err != nil {
 		d.logf("recovery checkpoint: %v", err)
 	}
 	d.opMu.Unlock()

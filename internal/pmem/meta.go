@@ -10,7 +10,7 @@ package pmem
 //	+4 KiB  reserved hole             (16 MiB, never written)
 //	        metadata journal 0        (8 MiB, per-entity batches)
 //	        metadata journal 1        (8 MiB, double buffer)
-//	        checkpoint arena          (64 MiB, chunked chains)
+//	        checkpoint arena          (64 MiB, two halves of one image each)
 //
 // The hole held the two whole-state snapshot slots of the first
 // metadata format, which no daemon reads any more. It stays reserved
@@ -34,11 +34,10 @@ const (
 	MetaJournal1    Addr   = MetaJournal0 + Addr(MetaJournalSize)
 
 	// MetaCkptBase/MetaCkptSize bound the chunked checkpoint arena.
-	// The arena holds two checkpoint chains anchored at its base and
-	// midpoint; a chain is a full checkpoint followed by incremental
-	// checkpoints, each streamed as CRC-guarded chunks. Chunks of one
-	// chain spill across the whole half (32 MiB) instead of having to
-	// fit a single fixed-size slot.
+	// The arena's two halves (32 MiB each), anchored at its base and
+	// midpoint, each hold at most one checkpoint: a full registry image
+	// streamed as CRC-guarded chunks and published by a commit chunk.
+	// Checkpoints alternate between the halves.
 	MetaCkptBase Addr   = MetaJournal1 + Addr(MetaJournalSize)
 	MetaCkptSize uint64 = 64 << 20
 

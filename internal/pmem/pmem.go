@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -758,8 +759,10 @@ func (d *Device) Persist(addr Addr, n int) {
 
 // CrashNow simulates a power failure: every volatile line is
 // independently written back (cache eviction) or lost with probability
-// ½, then the volatile state is discarded. Fast mode: no-op except for
-// the counter, since fast-mode stores are already durable.
+// ½, then the volatile state is discarded. Lines resolve in address
+// order, so the device's seed alone decides which survive. Fast mode:
+// no-op except for the counter, since fast-mode stores are already
+// durable.
 func (d *Device) CrashNow() {
 	d.crashes.Add(1)
 	if d.mode != Chaos {
@@ -767,19 +770,21 @@ func (d *Device) CrashNow() {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for la, ln := range d.overlay {
-		if ln.state == linePending || d.rng.Intn(2) == 0 {
+	for _, la := range sortedLines(d.overlay) {
+		if ln := d.overlay[la]; ln.state == linePending || d.rng.Intn(2) == 0 {
 			// Pending lines sit in the write queue; with ADR they
 			// persist on power loss. Dirty lines may have been evicted.
 			d.storeDurable(la, ln.data[:])
 		}
-		delete(d.overlay, la)
 	}
+	clear(d.overlay)
 	d.staged = d.staged[:0]
 }
 
-// DropVolatile discards all volatile lines without writing any back —
-// the adversarial crash where nothing unfenced survives.
+// DropVolatile discards every dirty line without writing it back — the
+// adversarial crash where no line that was stored but not flushed
+// survives. Flushed but unfenced (pending) lines still persist: under
+// ADR they sit in the write queue, as in CrashNow.
 func (d *Device) DropVolatile() {
 	d.crashes.Add(1)
 	if d.mode != Chaos {
@@ -791,8 +796,8 @@ func (d *Device) DropVolatile() {
 		if ln.state == linePending {
 			d.storeDurable(la, ln.data[:])
 		}
-		delete(d.overlay, la)
 	}
+	clear(d.overlay)
 	d.staged = d.staged[:0]
 }
 
@@ -1009,4 +1014,15 @@ func (d *Device) Copy(dst, src Addr, n int) {
 		src += Addr(k)
 		n -= k
 	}
+}
+
+// sortedLines returns the addresses of the volatile lines in ascending
+// order.
+func sortedLines(overlay map[Addr]*line) []Addr {
+	lines := make([]Addr, 0, len(overlay))
+	for la := range overlay {
+		lines = append(lines, la)
+	}
+	slices.Sort(lines)
+	return lines
 }

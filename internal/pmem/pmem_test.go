@@ -171,6 +171,31 @@ func TestChaosCrashRandomEviction(t *testing.T) {
 	}
 }
 
+// TestCrashNowIsSeeded: two chaos devices with the same seed, given
+// the same stores, must keep the same lines at a crash — a failing
+// seed has to reproduce its crash state.
+func TestCrashNowIsSeeded(t *testing.T) {
+	const lines = 64
+	image := func() []byte {
+		d := NewChaos(42)
+		for i := 0; i < lines; i++ {
+			d.StoreU64(Addr(0x1000+i*3*LineSize), uint64(i)+1)
+		}
+		if n := d.VolatileLines(); n < 16 {
+			t.Fatalf("%d dirty lines, want at least 16", n)
+		}
+		d.CrashNow()
+		out := make([]byte, lines*3*LineSize)
+		d.Load(0x1000, out)
+		return out
+	}
+	for rep := 0; rep < 20; rep++ {
+		if a, b := image(), image(); !bytes.Equal(a, b) {
+			t.Fatalf("repetition %d: two NewChaos(42) devices kept different lines", rep)
+		}
+	}
+}
+
 func TestChaosCrashAtEvent(t *testing.T) {
 	d := NewChaos(7)
 	d.CrashAtEvent(3)

@@ -45,7 +45,7 @@ const (
 	HandshakeMagic uint64 = 0x3153454c44445550
 	// ProtocolVersion is bumped on every change to the wire format
 	// (wire.go); version 1 was the gob stream.
-	ProtocolVersion uint16 = 3
+	ProtocolVersion uint16 = 4
 )
 
 // Hello is the first frame a client writes on a new connection.
@@ -203,13 +203,12 @@ type Stats struct {
 	BootReplayNs        uint64 // last boot: journal replay on top of the checkpoint
 	JournalDecodeErrors uint64 // CRC-valid journal entries or checkpoint chunks that did not decode
 
-	Checkpoints      uint64 // committed metadata checkpoints (full + incremental)
+	Checkpoints      uint64 // committed metadata checkpoints (each one full image)
 	CheckpointChunks uint64 // chunks streamed into the checkpoint arena
 	CheckpointBytes  uint64 // bytes streamed into the checkpoint arena
 	CheckpointSeq    uint64 // sequence the last committed checkpoint covers
 	CkptPauseTotalNs uint64 // cumulative exclusive quiesce time across checkpoints
 	CkptPauseMaxNs   uint64 // worst single checkpoint quiesce
-	CheckpointSpills uint64 // full images that overflowed into the other arena half
 	RegistryGen      uint64 // committed copy-on-write registry image generation
 
 	CacheHits      uint64 // small allocs/frees served by worker caches

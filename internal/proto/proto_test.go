@@ -301,11 +301,12 @@ func TestHandshakeSession(t *testing.T) {
 }
 
 // TestHandshakeVersionReject: a server speaking a different protocol
-// version — a newer one, or version 2 with its since-deleted warm-standby
-// ops and stats — rejects the connection with a HandshakeError, and the
-// error is sticky.
+// version — a newer one, version 2 with its since-deleted warm-standby
+// ops and stats, or version 3 with its since-deleted checkpoint-spill
+// stat — rejects the connection with a HandshakeError, and the error is
+// sticky.
 func TestHandshakeVersionReject(t *testing.T) {
-	for _, v := range []uint16{2, ProtocolVersion + 1} {
+	for _, v := range []uint16{2, 3, ProtocolVersion + 1} {
 		client, server := net.Pipe()
 		go func() {
 			sc := NewServerConn(server)

@@ -553,7 +553,7 @@ func (c *coder) stats(s *Stats) {
 		&s.PersistErrors, &s.DispatchPanics, &s.JournalBytes,
 		&s.JournalReplayed, &s.BootLoadNs, &s.BootReplayNs, &s.JournalDecodeErrors,
 		&s.Checkpoints, &s.CheckpointChunks, &s.CheckpointBytes, &s.CheckpointSeq,
-		&s.CkptPauseTotalNs, &s.CkptPauseMaxNs, &s.CheckpointSpills, &s.RegistryGen,
+		&s.CkptPauseTotalNs, &s.CkptPauseMaxNs, &s.RegistryGen,
 		&s.CacheHits, &s.CacheMisses, &s.CacheRefills, &s.SlabDonations, &s.ReclaimedSlabs,
 	} {
 		c.word(p)

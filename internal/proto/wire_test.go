@@ -69,12 +69,12 @@ var goldens = []struct {
 	msg  any
 	hex  string // the payload; the frame header is checked separately
 }{
-	{"hello", &Hello{Magic: HandshakeMagic, Version: 3, UID: 1000, GID: 100, Session: 0x1122334455667788, Token: 0x99aabbccddeeff00},
-		"505544444c455331" + "0300" + "e8030000" + "64000000" + "8877665544332211" + "00ffeeddccbbaa99"},
-	{"welcome", &Welcome{Version: 3, Session: 0x1122334455667788, Token: 0x99aabbccddeeff00, Resumed: true},
-		"0300" + "0e00" + "8877665544332211" + "00ffeeddccbbaa99"},
-	{"welcome refusal", &Welcome{Version: 3, Err: "no"},
-		"0300" + "0100" + "026e6f"},
+	{"hello", &Hello{Magic: HandshakeMagic, Version: 4, UID: 1000, GID: 100, Session: 0x1122334455667788, Token: 0x99aabbccddeeff00},
+		"505544444c455331" + "0400" + "e8030000" + "64000000" + "8877665544332211" + "00ffeeddccbbaa99"},
+	{"welcome", &Welcome{Version: 4, Session: 0x1122334455667788, Token: 0x99aabbccddeeff00, Resumed: true},
+		"0400" + "0e00" + "8877665544332211" + "00ffeeddccbbaa99"},
+	{"welcome refusal", &Welcome{Version: 4, Err: "no"},
+		"0400" + "0100" + "026e6f"},
 
 	{"req nop", &Request{Op: OpNop, ID: 1, SID: 7},
 		"00" + "01" + "0100" + "0700000000000000"},
@@ -116,7 +116,7 @@ var goldens = []struct {
 	{"resp import", &Response{ID: 6, Mapped: true, Session: 5, Blob: []byte{0xbe, 0xef}},
 		"06" + "8048" + "05" + "02beef"},
 	{"resp stat", &Response{ID: 7, Stats: Stats{Pools: 1, WireDecodeErrors: 2, MigrationAborts: 3}},
-		"07" + "0010" + "01" + strings.Repeat("00", 32) + "02" + strings.Repeat("00", 6) + "03"},
+		"07" + "0010" + "01" + strings.Repeat("00", 31) + "02" + strings.Repeat("00", 6) + "03"},
 	{"resp report", &Response{ID: 8, Report: MigReport{Rounds: 2, SnapshotBytes: 3, DeltaBytes: 4, FinalBytes: 5, PauseNs: 6, TotalNs: 7}},
 		"08" + "0020" + "02" + "03" + "04" + "05" + "06" + "07"},
 }

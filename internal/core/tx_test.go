@@ -7,11 +7,18 @@ import (
 	"slices"
 	"testing"
 
+	"puddles/internal/plog"
 	"puddles/internal/pmem"
 )
 
 // Tests for the commit engine: PMDK-style undo-range dedup in Tx.Add,
 // write-combined commit flushes, and uniform Run error wrapping.
+
+// scanned returns the entries of tx's log.
+func scanned(tx *Tx) []plog.Entry {
+	out, _ := tx.log.log.Scan()
+	return out
+}
 
 // setupValueRoot builds a pool whose root is a size-byte byte array
 // initialised with a recognisable pattern.
@@ -46,12 +53,12 @@ func TestAddOverlapIsNoOp(t *testing.T) {
 	if err := tx.Add(root, 16); err != nil {
 		t.Fatal(err)
 	}
-	entriesAfterFirst := len(tx.log.log.Entries())
+	entriesAfterFirst := len(scanned(tx))
 	// Fully covered: must append nothing and track nothing new.
 	if err := tx.Add(root+4, 8); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tx.log.log.Entries()); got != entriesAfterFirst {
+	if got := len(scanned(tx)); got != entriesAfterFirst {
 		t.Fatalf("covered Add appended %d entries", got-entriesAfterFirst)
 	}
 	if len(tx.undo) != 1 {
@@ -62,7 +69,7 @@ func TestAddOverlapIsNoOp(t *testing.T) {
 	if err := tx.Add(root+8, 16); err != nil {
 		t.Fatal(err)
 	}
-	entries := tx.log.log.Entries()
+	entries := scanned(tx)
 	if got := len(entries); got != entriesAfterFirst+1 {
 		t.Fatalf("partial-overlap Add appended %d entries, want 1", got-entriesAfterFirst)
 	}

@@ -18,6 +18,7 @@ package daemon
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -25,6 +26,7 @@ import (
 	"net"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -267,9 +269,10 @@ type Daemon struct {
 	ckptHalf        uint64 // arena half size (tests shrink it)
 
 	// Where boot time went; written once by boot, before New returns.
-	bootLoadNs   uint64 // checkpoint selection and composition (loadMeta)
-	bootReplayNs uint64 // journal replay on top of it
-	bootReplayed uint64 // journal entries that replay applied
+	bootLoadNs    uint64 // checkpoint selection and composition (loadMeta)
+	bootReplayNs  uint64 // journal replay on top of it
+	bootReplayed  uint64 // journal entries that replay applied
+	bootRecoverNs uint64 // the recovery pass (0 after a clean shutdown)
 
 	// Transport session layer (session.go). tenMu guards the tenant
 	// session registry; it nests like sessMu in the lock order (taken
@@ -423,8 +426,11 @@ func (d *Daemon) boot() error {
 	// on top of this generation — so checkpoints never have to read
 	// live records again.
 	d.img.Store(&regImage{st: cloneState(&d.st), gen: d.chain.gen})
-	// Rebuild the in-memory reservation indexes.
-	for _, p := range d.st.Puddles {
+	// Rebuild the in-memory reservation indexes, in address order: each
+	// insert lands at the tail of the sorted reservation list instead of
+	// moving the ones after it. Recovery indexes the same order.
+	byAddr := d.puddlesByAddr()
+	for _, p := range byAddr {
 		if _, err := d.space.ReserveAt(pmem.Addr(p.Addr), p.Size, p.UUID.String()); err != nil {
 			return fmt.Errorf("daemon: re-reserving puddle %v: %w", p.UUID, err)
 		}
@@ -453,7 +459,10 @@ func (d *Daemon) boot() error {
 	// Application-independent recovery: replay before serving anyone.
 	dirty := !firstBoot && d.dev.LoadU64(metaBase+sbOffDirt) != 0
 	if dirty {
-		d.runRecovery()
+		t0 := time.Now()
+		d.runRecovery(byAddr)
+		d.bootRecoverNs = uint64(time.Since(t0))
+		d.logf("boot: recovery pass took %v", time.Since(t0))
 	}
 	d.dev.StoreU64(metaBase+sbOffDirt, 1)
 	d.dev.Persist(metaBase+sbOffDirt, 8)
@@ -585,40 +594,214 @@ func (d *Daemon) workerCount(spaces int) int {
 	return n
 }
 
-// replayUnit is one schedulable piece of recovery work: either a
-// single shard directory of one log space (shard >= 0, space opened
-// once and shared by that space's sibling units — the handle is
-// immutable and each unit touches only its own shard directory), or
-// a serial chain of whole spaces — a cross-application conflict
-// group whose members must not race on their shared pools
-// (shard == -1, space nil).
-type replayUnit struct {
-	spaces []*LogSpaceRec
-	shard  int
-	space  *plog.ShardedLogSpace
+// addrIndex is the puddle registry as one recovery pass reads it: the
+// registered puddles sorted by address and one UUID → pool map. The
+// replay filter, the conflict grouping and the log bounds find the
+// puddle holding an address by binary search, so a pass costs O(log n)
+// per replayed entry in the n registered puddles. Recovery runs alone
+// (boot) or quiesced (RecoverNow), so the registry cannot change under
+// the index.
+type addrIndex struct {
+	puddles []*PuddleRec // sorted by Addr
+	pools   map[uid.UUID]*PoolRec
 }
 
-// runRecovery replays every registered log space. Callers hold no
-// lock (boot) or opMu exclusively (RecoverNow); the daemon is not
-// serving yet or is quiesced, respectively.
+// puddlesByAddr returns the registered puddles sorted by address.
+func (d *Daemon) puddlesByAddr() []*PuddleRec {
+	out := make([]*PuddleRec, 0, len(d.st.Puddles))
+	for _, p := range d.st.Puddles {
+		out = append(out, p)
+	}
+	slices.SortFunc(out, func(a, b *PuddleRec) int { return cmp.Compare(a.Addr, b.Addr) })
+	return out
+}
+
+// newAddrIndex indexes byAddr, the registry as puddlesByAddr returns it.
+func (d *Daemon) newAddrIndex(byAddr []*PuddleRec) *addrIndex {
+	d.poolsMu.RLock()
+	defer d.poolsMu.RUnlock()
+	x := &addrIndex{puddles: byAddr, pools: make(map[uid.UUID]*PoolRec, len(d.st.Pools))}
+	for _, p := range d.st.Pools {
+		x.pools[p.UUID] = p
+	}
+	return x
+}
+
+// find returns the registered puddle holding addr, or nil.
+func (x *addrIndex) find(addr pmem.Addr) *PuddleRec {
+	i := sort.Search(len(x.puddles), func(i int) bool { return x.puddles[i].Addr > uint64(addr) })
+	if i == 0 || uint64(addr) >= x.puddles[i-1].Addr+x.puddles[i-1].Size {
+		return nil
+	}
+	return x.puddles[i-1]
+}
+
+// logBounds is the plog.BoundsFunc recovery opens ls's logs with: a log
+// segment must lie inside one registered log puddle of the pool that
+// holds the log space, whatever size or next pointer the
+// (application-written) headers claim. A chain led into another pool's
+// puddle, or into a data puddle of the same pool, is cut there, so
+// recovery neither scans nor rewinds anything but the space's own logs.
+func (x *addrIndex) logBounds(ls *LogSpaceRec) plog.BoundsFunc {
+	home := x.find(pmem.Addr(ls.Addr))
+	return func(base pmem.Addr) (pmem.Range, bool) {
+		p := x.find(base)
+		if p == nil || home == nil || home.UUID != ls.UUID ||
+			puddle.Kind(p.Kind) != puddle.KindLog || p.Pool != home.Pool {
+			return pmem.Range{}, false
+		}
+		return pmem.Range{Start: pmem.Addr(p.Addr), End: pmem.Addr(p.Addr + p.Size)}, true
+	}
+}
+
+// replayFilter recreates a crashed process's view for one log: recovery
+// may write [addr, addr+n) only if it lies within a single registered
+// puddle whose pool c grants write permission (§4.6). An entry into a
+// log or log-space puddle is refused whoever wrote it, and counted in
+// *refused: no transaction logs undo for those (plog persists their
+// headers plainly), and every pending log of the pass was scanned before
+// any replayed, so a replay writing into a log would make the entries
+// held for it stale.
+func (x *addrIndex) replayFilter(c Creds, refused *int) func(plog.Entry) bool {
+	var last *PuddleRec
+	lastOK := false
+	return func(e plog.Entry) bool {
+		p := x.find(e.Addr)
+		if p == nil || uint64(e.Addr)+uint64(len(e.Data)) > p.Addr+p.Size {
+			return false
+		}
+		if k := puddle.Kind(p.Kind); k == puddle.KindLog || k == puddle.KindLogSpace {
+			*refused++
+			return false
+		}
+		if p != last {
+			pool := x.pools[p.Pool]
+			last, lastOK = p, pool != nil && checkPerm(c, pool, true)
+		}
+		return lastOK
+	}
+}
+
+// spaceScan is one registered log space as the scan phase of a pass
+// found it: the logs off rest, per shard directory, each read once.
+type spaceScan struct {
+	ls     *LogSpaceRec
+	shards [][]logScan
+	pools  map[uid.UUID]bool // pools the pending entries target (a superset is fine)
+}
+
+// logScan is one log off rest. entries holds its scan when it is
+// pending; nil means there is nothing to replay and the log is only
+// rewound.
+type logScan struct {
+	log     *plog.Log
+	entries []plog.Entry
+}
+
+// scanLogSpace opens ls once and scans every log of it that is not at
+// rest. It returns nil when nothing in the space needs recovery (an
+// unreadable or malformed space is reported and skipped).
+func (d *Daemon) scanLogSpace(x *addrIndex, ls *LogSpaceRec) *spaceScan {
+	p, err := puddle.Open(d.dev, pmem.Addr(ls.Addr))
+	if err != nil {
+		d.logf("recovery: log space %v unreadable: %v", ls.UUID, err)
+		return nil
+	}
+	space, err := plog.OpenShardedLogSpace(p)
+	if err != nil {
+		d.logf("recovery: log space %v malformed: %v", ls.UUID, err)
+		return nil
+	}
+	s := &spaceScan{ls: ls, shards: make([][]logScan, space.Shards()), pools: make(map[uid.UUID]bool)}
+	bounds := x.logBounds(ls)
+	busy := false
+	for i := range s.shards {
+		for _, head := range space.ShardLogs(i) {
+			l, err := plog.OpenLog(d.dev, head, bounds)
+			if err != nil {
+				d.logf("recovery: log at %#x unreadable: %v", uint64(head), err)
+				continue
+			}
+			if l.AtRest() {
+				continue // the common case, decided in a few loads
+			}
+			busy = true
+			entries, defect := l.Scan()
+			if !l.Live(entries) {
+				// Off rest with nothing to replay: a crash inside Reset, a
+				// log an older build reset to range (0,0), or a malformed
+				// entry that ended the scan, which is worth a line. Recovery
+				// leaves every log it visits at rest.
+				if defect != nil {
+					d.logf("recovery: log at %#x skipped: %v", uint64(head), defect)
+				}
+				s.shards[i] = append(s.shards[i], logScan{log: l})
+				continue
+			}
+			s.shards[i] = append(s.shards[i], logScan{log: l, entries: entries})
+			for _, e := range entries {
+				if rec := x.find(e.Addr); rec != nil {
+					s.pools[rec.Pool] = true
+				}
+			}
+		}
+	}
+	if !busy {
+		return nil
+	}
+	return s
+}
+
+// replayUnit is one schedulable piece of recovery work: either a
+// single shard directory of one log space (shard >= 0), or a serial
+// chain of whole spaces — a cross-application conflict group whose
+// members must not race on their shared pools (shard == -1).
+type replayUnit struct {
+	spaces []*spaceScan
+	shard  int
+}
+
+// recoveryPass is what the workers of one recovery pass share.
+type recoveryPass struct {
+	d       *Daemon
+	x       *addrIndex
+	downed  atomic.Bool // a worker unwound: an injected crash or a bug
+	crashes uint64      // the device's crash count when the pass began
+}
+
+// halted reports whether the machine is considered dead: a worker
+// unwound, or the device lost power, which the worker it crashed may
+// not have reported yet. A simulated power failure stops one goroutine;
+// its siblings must stop persisting by themselves.
+func (p *recoveryPass) halted() bool {
+	return p.downed.Load() || p.d.dev.Stats().Crashes != p.crashes
+}
+
+// runRecovery replays every registered log space; byAddr is the
+// registry as puddlesByAddr returns it. Callers hold no lock (boot) or
+// opMu exclusively (RecoverNow); the daemon is not serving yet or is
+// quiesced, respectively.
 //
-// Recovery work is fanned out over a bounded worker pool at two
-// granularities. Across applications, log spaces whose pending
-// entries target a common pool are placed in one conflict group and
-// replayed serially within it, in the same deterministic order serial
-// recovery would use — two applications sharing a writable pool must
-// not race on the same addresses. Within one application, the shards
-// of its sharded log space become independent units: in-flight
-// transactions of one application are thread-local and hold disjoint
-// heap leases, so their pending logs touch disjoint addresses (the
-// same argument that makes the client's lock sharding sound), and a
-// single crashed many-worker application recovers in parallel. Each
-// worker keeps the per-space credential confinement of serial
-// recovery (the filter closes over that space's registered creds) and
-// reads the registries without locking — nothing mutates daemon state
-// while recovery runs. Replay counters are aggregated under a mutex
-// and folded into the snapshot once, after the pool drains.
-func (d *Daemon) runRecovery() {
+// A pass first scans: it indexes the registry once, opens every space
+// once and reads every log that is not at rest once, keeping the
+// entries of the pending ones. Then it replays the kept entries, fanned
+// out over a bounded worker pool at two granularities. Across
+// applications, log spaces whose pending entries target a common pool
+// are placed in one conflict group and replayed serially within it, in
+// the same deterministic order serial recovery would use — two
+// applications sharing a writable pool must not race on the same
+// addresses. Within one application, the shards of its sharded log
+// space become independent units: in-flight transactions of one
+// application are thread-local and hold disjoint heap leases, so their
+// pending logs touch disjoint addresses (the same argument that makes
+// the client's lock sharding sound), and a single crashed many-worker
+// application recovers in parallel. Each worker keeps the per-space
+// credential confinement of serial recovery (the filter closes over
+// that space's registered creds) and reads the registries without
+// locking — nothing mutates daemon state while recovery runs. Replay
+// counters are aggregated under a mutex and folded into the snapshot
+// once, after the pool drains.
+func (d *Daemon) runRecovery(byAddr []*PuddleRec) {
 	atomic.AddUint64(&d.st.Recoveries, 1)
 	spaces := make([]*LogSpaceRec, 0, len(d.st.LogSpaces))
 	for _, ls := range d.st.LogSpaces {
@@ -628,7 +811,14 @@ func (d *Daemon) runRecovery() {
 	sort.Slice(spaces, func(i, j int) bool {
 		return bytes.Compare(spaces[i].UUID[:], spaces[j].UUID[:]) < 0
 	})
-	units := d.replayUnits(d.conflictGroups(spaces))
+	p := &recoveryPass{d: d, x: d.newAddrIndex(byAddr), crashes: d.dev.Stats().Crashes}
+	var scans []*spaceScan
+	for _, ls := range spaces {
+		if s := d.scanLogSpace(p.x, ls); s != nil {
+			scans = append(scans, s)
+		}
+	}
+	units := replayUnits(conflictGroups(scans))
 	workers := d.workerCount(len(units))
 
 	var (
@@ -636,7 +826,6 @@ func (d *Daemon) runRecovery() {
 		logs      uint64
 		entries   uint64
 		downPanic any // first panic from a worker (injected crash or bug)
-		downed    atomic.Bool
 	)
 	work := make(chan replayUnit)
 	var wg sync.WaitGroup
@@ -645,7 +834,7 @@ func (d *Daemon) runRecovery() {
 		go func() {
 			defer wg.Done()
 			for u := range work {
-				if downed.Load() {
+				if p.downed.Load() {
 					continue // machine already "died" mid-recovery
 				}
 				func() {
@@ -658,7 +847,7 @@ func (d *Daemon) runRecovery() {
 								// the booting goroutine.
 								d.logf("recovery: worker panic: %v\n%s", r, debug.Stack())
 							}
-							downed.Store(true)
+							p.downed.Store(true)
 							mu.Lock()
 							if downPanic == nil {
 								downPanic = r
@@ -666,8 +855,8 @@ func (d *Daemon) runRecovery() {
 							mu.Unlock()
 						}
 					}()
-					for _, ls := range u.spaces {
-						if downed.Load() {
+					for _, s := range u.spaces {
+						if p.downed.Load() {
 							return
 						}
 						var nl, ne uint64
@@ -675,9 +864,9 @@ func (d *Daemon) runRecovery() {
 							// Serial chain (cross-application conflict
 							// group): each space still fans its shards
 							// out, behind a per-space barrier.
-							nl, ne = d.recoverSpaceFanout(ls, &downed)
+							nl, ne = p.replaySpaceFanout(s)
 						} else {
-							nl, ne = d.recoverLogSpace(ls, u.shard, u.space, &downed)
+							nl, ne = p.replayLogs(s.ls, s.shards[u.shard])
 						}
 						mu.Lock()
 						logs += nl
@@ -707,26 +896,25 @@ func (d *Daemon) runRecovery() {
 // replayUnits turns conflict groups into schedulable units. A group
 // of several spaces stays one serial unit (cross-application pool
 // sharing). A group with a single space splits into one unit per
-// shard directory — the space is opened and validated once here and
-// the handle shared by its units, not re-opened per shard — so a
-// lone crashed application fans out over the whole worker pool.
-func (d *Daemon) replayUnits(groups [][]*LogSpaceRec) []replayUnit {
+// shard directory that has logs off rest, so a lone crashed
+// application fans out over the whole worker pool.
+func replayUnits(groups [][]*spaceScan) []replayUnit {
 	var units []replayUnit
 	for _, g := range groups {
-		if len(g) == 1 && d.spaceShards(g[0]) > 1 {
-			if space := d.openLogSpace(g[0]); space != nil && space.Shards() > 1 {
-				for s := 0; s < space.Shards(); s++ {
-					units = append(units, replayUnit{spaces: g, shard: s, space: space})
+		if len(g) == 1 && len(g[0].shards) > 1 {
+			for i, logs := range g[0].shards {
+				if len(logs) > 0 {
+					units = append(units, replayUnit{spaces: g, shard: i})
 				}
-				continue
 			}
+			continue
 		}
 		units = append(units, replayUnit{spaces: g, shard: -1})
 	}
 	return units
 }
 
-// recoverSpaceFanout replays one space of a serial conflict-group
+// replaySpaceFanout replays one space of a serial conflict-group
 // chain, fanning its shard directories out over goroutines with a
 // barrier at the end. The shards of one space hold disjoint heap
 // leases (thread-local in-flight transactions — the argument that
@@ -740,29 +928,29 @@ func (d *Daemon) replayUnits(groups [][]*LogSpaceRec) []replayUnit {
 // captured, halts the siblings, and is re-raised on the unit worker
 // so the dispatcher's existing crash transport sees the same unwind
 // serial replay would produce.
-func (d *Daemon) recoverSpaceFanout(ls *LogSpaceRec, halt *atomic.Bool) (logs, entries uint64) {
-	if d.recoveryWorkers == 1 {
-		return d.recoverLogSpace(ls, -1, nil, halt)
-	}
-	space := d.openLogSpace(ls)
-	if space == nil || space.Shards() <= 1 {
-		// Unreadable (recoverLogSpace re-reports) or nothing to fan out.
-		return d.recoverLogSpace(ls, -1, space, halt)
+func (p *recoveryPass) replaySpaceFanout(s *spaceScan) (logs, entries uint64) {
+	if p.d.recoveryWorkers == 1 || len(s.shards) <= 1 {
+		var all []logScan
+		for _, logs := range s.shards {
+			all = append(all, logs...)
+		}
+		return p.replayLogs(s.ls, all)
 	}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		panicked any
 	)
-	for s := 0; s < space.Shards(); s++ {
+	for _, shard := range s.shards {
+		if len(shard) == 0 {
+			continue
+		}
 		wg.Add(1)
-		go func(s int) {
+		go func(shard []logScan) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					if halt != nil {
-						halt.Store(true)
-					}
+					p.downed.Store(true)
 					mu.Lock()
 					if panicked == nil {
 						panicked = r
@@ -770,12 +958,12 @@ func (d *Daemon) recoverSpaceFanout(ls *LogSpaceRec, halt *atomic.Bool) (logs, e
 					mu.Unlock()
 				}
 			}()
-			nl, ne := d.recoverLogSpace(ls, s, space, halt)
+			nl, ne := p.replayLogs(s.ls, shard)
 			mu.Lock()
 			logs += nl
 			entries += ne
 			mu.Unlock()
-		}(s)
+		}(shard)
 	}
 	wg.Wait()
 	if panicked != nil {
@@ -784,87 +972,82 @@ func (d *Daemon) recoverSpaceFanout(ls *LogSpaceRec, halt *atomic.Bool) (logs, e
 	return logs, entries
 }
 
-// openLogSpace opens a registered space's on-media directory (nil if
-// unreadable; the serial replay path re-reports the failure).
-func (d *Daemon) openLogSpace(ls *LogSpaceRec) *plog.ShardedLogSpace {
-	p, err := puddle.Open(d.dev, pmem.Addr(ls.Addr))
-	if err != nil {
-		return nil
-	}
-	space, err := plog.OpenShardedLogSpace(p)
-	if err != nil {
-		return nil
-	}
-	return space
-}
-
-// spaceShards resolves a registered space's shard count. The
-// journaled registration record is authoritative when present —
-// opRegLogSpace cross-checked it against the on-media geometry — so
-// the common path costs no device reads; records persisted before
-// sharding existed (Shards == 0) fall back to the media, and an
-// unreadable directory reads as one shard.
-func (d *Daemon) spaceShards(ls *LogSpaceRec) int {
-	if ls.Shards > 0 {
-		return int(ls.Shards)
-	}
-	p, err := puddle.Open(d.dev, pmem.Addr(ls.Addr))
-	if err != nil {
-		return 1
-	}
-	space, err := plog.OpenShardedLogSpace(p)
-	if err != nil {
-		return 1
-	}
-	return space.Shards()
-}
-
-// conflictGroups partitions spaces (already in deterministic order)
-// such that any two spaces whose pending log entries target a common
-// pool share a group. Groups replay serially inside one worker;
-// distinct groups replay concurrently. Grouping is by actual replay
-// targets, not credential capability — superuser-registered spaces
-// that never touch each other's pools still run in parallel.
-func (d *Daemon) conflictGroups(spaces []*LogSpaceRec) [][]*LogSpaceRec {
-	n := len(spaces)
-	if n <= 1 {
-		if n == 0 {
-			return nil
+// replayLogs replays scanned logs of the log space ls — a shard
+// directory's or the whole space's — and returns the number of logs
+// replayed and entries applied. Safe to call from concurrent recovery
+// workers: it only reads daemon state. Once the pass is halted it stops
+// between logs, and it leaves a log pending whose stores the power
+// failure may have caught: the next boot replays it again.
+func (p *recoveryPass) replayLogs(ls *LogSpaceRec, scanned []logScan) (logs, entries uint64) {
+	rewound := false
+	for _, sc := range scanned {
+		if p.halted() {
+			return logs, entries
 		}
-		return [][]*LogSpaceRec{spaces}
+		head := uint64(sc.log.Head())
+		rewound = true
+		if sc.entries == nil {
+			sc.log.Reset()
+			continue
+		}
+		refused := 0
+		n := sc.log.Apply(sc.entries, true, p.x.replayFilter(ls.Creds, &refused))
+		if p.halted() {
+			return logs, entries
+		}
+		sc.log.Reset()
+		if refused > 0 {
+			p.d.logf("recovery: log at %#x: refused %d entries into log puddles", head, refused)
+		}
+		logs++
+		entries += uint64(n)
+		p.d.logf("recovery: replayed log at %#x (%d entries)", head, n)
 	}
-	parent := make([]int, n)
+	if rewound {
+		// Reset rewinds tail segments flush-only, for a transaction's next
+		// Append to fence. Nobody appends here: one fence makes "at rest"
+		// durable for every log of this pass. (A crash before it only
+		// repeats the rewind.)
+		p.d.dev.Fence()
+	}
+	return logs, entries
+}
+
+// conflictGroups partitions scanned spaces (already in deterministic
+// order) such that any two spaces whose pending log entries target a
+// common pool share a group: each pool joins every space that targets
+// it to the first one that did. Groups replay serially inside one
+// worker; distinct groups replay concurrently. Grouping is by actual
+// replay targets, not credential capability — superuser-registered
+// spaces that never touch each other's pools still run in parallel.
+func conflictGroups(scans []*spaceScan) [][]*spaceScan {
+	parent := make([]int, len(scans))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	targets := make([]map[uid.UUID]bool, n)
-	for i, ls := range spaces {
-		targets[i] = d.replayTargets(ls)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			for u := range targets[j] {
-				if targets[i][u] {
-					ri, rj := find(i), find(j)
-					if ri != rj {
-						parent[rj] = ri
-					}
-					break
-				}
+	first := make(map[uid.UUID]int)
+	for i, s := range scans {
+		for pool := range s.pools {
+			j, ok := first[pool]
+			if !ok {
+				first[pool] = i
+				continue
+			}
+			if ri, rj := find(i), find(j); ri != rj {
+				parent[ri] = rj
 			}
 		}
 	}
 	idx := make(map[int]int)
-	var out [][]*LogSpaceRec
-	for i, ls := range spaces {
+	var out [][]*spaceScan
+	for i, s := range scans {
 		r := find(i)
 		g, ok := idx[r]
 		if !ok {
@@ -872,172 +1055,9 @@ func (d *Daemon) conflictGroups(spaces []*LogSpaceRec) [][]*LogSpaceRec {
 			idx[r] = g
 			out = append(out, nil)
 		}
-		out[g] = append(out[g], ls)
+		out[g] = append(out[g], s)
 	}
 	return out
-}
-
-// replayTargets returns the set of pools the space's pending entries
-// would write to. A superset is fine (it only costs parallelism);
-// entries outside any registered puddle are filtered at replay and
-// cannot conflict.
-func (d *Daemon) replayTargets(ls *LogSpaceRec) map[uid.UUID]bool {
-	out := make(map[uid.UUID]bool)
-	p, err := puddle.Open(d.dev, pmem.Addr(ls.Addr))
-	if err != nil {
-		return out
-	}
-	space, err := plog.OpenShardedLogSpace(p)
-	if err != nil {
-		return out
-	}
-	var last *PuddleRec
-	bounds := d.logBounds(ls)
-	for _, head := range space.Logs() {
-		l, err := plog.OpenLog(d.dev, head, bounds)
-		if err != nil || !l.Pending() {
-			continue
-		}
-		for _, e := range l.Entries() {
-			if last != nil && uint64(e.Addr) >= last.Addr && uint64(e.Addr) < last.Addr+last.Size {
-				continue // same puddle as the previous entry
-			}
-			for _, rec := range d.st.Puddles {
-				if uint64(e.Addr) >= rec.Addr && uint64(e.Addr) < rec.Addr+rec.Size {
-					out[rec.Pool] = true
-					last = rec
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-// recoverLogSpace replays one registered log space — all of it when
-// shard < 0, or a single shard directory — and returns the number of
-// logs replayed and entries applied. space, when non-nil, is the
-// directory handle the dispatcher already opened (shard units share
-// one open instead of re-validating the whole geometry per shard).
-// Safe to call from concurrent recovery workers: it only reads
-// daemon state. halt, when set by another worker unwinding from an
-// injected crash, stops the replay between logs — the machine is
-// considered dead.
-func (d *Daemon) recoverLogSpace(ls *LogSpaceRec, shard int, space *plog.ShardedLogSpace, halt *atomic.Bool) (logs, entries uint64) {
-	if space == nil {
-		p, err := puddle.Open(d.dev, pmem.Addr(ls.Addr))
-		if err != nil {
-			d.logf("recovery: log space %v unreadable: %v", ls.UUID, err)
-			return 0, 0
-		}
-		if space, err = plog.OpenShardedLogSpace(p); err != nil {
-			d.logf("recovery: log space %v malformed: %v", ls.UUID, err)
-			return 0, 0
-		}
-	}
-	var heads []pmem.Addr
-	switch {
-	case shard < 0:
-		heads = space.Logs()
-	case shard < space.Shards():
-		heads = space.ShardLogs(shard)
-	default:
-		// Registration record and media disagree on the shard count
-		// (e.g. a bare puddle registered with a declared count and
-		// formatted differently). Replaying the whole space here would
-		// hand the same logs to several workers at once; the shards
-		// that do exist are covered by their own units, so this unit
-		// has nothing to do.
-		d.logf("recovery: log space %v has %d shards, unit wanted shard %d; skipping",
-			ls.UUID, space.Shards(), shard)
-		return 0, 0
-	}
-	// Recreate the crashed process's view: recovery may only write
-	// addresses its credentials could write before the crash.
-	filter := func(e plog.Entry) bool {
-		return d.credsCanWriteAddr(ls.Creds, e.Addr, len(e.Data))
-	}
-	bounds := d.logBounds(ls)
-	rewound := false
-	for _, head := range heads {
-		if halt != nil && halt.Load() {
-			return logs, entries
-		}
-		l, err := plog.OpenLog(d.dev, head, bounds)
-		if err != nil {
-			d.logf("recovery: log at %#x unreadable: %v", uint64(head), err)
-			continue
-		}
-		if l.AtRest() {
-			continue // the common case, decided in a few loads
-		}
-		if !l.Pending() {
-			// Off rest with nothing to replay: a crash inside Reset, a
-			// log an older build reset to range (0,0), or a malformed
-			// entry that ended the scan, which is worth a line. Recovery
-			// leaves every log it visits at rest.
-			if _, err := l.Scan(); err != nil {
-				d.logf("recovery: log at %#x skipped: %v", uint64(head), err)
-			}
-			l.Reset()
-			rewound = true
-			continue
-		}
-		n := l.Replay(true, filter)
-		rewound = true
-		logs++
-		entries += uint64(n)
-		d.logf("recovery: replayed log at %#x (%d entries)", uint64(head), n)
-	}
-	if rewound {
-		// Reset rewinds tail segments flush-only, for a transaction's next
-		// Append to fence. Nobody appends here: one fence makes "at rest"
-		// durable for every log of this pass. (A crash before it only
-		// repeats the rewind.)
-		d.dev.Fence()
-	}
-	return logs, entries
-}
-
-// logBounds is the plog.BoundsFunc recovery opens ls's logs with: a log
-// segment must lie inside one registered log puddle of the pool that
-// holds the log space, whatever size or next pointer the
-// (application-written) headers claim. A chain led into another pool's
-// puddle, or into a data puddle of the same pool, is cut there, so
-// recovery neither scans nor rewinds anything but the space's own logs.
-func (d *Daemon) logBounds(ls *LogSpaceRec) plog.BoundsFunc {
-	home := d.puddleRec(ls.UUID)
-	return func(base pmem.Addr) (pmem.Range, bool) {
-		r, ok := d.space.Lookup(base)
-		if !ok || home == nil {
-			return pmem.Range{}, false
-		}
-		id, err := uid.Parse(r.Owner) // reservations are owned by their puddle's UUID
-		if err != nil {
-			return pmem.Range{}, false
-		}
-		rec := d.puddleRec(id)
-		if rec == nil || puddle.Kind(rec.Kind) != puddle.KindLog || rec.Pool != home.Pool {
-			return pmem.Range{}, false
-		}
-		return r.Range, true
-	}
-}
-
-// credsCanWriteAddr reports whether creds could write [addr, addr+n):
-// the range must lie within a single registered puddle whose pool
-// grants write permission.
-func (d *Daemon) credsCanWriteAddr(c Creds, addr pmem.Addr, n int) bool {
-	for _, p := range d.st.Puddles {
-		if uint64(addr) >= p.Addr && uint64(addr)+uint64(n) <= p.Addr+p.Size {
-			pool := d.poolByUUID(p.Pool)
-			if pool == nil {
-				return false
-			}
-			return checkPerm(c, pool, true)
-		}
-	}
-	return false
 }
 
 // poolByUUID resolves a pool UUID under the registry read lock.

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"log"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func newDaemon(t *testing.T) (*Daemon, *proto.Conn) {
 	return d, c
 }
 
-func rt(t *testing.T, c *proto.Conn, req *proto.Request) *proto.Response {
+func rt(t testing.TB, c *proto.Conn, req *proto.Request) *proto.Response {
 	t.Helper()
 	resp, err := c.RoundTrip(req)
 	if err != nil {
@@ -370,7 +371,7 @@ func TestRecoverySurvivesHostileLog(t *testing.T) {
 		// Each space's bounds vouch for its own log puddle only: not the
 		// other pool's log, not a data puddle of its own pool.
 		for _, ls := range d2.st.LogSpaces {
-			bounds := d2.logBounds(ls)
+			bounds := d2.newAddrIndex(d2.puddlesByAddr()).logBounds(ls)
 			_, okV := bounds(victimHead)
 			_, okH := bounds(hostileHead)
 			if okV == okH {
@@ -388,6 +389,57 @@ func TestRecoverySurvivesHostileLog(t *testing.T) {
 					t.Fatalf("hostile log opened with %d segments (%v), want the chain cut at its own puddle", l.Segments(), err)
 				}
 			}
+		}
+	})
+	// So is an entry's target. Superuser credentials may write any pool,
+	// a log puddle of another pool included: an undo entry bumping the
+	// victim log's epoch, replayed first, left none of the victim's
+	// entries valid, and its transaction stayed half-done.
+	t.Run("undo entry into another pool's log", func(t *testing.T) {
+		const lOffEpoch = 8
+		dev := pmem.New()
+		d, err := New(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := d.SelfConn()
+		targetA, headA := parkCrashedTx(t, dev, c, "a", 0o600)
+		targetB, headB := parkCrashedTx(t, dev, c, "b", 0o600)
+		c.Close()
+		// The hostile space is the one serial recovery replays first.
+		var first *LogSpaceRec
+		for _, ls := range d.st.LogSpaces {
+			if first == nil || bytes.Compare(ls.UUID[:], first.UUID[:]) < 0 {
+				first = ls
+			}
+		}
+		hostile, hostileHead, victim, victimHead := targetA, headA, targetB, headB
+		if d.st.Puddles[first.UUID].Pool != d.st.Pools["a"].UUID {
+			hostile, hostileHead, victim, victimHead = targetB, headB, targetA, headA
+		}
+		l, err := plog.OpenLog(dev, hostileHead, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var epoch [8]byte
+		binary.LittleEndian.PutUint64(epoch[:], dev.LoadU64(victimHead+lOffEpoch)+1)
+		if err := l.Append(plog.Entry{Addr: victimHead + lOffEpoch, Seq: plog.SeqUndo, Order: plog.OrderBackward, Data: epoch[:]}, nil); err != nil {
+			t.Fatal(err)
+		}
+
+		var out bytes.Buffer
+		d2, err := New(dev, WithRecoveryWorkers(1), WithLogger(log.New(&out, "", 0)))
+		if err != nil {
+			t.Fatalf("boot: %v", err)
+		}
+		if v, h := dev.LoadU64(victim), dev.LoadU64(hostile); v != 42 || h != 42 {
+			t.Fatalf("victim = %d, hostile = %d after recovery, want both rolled back to 42", v, h)
+		}
+		if st := d2.Stats(); st.LogsReplayed != 2 || st.EntriesApplied != 2 {
+			t.Fatalf("stats = %+v: the entry into the victim's log must not count as applied", st)
+		}
+		if !strings.Contains(out.String(), "refused 1 entries into log puddles") {
+			t.Fatalf("boot log does not name the refused entry:\n%s", out.String())
 		}
 	})
 }

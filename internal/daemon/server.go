@@ -452,7 +452,7 @@ func (d *Daemon) opRecoverNow() *proto.Response {
 		d.ckptMu.Unlock()
 		return fail("daemon is shut down")
 	}
-	d.runRecovery()
+	d.runRecovery(d.puddlesByAddr())
 	if err := d.checkpointSync(); err != nil {
 		d.logf("recovery checkpoint: %v", err)
 	}

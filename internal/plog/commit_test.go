@@ -79,7 +79,7 @@ func TestResetCrashIsAllOrNothing(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reopen: %v", name, err)
 				}
-				got := l2.Entries()
+				got := scanned(l2)
 				switch len(got) {
 				case n:
 					if !fired {
@@ -104,7 +104,7 @@ func TestResetCrashIsAllOrNothing(t *testing.T) {
 				if err := l2.Append(Entry{Addr: 0x5000, Seq: SeqUndo, Order: OrderBackward, Data: []byte{7}}, nil); err != nil {
 					t.Fatalf("%s: append after recovery: %v", name, err)
 				}
-				if es := l2.Entries(); len(es) != 1 || es[0].Addr != 0x5000 || !l2.Pending() {
+				if es := scanned(l2); len(es) != 1 || es[0].Addr != 0x5000 || !l2.Pending() {
 					t.Fatalf("%s: log not reusable: %+v", name, es)
 				}
 			}

@@ -87,7 +87,7 @@ func FuzzLogSegment(f *testing.F) {
 				return // not a log any more: recovery logs it and moves on
 			}
 			var held uint64
-			for _, e := range l.Entries() {
+			for _, e := range scanned(l) {
 				held += uint64(len(e.Data))
 			}
 			if held > fuzzRegion.Size() {

@@ -409,12 +409,6 @@ func (l *Log) Scan() ([]Entry, error) {
 	return out, defect
 }
 
-// Entries is Scan for callers that treat a defect like a torn tail.
-func (l *Log) Entries() []Entry {
-	out, _ := l.Scan()
-	return out
-}
-
 // Reset invalidates every entry and returns the log to rest: one flush
 // and one fence, which is the commit point of an undo-only transaction.
 // The store order within the head line (epoch, then range, then used)
@@ -460,6 +454,14 @@ func (l *Log) Pending() bool {
 		return false
 	}
 	entries, _ := l.Scan()
+	return l.Live(entries)
+}
+
+// Live reports whether entries, a Scan of l, hold any entry the log's
+// sequence range selects. A caller that keeps the scan asks this
+// instead of Pending, which scans again.
+func (l *Log) Live(entries []Entry) bool {
+	lo, hi := l.Range()
 	for _, e := range entries {
 		if e.Seq >= lo && e.Seq < hi {
 			return true
@@ -468,20 +470,32 @@ func (l *Log) Pending() bool {
 	return false
 }
 
-// Replay applies the live entries of the log to the device: backward-
-// order entries in reverse append order first (undo), then forward-
-// order entries in append order (redo) — the recovery algorithm of
-// paper §4.1. When system is true (daemon recovery), volatile-flagged
-// entries are skipped. Replay leaves the log invalidated.
+// Replay is Scan, Apply of the scanned entries, and Reset: it applies
+// the log's live entries to the device and leaves the log invalidated.
+func (l *Log) Replay(system bool, applyFilter func(Entry) bool) int {
+	entries, _ := l.Scan()
+	n := l.Apply(entries, system, applyFilter)
+	l.Reset()
+	return n
+}
+
+// Apply writes entries, a Scan of l, to the device and makes them
+// durable: the live (range-selected) ones, backward-order entries in
+// reverse append order first (undo), then forward-order entries in
+// append order (redo) — the recovery algorithm of paper §4.1. When
+// system is true (daemon recovery), volatile-flagged entries are
+// skipped. It returns the number of entries applied and leaves the log
+// as it was; Reset retires it. The daemon scans every pending log
+// before it applies any, and resets a log only once its stores are
+// known to have reached the media.
 //
 // applyFilter, when non-nil, is consulted per entry; returning false
 // skips the write (the daemon uses this to enforce that recovery only
 // touches addresses the crashed application could write — §4.6).
-func (l *Log) Replay(system bool, applyFilter func(Entry) bool) int {
+func (l *Log) Apply(entries []Entry, system bool, applyFilter func(Entry) bool) int {
 	lo, hi := l.Range()
 	applied := 0
 	if lo != hi {
-		entries, _ := l.Scan()
 		// Flushes are write-combined: entries from one transaction often
 		// target the same or neighbouring cachelines (undo+redo pairs,
 		// repeated updates), and nothing needs to be durable until the
@@ -514,7 +528,6 @@ func (l *Log) Replay(system bool, applyFilter func(Entry) bool) int {
 		fs.Flush(l.dev)
 		l.dev.Fence()
 	}
-	l.Reset()
 	return applied
 }
 

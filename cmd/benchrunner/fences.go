@@ -22,8 +22,8 @@ import (
 //
 //  1. Commit-discipline sweep: the same keyed-update workload through
 //     the undo-log kvstore (per-append log fence + multi-stage commit)
-//     and through MOD-style shadow maps (functional path copy, one
-//     fence, root-pointer publish), 1–16 workers, with SetFenceLatency
+//     and through MOD-style shadow maps (a fresh leaf, one fence, one
+//     trie-word publish), 1–16 workers, with SetFenceLatency
 //     modeling an Optane-class drain so the fence count shows up in
 //     wall-clock throughput, not just a counter.
 //  2. O(1) checkpoint capture: the quiesce pause of the copy-on-write

@@ -29,13 +29,14 @@ func shadowChurnOp(j int, m map[uint64]uint64, q []uint64) (map[uint64]uint64, [
 }
 
 // ShadowChurn sweeps power failures across the shadow structures'
-// whole commit pipeline: functional path copies under construction,
-// the single-fence root publish, and the limbo reclamation of retired
-// slots. Each op commits by one atomic root-pointer store, so the
-// recovered {map, queue} pair must equal the committed state after
+// whole commit pipeline: new nodes under construction, the
+// single-fence publish, and the limbo reclamation of retired slots.
+// Each op commits by one atomic pointer store (the queue's root, or
+// the one map trie word that reaches the changed leaf or subtree), so
+// the recovered {map, queue} pair must equal the committed state after
 // some prefix of the op sequence — never a torn mixture of two ops —
 // and reopening must account for every shadow slot (structure census)
-// with every pool heap structurally valid: a crash mid-copy,
+// with every pool heap structurally valid: a crash mid-build,
 // mid-publish, or mid-reclaim may leak nothing.
 func ShadowChurn(ops int) Scenario {
 	return Scenario{
@@ -49,14 +50,17 @@ func ShadowChurn(ops int) Scenario {
 			if err != nil {
 				return err
 			}
-			// A crash-free warm-up so the sweep's early offsets land
-			// inside established trees, not structure creation.
+			// A crash-free, synced warm-up so the sweep's early offsets
+			// land inside established trees, not structure creation,
+			// and no crash can take the warm-up back.
 			if err := m.Put(500, 1); err != nil {
 				return err
 			}
 			if err := q.Enqueue(9999); err != nil {
 				return err
 			}
+			m.Sync()
+			q.Sync()
 			e.Vars["mapdesc"] = uint64(m.Desc())
 			e.Vars["qdesc"] = uint64(q.Desc())
 			return nil

@@ -11,12 +11,14 @@ import (
 
 // Shadow-commit mode: the MOD-style alternative to the undo-log
 // discipline. A ShadowTx never logs old values. The mutation writes a
-// functional copy of whatever it changes into unreachable memory
-// (plain stores, tracked for flushing), and commit makes the copy
-// durable with ONE fence before publishing it with a single atomic
-// 8-byte root-pointer store. Crash recovery is root-pointer validity:
-// either the old root or the new root survives, and everything
-// reachable from it was fenced before the pointer flipped.
+// copy of whatever it changes into unreachable memory (plain stores,
+// tracked for flushing), and commit makes the copy durable with ONE
+// fence before publishing it with a single atomic 8-byte pointer
+// store. That pointer is the commit point; it need not be a root, only
+// the one committed word that reaches the replaced data (a structure's
+// root, or a child word deep inside it). Crash recovery is pointer
+// validity: either the old or the new value of that word survives, and
+// everything reachable from it was fenced before the pointer flipped.
 //
 // Allocation and freeing still ride the wrapped undo transaction, so
 // shadow structures keep the leases/wait-die arbitration of the undo
@@ -28,8 +30,8 @@ import (
 // undo path it rode on.
 
 // ErrShadowPublished reports a second Publish on one ShadowTx: the
-// discipline allows exactly one atomically-published root per commit.
-var ErrShadowPublished = errors.New("core: shadow transaction already has a published root")
+// discipline allows exactly one atomically-published pointer per commit.
+var ErrShadowPublished = errors.New("core: shadow transaction already has a published pointer")
 
 // ShadowTx is one shadow-commit transaction.
 type ShadowTx struct {
@@ -72,8 +74,9 @@ func (s *ShadowTx) StoreU64(addr pmem.Addr, v uint64) {
 	s.shadow.Add(addr, 8)
 }
 
-// Publish registers the commit's root-pointer flip: an atomic 8-byte
-// store of v at addr, issued only after every shadow write is durable.
+// Publish registers the commit point: an atomic 8-byte store of v at
+// addr, issued only after every shadow write is durable. addr may be
+// any committed word, not only a root.
 func (s *ShadowTx) Publish(addr pmem.Addr, v uint64) error {
 	if s.t.done {
 		return ErrTxDone
@@ -85,15 +88,15 @@ func (s *ShadowTx) Publish(addr pmem.Addr, v uint64) error {
 	return nil
 }
 
-// Commit makes the shadow writes durable, then publishes the root
-// flip. The shadow lines were write-combined as they were stored, so
+// Commit makes the shadow writes durable, then publishes the pointer
+// store. The shadow lines were write-combined as they were stored, so
 // commit issues one flush per distinct line run and one fence — or no
 // fence of its own when the wrapped transaction logged something (an
 // extent carve): the lines are flushed just before its stage-1 fence,
 // which orders them with everything else. The publish store is flushed
 // but not fenced: the next operation's fence (or Sync on the
-// structure) pushes it down, and until then recovery sees the old
-// root with the old version intact.
+// structure) pushes it down, and until then recovery may see the old
+// pointer with the old version intact.
 func (s *ShadowTx) Commit() error {
 	if s.t.done {
 		return ErrTxDone

@@ -1,9 +1,10 @@
 // Shadow (MOD-style) persistent structures: a hash-trie map and a
-// FIFO queue whose mutations build a functional copy of the touched
-// path in unreachable memory and publish it with one atomically
-// written root pointer. A carve-free update costs exactly ONE fence
-// (the shadow flush barrier in core.ShadowTx.Commit) against the
-// undo-log discipline's three or more.
+// FIFO queue whose mutations build what they change in unreachable
+// memory and publish it with one atomically written pointer: the
+// queue's root, or the one map trie word that reaches the replaced
+// leaf or subtree. A carve-free update costs exactly ONE fence (the
+// shadow flush barrier in core.ShadowTx.Commit) against the undo-log
+// discipline's three or more.
 //
 // Memory management: nodes are 64-byte slots carved from 64 KiB
 // extents allocated through the wrapped undo transaction, so extent
@@ -12,13 +13,16 @@
 // (every slot in the extent chain) − (slots reachable from the root).
 // Slots retired by an update are quarantined in a one-op limbo list
 // and become reusable only after the NEXT commit's fence, which is
-// what makes the not-yet-fenced root publish safe: any root a crash
-// can resurrect still reaches only slots that no later op overwrote.
+// what makes the not-yet-fenced publish safe: a crash can lose only
+// the latest op's one pointer store, and the version that loss brings
+// back differs from the current one only by slots that op retired,
+// which no later op has overwritten.
 package structures
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"puddles/internal/core"
@@ -135,7 +139,7 @@ func (s *shadowCore) settle(p *pend, delta int) {
 	s.count += delta
 }
 
-// Sync fences the device so the latest root publish is durable, then
+// Sync fences the device so the latest publish is durable, then
 // recycles the limbo slots it was protecting.
 func (s *shadowCore) sync() {
 	s.mu.Lock()
@@ -200,6 +204,17 @@ func openShadowCore(c *core.Client, pool *core.Pool, desc pmem.Addr, magic uint6
 		s.extents = append(s.extents, ext)
 	}
 	return s, nil
+}
+
+// slotOf reports whether a is a node slot of one of exts, an extent
+// chain sorted by address.
+func slotOf(exts []pmem.Addr, a pmem.Addr) bool {
+	i, _ := slices.BinarySearch(exts, a+1)
+	if i == 0 {
+		return false
+	}
+	off := a - exts[i-1]
+	return off >= shadowExtentHdr && off < shadowExtentSize && off%shadowNodeSize == 0
 }
 
 // recoverFree rebuilds the volatile free list as universe − reachable.

@@ -2,6 +2,7 @@ package structures
 
 import (
 	"fmt"
+	"slices"
 
 	"puddles/internal/core"
 	"puddles/internal/pmem"
@@ -9,10 +10,13 @@ import (
 
 // ShadowMap is a persistent uint64→uint64 hash-trie (fanout 4, two
 // key bits per level, low bits first) committed with the shadow
-// discipline: every Put/Delete path-copies the touched spine into
-// free slots and publishes the new root with one fence + one atomic
-// root store. Leaves off the copied spine are structure-shared
-// between versions, so an update allocates O(depth) slots.
+// discipline. A Put builds only its new leaf (or, when it splits a
+// leaf, the internal chain that keeps the old leaf shared) in free
+// slots and commits it with one fence and then one atomic store to the
+// single trie word that reaches key's slot: the root word of an empty
+// map or a child word of the deepest internal node on key's path. A
+// Delete zeroes one such word. Internal nodes never move, so an update
+// writes one slot and retires one.
 //
 // Node layout (64-byte slots):
 //
@@ -39,9 +43,8 @@ func OpenShadowMap(c *core.Client, pool *core.Pool, desc pmem.Addr) (*ShadowMap,
 		return nil, err
 	}
 	m := &ShadowMap{s: s}
-	reach := make(map[pmem.Addr]bool)
-	count := 0
-	if err := m.mark(pmem.Addr(s.dev.LoadU64(desc+8)), reach, &count, 0); err != nil {
+	reach, count, err := m.reachable()
+	if err != nil {
 		return nil, err
 	}
 	s.recoverFree(reach)
@@ -60,7 +63,7 @@ func (m *ShadowMap) Len() int {
 	return m.s.count
 }
 
-// Sync fences the latest root publish down and recycles limbo slots.
+// Sync fences the latest trie-word swing down and recycles limbo slots.
 func (m *ShadowMap) Sync() { m.s.sync() }
 
 func nodeKind(dev *pmem.Device, a pmem.Addr) (int, error) {
@@ -71,56 +74,61 @@ func nodeKind(dev *pmem.Device, a pmem.Addr) (int, error) {
 	return int(w & nodeKindMask), nil
 }
 
-func (m *ShadowMap) mark(a pmem.Addr, reach map[pmem.Addr]bool, count *int, shift uint) error {
-	if a == 0 {
-		return nil
-	}
-	if reach[a] {
-		return nil // structure-shared subtree already visited
-	}
-	if shift > 62 {
-		return fmt.Errorf("%w: trie deeper than the key width", ErrShadowCorrupt)
-	}
-	k, err := nodeKind(m.s.dev, a)
-	if err != nil {
-		return err
-	}
-	reach[a] = true
-	switch k {
-	case snLeaf:
-		*count++
-		return nil
-	case snInternal:
-		for i := 0; i < 4; i++ {
-			c := pmem.Addr(m.s.dev.LoadU64(a + 8 + pmem.Addr(8*i)))
-			if err := m.mark(c, reach, count, shift+2); err != nil {
-				return err
-			}
+// reachable walks the committed trie, returning every slot it reaches
+// and the number of leaves. Each child word must name a slot of the
+// map's own extent chain, reached once: anything else is corruption.
+func (m *ShadowMap) reachable() (map[pmem.Addr]bool, int, error) {
+	exts := slices.Clone(m.s.extents)
+	slices.Sort(exts)
+	reach := make(map[pmem.Addr]bool)
+	count := 0
+	var mark func(a pmem.Addr, shift uint) error
+	mark = func(a pmem.Addr, shift uint) error {
+		if a == 0 {
+			return nil
 		}
-		return nil
-	default:
-		return fmt.Errorf("%w: kind %d in map trie", ErrShadowCorrupt, k)
+		if !slotOf(exts, a) {
+			return fmt.Errorf("%w: %#x is not a slot of the map's extents", ErrShadowCorrupt, uint64(a))
+		}
+		if reach[a] {
+			return fmt.Errorf("%w: slot %#x reached twice", ErrShadowCorrupt, uint64(a))
+		}
+		if shift > 62 {
+			return fmt.Errorf("%w: trie deeper than the key width", ErrShadowCorrupt)
+		}
+		k, err := nodeKind(m.s.dev, a)
+		if err != nil {
+			return err
+		}
+		reach[a] = true
+		switch k {
+		case snLeaf:
+			count++
+			return nil
+		case snInternal:
+			for i := 0; i < 4; i++ {
+				if err := mark(pmem.Addr(m.s.dev.LoadU64(a+8+pmem.Addr(8*i))), shift+2); err != nil {
+					return err
+				}
+			}
+			return nil
+		default:
+			return fmt.Errorf("%w: kind %d in map trie", ErrShadowCorrupt, k)
+		}
 	}
+	err := mark(pmem.Addr(m.s.dev.LoadU64(m.s.desc+8)), 0)
+	return reach, count, err
 }
 
 // Get returns the committed value for key.
 func (m *ShadowMap) Get(key uint64) (uint64, bool) {
 	m.s.mu.RLock()
 	defer m.s.mu.RUnlock()
-	dev := m.s.dev
-	a := pmem.Addr(dev.LoadU64(m.s.desc + 8))
-	for shift := uint(0); a != 0; shift += 2 {
-		switch dev.LoadU64(a) & nodeKindMask {
-		case snLeaf:
-			if dev.LoadU64(a+8) == key {
-				return dev.LoadU64(a + 16), true
-			}
-			return 0, false
-		default:
-			a = pmem.Addr(dev.LoadU64(a + 8 + pmem.Addr(8*((key>>shift)&3))))
-		}
+	_, a, _ := m.slot(key)
+	if a == 0 || m.s.dev.LoadU64(a+8) != key {
+		return 0, false
 	}
-	return 0, false
+	return m.s.dev.LoadU64(a + 16), true
 }
 
 // Walk visits every committed pair; fn returning false stops early.
@@ -146,178 +154,141 @@ func (m *ShadowMap) walk(a pmem.Addr, fn func(key, val uint64) bool) bool {
 	return true
 }
 
-// Put inserts or replaces key. One shadow commit: path copy, one
-// fence, one root store.
+// Put inserts or replaces key. One shadow commit: the new leaf (and,
+// when key splits a leaf, the internal chain that keeps the old leaf
+// shared) in free slots, one fence, then one swing of the trie word
+// that reaches key's slot. An update retires exactly the old leaf.
 func (m *ShadowMap) Put(key, val uint64) error {
 	s := m.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	word, old, shift := m.slot(key)
+	update := old != 0 && s.dev.LoadU64(old+8) == key
 	var p pend
-	inserted := false
 	err := s.c.RunShadow(s.pool, func(st *core.ShadowTx) error {
 		s.reset(&p)
-		inserted = false
-		root := pmem.Addr(s.dev.LoadU64(s.desc + 8))
-		nr, ins, err := m.putNode(st, &p, root, key, val, 0)
+		n, err := s.take(st, &p)
 		if err != nil {
 			return err
 		}
-		inserted = ins
-		return st.Publish(s.desc+8, uint64(nr))
+		writeLeaf(st, n, key, val)
+		switch {
+		case update:
+			p.retired = append(p.retired, old)
+		case old != 0:
+			if n, err = m.split(st, &p, old, n, key, shift); err != nil {
+				return err
+			}
+		}
+		return st.Publish(word, uint64(n))
 	})
 	if err != nil {
 		return err
 	}
-	delta := 0
-	if inserted {
-		delta = 1
+	delta := 1
+	if update {
+		delta = 0
 	}
 	s.settle(&p, delta)
 	return nil
 }
 
-func (m *ShadowMap) putNode(st *core.ShadowTx, p *pend, a pmem.Addr, key, val uint64, shift uint) (pmem.Addr, bool, error) {
-	s := m.s
-	if a == 0 {
-		n, err := s.take(st, p)
-		if err != nil {
-			return 0, false, err
+// slot descends from the root word to the word that reaches key's
+// slot: an empty child word, or the word holding the leaf that sits
+// where key would go. It returns that word, the leaf (0 if none) and
+// the key shift of the leaf's level.
+func (m *ShadowMap) slot(key uint64) (word, leaf pmem.Addr, shift uint) {
+	dev := m.s.dev
+	word = m.s.desc + 8
+	for {
+		a := pmem.Addr(dev.LoadU64(word))
+		if a == 0 || dev.LoadU64(a)&nodeKindMask == snLeaf {
+			return word, a, shift
 		}
-		writeLeaf(st, n, key, val)
-		return n, true, nil
+		word = a + 8 + pmem.Addr(8*((key>>shift)&3))
+		shift += 2
 	}
-	if s.dev.LoadU64(a)&nodeKindMask == snLeaf {
-		old := s.dev.LoadU64(a + 8)
-		if old == key {
-			n, err := s.take(st, p)
-			if err != nil {
-				return 0, false, err
-			}
-			writeLeaf(st, n, key, val)
-			p.retired = append(p.retired, a)
-			return n, false, nil
-		}
-		// Split: reuse the existing leaf (structure sharing) under a
-		// fresh internal chain down to the first diverging 2-bit slot.
-		d := shift
-		for (old>>d)&3 == (key>>d)&3 {
-			d += 2
-		}
-		nl, err := s.take(st, p)
-		if err != nil {
-			return 0, false, err
-		}
-		writeLeaf(st, nl, key, val)
-		cur, err := s.take(st, p)
-		if err != nil {
-			return 0, false, err
-		}
-		var kids [4]pmem.Addr
-		kids[(old>>d)&3] = a
-		kids[(key>>d)&3] = nl
-		writeInternal(st, cur, kids)
-		for d > shift {
-			d -= 2
-			up, err := s.take(st, p)
-			if err != nil {
-				return 0, false, err
-			}
-			kids = [4]pmem.Addr{}
-			kids[(key>>d)&3] = cur
-			writeInternal(st, up, kids)
-			cur = up
-		}
-		return cur, true, nil
-	}
-	idx := (key >> shift) & 3
-	child := pmem.Addr(s.dev.LoadU64(a + 8 + pmem.Addr(8*idx)))
-	nc, ins, err := m.putNode(st, p, child, key, val, shift+2)
-	if err != nil {
-		return 0, false, err
-	}
-	n, err := s.take(st, p)
-	if err != nil {
-		return 0, false, err
-	}
-	var kids [4]pmem.Addr
-	for i := 0; i < 4; i++ {
-		kids[i] = pmem.Addr(s.dev.LoadU64(a + 8 + pmem.Addr(8*i)))
-	}
-	kids[idx] = nc
-	writeInternal(st, n, kids)
-	p.retired = append(p.retired, a)
-	return n, ins, nil
 }
 
-// Delete removes key, reporting whether it was present.
+// split builds, in free slots, the internal chain from level shift
+// down to the first 2-bit slot where key and the resident leaf's key
+// diverge, with the old leaf (shared, not copied) and the new leaf
+// nl under its last node. It returns the chain's top.
+func (m *ShadowMap) split(st *core.ShadowTx, p *pend, old, nl pmem.Addr, key uint64, shift uint) (pmem.Addr, error) {
+	oldKey := m.s.dev.LoadU64(old + 8)
+	d := shift
+	for (oldKey>>d)&3 == (key>>d)&3 {
+		d += 2
+	}
+	var kids [4]pmem.Addr
+	kids[(oldKey>>d)&3] = old
+	kids[(key>>d)&3] = nl
+	for {
+		cur, err := m.s.take(st, p)
+		if err != nil {
+			return 0, err
+		}
+		writeInternal(st, cur, kids)
+		if d == shift {
+			return cur, nil
+		}
+		d -= 2
+		kids = [4]pmem.Addr{}
+		kids[(key>>d)&3] = cur
+	}
+}
+
+// Delete removes key, reporting whether it was present. It zeroes one
+// word: the one reaching the highest internal node the removal leaves
+// empty, or else the one reaching the leaf, and retires everything
+// below it. A Delete of an absent key opens no transaction.
 func (m *ShadowMap) Delete(key uint64) (bool, error) {
 	s := m.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	root := pmem.Addr(s.dev.LoadU64(s.desc + 8))
-	if root == 0 {
-		return false, nil
+	dev := s.dev
+	cut, cutShift := s.desc+8, uint(0)
+	word, shift := cut, uint(0)
+	for {
+		a := pmem.Addr(dev.LoadU64(word))
+		if a == 0 {
+			return false, nil
+		}
+		if dev.LoadU64(a)&nodeKindMask == snLeaf {
+			if dev.LoadU64(a+8) != key {
+				return false, nil
+			}
+			break
+		}
+		idx := (key >> shift) & 3
+		word = a + 8 + pmem.Addr(8*idx)
+		shift += 2
+		for i := uint64(0); i < 4; i++ {
+			if i != idx && dev.LoadU64(a+8+pmem.Addr(8*i)) != 0 {
+				cut, cutShift = word, shift // a keeps another child
+				break
+			}
+		}
 	}
 	var p pend
-	found := false
 	err := s.c.RunShadow(s.pool, func(st *core.ShadowTx) error {
 		s.reset(&p)
-		nr, ok, err := m.delNode(st, &p, root, key, 0)
-		if err != nil {
-			return err
+		a, sh := pmem.Addr(dev.LoadU64(cut)), cutShift
+		for {
+			p.retired = append(p.retired, a)
+			if dev.LoadU64(a)&nodeKindMask == snLeaf {
+				break
+			}
+			a = pmem.Addr(dev.LoadU64(a + 8 + pmem.Addr(8*((key>>sh)&3))))
+			sh += 2
 		}
-		found = ok
-		if !ok {
-			return nil // absent: commit as a no-op, publish nothing
-		}
-		return st.Publish(s.desc+8, uint64(nr))
+		return st.Publish(cut, 0)
 	})
 	if err != nil {
 		return false, err
 	}
-	if found {
-		s.settle(&p, -1)
-	}
-	return found, nil
-}
-
-func (m *ShadowMap) delNode(st *core.ShadowTx, p *pend, a pmem.Addr, key uint64, shift uint) (pmem.Addr, bool, error) {
-	s := m.s
-	if a == 0 {
-		return 0, false, nil
-	}
-	if s.dev.LoadU64(a)&nodeKindMask == snLeaf {
-		if s.dev.LoadU64(a+8) != key {
-			return a, false, nil
-		}
-		p.retired = append(p.retired, a)
-		return 0, true, nil
-	}
-	idx := (key >> shift) & 3
-	child := pmem.Addr(s.dev.LoadU64(a + 8 + pmem.Addr(8*idx)))
-	nc, ok, err := m.delNode(st, p, child, key, shift+2)
-	if err != nil || !ok {
-		return a, ok, err
-	}
-	var kids [4]pmem.Addr
-	empty := nc == 0
-	for i := 0; i < 4; i++ {
-		kids[i] = pmem.Addr(s.dev.LoadU64(a + 8 + pmem.Addr(8*i)))
-		if i != int(idx) && kids[i] != 0 {
-			empty = false
-		}
-	}
-	kids[idx] = nc
-	p.retired = append(p.retired, a)
-	if empty {
-		return 0, true, nil
-	}
-	n, err := s.take(st, p)
-	if err != nil {
-		return 0, false, err
-	}
-	writeInternal(st, n, kids)
-	return n, true, nil
+	s.settle(&p, -1)
+	return true, nil
 }
 
 // Validate checks the slot census: reachable + free + limbo must
@@ -325,9 +296,8 @@ func (m *ShadowMap) delNode(st *core.ShadowTx, p *pend, a pmem.Addr, key uint64,
 func (m *ShadowMap) Validate() error {
 	m.s.mu.RLock()
 	defer m.s.mu.RUnlock()
-	reach := make(map[pmem.Addr]bool)
-	count := 0
-	if err := m.mark(pmem.Addr(m.s.dev.LoadU64(m.s.desc+8)), reach, &count, 0); err != nil {
+	reach, count, err := m.reachable()
+	if err != nil {
 		return err
 	}
 	if count != m.s.count {

@@ -6,6 +6,7 @@ import (
 
 	"puddles/internal/core"
 	"puddles/internal/pmem"
+	"puddles/internal/ptypes"
 )
 
 // errIntentionalAbort drives the scenario's abort leg through
@@ -25,6 +26,7 @@ var errIntentionalAbort = errors.New("chaos: intentional abort")
 // parked after reclaim.
 func AllocCacheChurn() Scenario {
 	const objSize = 48 // class 64: 63 objects per slab
+	node := ptypes.IDOf("chaos.cachenode")
 	var (
 		baseline  int64 // census after Setup
 		committed int64 // live objects from committed transactions
@@ -53,8 +55,7 @@ func AllocCacheChurn() Scenario {
 			if _, err := e.Client.RegisterType("chaos.cachenode", objSize, nil); err != nil {
 				return err
 			}
-			ti, _ := e.Client.Types().Lookup(typeID("chaos.cachenode"))
-			if _, err := e.Pool.CreateRoot(ti.ID, 16); err != nil {
+			if _, err := e.Pool.CreateRoot(node, 16); err != nil {
 				return err
 			}
 			baseline = int64(e.Pool.LiveObjects())
@@ -63,21 +64,19 @@ func AllocCacheChurn() Scenario {
 			return nil
 		},
 		Mutate: func(e *Env) error {
-			ti, _ := e.Client.Types().Lookup(typeID("chaos.cachenode"))
 			alloc := func(tx *core.Tx) (pmem.Addr, error) {
-				a, err := tx.Alloc(ti.ID, objSize)
+				a, err := tx.Alloc(node, objSize)
 				if err != nil {
 					return 0, err
 				}
 				return a, tx.SetU64(a, uint64(a))
 			}
-			// Phase 1: cached allocations across several commits (first
-			// one refills — direct carve or transactional split).
-			for round := 0; round < 4; round++ {
+			// allocs commits n cached allocations in one transaction.
+			allocs := func(n int) error {
 				var batch []pmem.Addr
-				if err := run(e, func(tx *core.Tx) (int64, error) {
+				err := run(e, func(tx *core.Tx) (int64, error) {
 					batch = batch[:0]
-					for i := 0; i < 5; i++ {
+					for i := 0; i < n; i++ {
 						a, err := alloc(tx)
 						if err != nil {
 							return int64(len(batch)), err
@@ -85,10 +84,18 @@ func AllocCacheChurn() Scenario {
 						batch = append(batch, a)
 					}
 					return int64(len(batch)), nil
-				}); err != nil {
+				})
+				if err == nil {
+					liveAddrs = append(liveAddrs, batch...)
+				}
+				return err
+			}
+			// Phase 1: cached allocations across several commits (first
+			// one refills — direct carve or transactional split).
+			for round := 0; round < 4; round++ {
+				if err := allocs(5); err != nil {
 					return err
 				}
-				liveAddrs = append(liveAddrs, batch...)
 			}
 			// Phase 2: free every other object (undo-logged bits flip
 			// back off inside the parked slab).
@@ -125,21 +132,9 @@ func AllocCacheChurn() Scenario {
 			}
 			// Phase 4: overfill one slab in a single transaction so the
 			// commit unparks it full and refills a successor.
-			var burst []pmem.Addr
-			if err := run(e, func(tx *core.Tx) (int64, error) {
-				burst = burst[:0]
-				for i := 0; i < 70; i++ {
-					a, err := alloc(tx)
-					if err != nil {
-						return int64(len(burst)), err
-					}
-					burst = append(burst, a)
-				}
-				return int64(len(burst)), nil
-			}); err != nil {
+			if err := allocs(70); err != nil {
 				return err
 			}
-			liveAddrs = append(liveAddrs, burst...)
 			// Phase 5: drain everything in two commits, then churn two
 			// empty commits — the cache ages out and donates its slabs.
 			for len(liveAddrs) > 0 {
@@ -192,9 +187,8 @@ func AllocCacheChurn() Scenario {
 			}
 			// Usability probe: the recovered heaps must serve cached
 			// allocations again, and the census must return exactly.
-			ti, _ := e.Client.Types().Lookup(typeID("chaos.cachenode"))
 			if err := e.Client.Run(e.Pool, func(tx *core.Tx) error {
-				a, err := tx.Alloc(ti.ID, objSize)
+				a, err := tx.Alloc(node, objSize)
 				if err != nil {
 					return err
 				}

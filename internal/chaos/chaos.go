@@ -3,15 +3,28 @@
 // run system-supported recovery ... and find that Puddles recover
 // application data to a consistent and correct state every time").
 //
-// A Scenario describes a workload in three phases: Setup builds
-// initial state, Mutate runs transactions, Check validates an
-// invariant. Sweep executes the scenario once per crash offset (and,
-// when the scenario asks for it, per chaos seed and once more with
-// every unflushed line lost): the device is armed to fail at the k-th
-// persistence event inside Mutate, the "machine" reboots (fresh daemon
-// on the surviving bytes — which runs recovery before serving), and
-// Check runs against a fresh client. Any invariant violation at any
-// crash point is a crash-consistency bug.
+// Sweep is the one crash driver. It runs a Scenario once per crash
+// offset (and per chaos seed, and once with every unflushed line lost,
+// when the scenario asks): Boot brings the system up, Setup builds
+// state, the device is armed to fail at the k-th persistence event
+// inside Mutate, the "machine" power-fails and boots again on the
+// surviving bytes (recovery runs inside daemon.New), and Check judges
+// what came back. A failed Check or reboot at any offset is a
+// crash-consistency bug. The swept scenarios:
+//
+//	BankTransfer, ListAppend, TwinCounters  application invariants
+//	CommitProtocol                          every persist event of a commit
+//	AllocCacheChurn                         worker allocation caches
+//	KVReadPath                              kvstore Puts under seqlock reads
+//	ShadowChurn, ShadowMapDepth             shadow structures' commits
+//	RegistryChurn, CompactionChurn          the daemon's journal, checkpoints
+//	ShardedLogChurn                         a log space's AddLog/RemoveLog
+//
+// The other harnesses are not offset sweeps. CrashManyInFlight and
+// FanoutEquivalence power-fail once, with transactions parked
+// mid-flight; MigrationChurn crashes a migration phase × victim across
+// two daemons; DaemonRestartChurn kills and restarts a daemon over
+// real sockets, with no power failure.
 package chaos
 
 import (
@@ -28,18 +41,52 @@ import (
 // reboot, standing in for what the application would rediscover from
 // the pool root).
 type Env struct {
-	Dev    *pmem.Device
-	Client *core.Client
-	Pool   *core.Pool
-	Vars   map[string]uint64
+	Dev     *pmem.Device
+	Daemon  *daemon.Daemon
+	Client  *core.Client
+	Pool    *core.Pool
+	Vars    map[string]uint64
+	clients []*core.Client
 }
 
 // Addr is a convenience accessor for stashed addresses.
 func (e *Env) Addr(name string) pmem.Addr { return pmem.Addr(e.Vars[name]) }
 
+// newRoot registers the pointer-free type name of size bytes, creates
+// the pool's root object of that type and stashes its address as
+// Vars[v].
+func (e *Env) newRoot(v, name string, size int) (pmem.Addr, error) {
+	ti, err := e.Client.RegisterType(name, uint32(size), nil)
+	if err != nil {
+		return 0, err
+	}
+	root, err := e.Pool.CreateRoot(ti.ID, uint32(size))
+	e.Vars[v] = uint64(root)
+	return root, err
+}
+
+// Connect connects a client to Env.Daemon; Sweep closes it when the
+// phase's run ends (after Mutate, or after Check).
+func (e *Env) Connect() *core.Client {
+	c := core.ConnectLocal(e.Daemon)
+	e.clients = append(e.clients, c)
+	return c
+}
+
+func (e *Env) closeClients() {
+	for _, c := range e.clients {
+		c.Close()
+	}
+	e.clients = nil
+}
+
 // Scenario is one crash-consistency property.
 type Scenario struct {
 	Name string
+	// Boot brings the system up on Env.Dev: before Setup, and again,
+	// with reboot set, after the power failure. nil boots a daemon,
+	// connects Env.Client and creates (on reboot, opens) Env.Pool.
+	Boot func(e *Env, reboot bool) error
 	// Setup builds initial state (runs crash-free).
 	Setup func(e *Env) error
 	// Mutate runs the transactions under crash injection.
@@ -57,9 +104,34 @@ type Scenario struct {
 	DropVolatile bool
 }
 
+// BootDaemon boots a daemon with opts (Env.Daemon) and connects
+// nothing; the scenario's phases connect what they need.
+func BootDaemon(opts ...daemon.Option) func(*Env, bool) error {
+	return func(e *Env, _ bool) (err error) {
+		e.Daemon, err = daemon.New(e.Dev, opts...)
+		return err
+	}
+}
+
+// BootDevice boots nothing: the scenario formats what it needs on
+// Env.Dev in Setup, and its Check reopens it the way recovery would.
+func BootDevice(*Env, bool) error { return nil }
+
+func bootPool(e *Env, reboot bool) (err error) {
+	if err := BootDaemon()(e, reboot); err != nil {
+		return err
+	}
+	e.Client = e.Connect()
+	if reboot {
+		e.Pool, err = e.Client.OpenPool("chaos")
+	} else {
+		e.Pool, err = e.Client.CreatePool("chaos", 0)
+	}
+	return err
+}
+
 // Result summarizes a sweep.
 type Result struct {
-	Scenario   string
 	Probes     int // crash points exercised
 	Completed  int // runs where Mutate finished before the crash point
 	Violations []string
@@ -69,7 +141,10 @@ type Result struct {
 // given stride. It stops early once Mutate completes without crashing
 // (later offsets cannot crash either).
 func Sweep(s Scenario, maxOffset, stride int64) (Result, error) {
-	res := Result{Scenario: s.Name}
+	var res Result
+	if s.Boot == nil {
+		s.Boot = bootPool
+	}
 	seeds := max(s.Seeds, 1)
 	runs := seeds
 	if s.DropVolatile {
@@ -94,19 +169,16 @@ func Sweep(s Scenario, maxOffset, stride int64) (Result, error) {
 	return res, nil
 }
 
+// runOnce is the one arm → crash → power-fail → reboot → check step.
+// A failed boot, Setup, or a Mutate that errs without crashing, is an
+// error of the harness; a failed reboot or Check is a violation.
 func runOnce(s Scenario, off, seed int64, drop bool, res *Result) (crashed bool, err error) {
 	dev := pmem.NewChaos(seed)
-	d, err := daemon.New(dev)
-	if err != nil {
+	env := &Env{Dev: dev, Vars: make(map[string]uint64)}
+	defer env.closeClients()
+	if err := s.Boot(env, false); err != nil {
 		return false, fmt.Errorf("boot: %w", err)
 	}
-	c := core.ConnectLocal(d)
-	env := &Env{Dev: dev, Client: c, Vars: make(map[string]uint64)}
-	pool, err := c.CreatePool("chaos", 0)
-	if err != nil {
-		return false, fmt.Errorf("pool: %w", err)
-	}
-	env.Pool = pool
 	if err := s.Setup(env); err != nil {
 		return false, fmt.Errorf("setup: %w", err)
 	}
@@ -128,12 +200,10 @@ func runOnce(s Scenario, off, seed int64, drop bool, res *Result) (crashed bool,
 		}()
 		err = s.Mutate(env)
 	}()
-	c.Close()
-	if !crashed && dev.Stats().Crashes > crashesBefore {
-		// The crash point fired inside a daemon goroutine; the client
-		// observed it as a dead connection rather than a panic.
-		crashed = true
-	}
+	env.closeClients()
+	// A crash point that fired inside a daemon goroutine reaches the
+	// client as a dead connection rather than a panic.
+	crashed = crashed || dev.Stats().Crashes > crashesBefore
 	if !crashed && err != nil {
 		return false, fmt.Errorf("mutate: %w", err)
 	}
@@ -148,18 +218,14 @@ func runOnce(s Scenario, off, seed int64, drop bool, res *Result) (crashed bool,
 	}
 
 	// Reboot: recovery happens inside daemon.New, before any client.
-	d2, err := daemon.New(dev)
-	if err != nil {
-		return crashed, fmt.Errorf("reboot: %w", err)
+	env2 := &Env{Dev: dev, Vars: env.Vars}
+	defer env2.closeClients()
+	if err = s.Boot(env2, true); err != nil {
+		err = fmt.Errorf("reboot: %w", err)
+	} else {
+		err = s.Check(env2)
 	}
-	c2 := core.ConnectLocal(d2)
-	defer c2.Close()
-	pool2, err := c2.OpenPool("chaos")
 	if err != nil {
-		return crashed, fmt.Errorf("reopen: %w", err)
-	}
-	env2 := &Env{Dev: dev, Client: c2, Pool: pool2, Vars: env.Vars}
-	if err := s.Check(env2); err != nil {
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("offset %d seed %d drop=%v (crashed=%v): %v", off, seed, drop, crashed, err))
 	}
@@ -175,11 +241,7 @@ func BankTransfer(accounts int, transfers int) Scenario {
 	return Scenario{
 		Name: "bank-transfer",
 		Setup: func(e *Env) error {
-			ti, err := e.Client.RegisterType("chaos.account", 8, nil)
-			if err != nil {
-				return err
-			}
-			base, err := e.Pool.CreateRoot(ti.ID, uint32(accounts*8))
+			base, err := e.newRoot("base", "chaos.accounts", accounts*8)
 			if err != nil {
 				return err
 			}
@@ -187,7 +249,6 @@ func BankTransfer(accounts int, transfers int) Scenario {
 				e.Dev.StoreU64(base+pmem.Addr(i*8), initial)
 			}
 			e.Dev.Persist(base, accounts*8)
-			e.Vars["base"] = uint64(base)
 			return nil
 		},
 		Mutate: func(e *Env) error {
@@ -236,26 +297,17 @@ func ListAppend(appends int) Scenario {
 	return Scenario{
 		Name: "list-append",
 		Setup: func(e *Env) error {
-			ti, err := e.Client.RegisterType("chaos.listroot", 24, nil)
-			if err != nil {
+			if _, err := e.newRoot("root", "chaos.listroot", 24); err != nil { // head, tail, count
 				return err
 			}
-			if _, err := e.Client.RegisterType("chaos.node", 16, nil); err != nil {
-				return err
-			}
-			root, err := e.Pool.CreateRoot(ti.ID, 24) // head, tail, count
-			if err != nil {
-				return err
-			}
-			e.Vars["root"] = uint64(root)
-			return nil
+			_, err := e.Client.RegisterType("chaos.node", 16, nil)
+			return err
 		},
 		Mutate: func(e *Env) error {
 			root := e.Addr("root")
-			nodeTI, _ := e.Client.Types().Lookup(typeID("chaos.node"))
 			for i := 0; i < appends; i++ {
 				if err := e.Client.Run(e.Pool, func(tx *core.Tx) error {
-					n, err := tx.Alloc(nodeTI.ID, 16)
+					n, err := tx.Alloc(ptypes.IDOf("chaos.node"), 16)
 					if err != nil {
 						return err
 					}
@@ -309,16 +361,8 @@ func TwinCounters(increments int) Scenario {
 	return Scenario{
 		Name: "twin-counters",
 		Setup: func(e *Env) error {
-			ti, err := e.Client.RegisterType("chaos.counters", 16, nil)
-			if err != nil {
-				return err
-			}
-			root, err := e.Pool.CreateRoot(ti.ID, 16)
-			if err != nil {
-				return err
-			}
-			e.Vars["root"] = uint64(root)
-			return nil
+			_, err := e.newRoot("root", "chaos.counters", 16)
+			return err
 		},
 		Mutate: func(e *Env) error {
 			root := e.Addr("root")
@@ -346,5 +390,3 @@ func TwinCounters(increments int) Scenario {
 		},
 	}
 }
-
-func typeID(name string) ptypes.TypeID { return ptypes.IDOf(name) }

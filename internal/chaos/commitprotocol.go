@@ -124,15 +124,10 @@ func commitProtocol(name string, smallLog bool, txs ...protoTx) Scenario {
 		Seeds:        8,
 		DropVolatile: true,
 		Setup: func(e *Env) error {
-			ti, err := e.Client.RegisterType("chaos.protoroot", protoRootSize, nil)
+			root, err := e.newRoot("root", "chaos.protoroot", protoRootSize)
 			if err != nil {
 				return err
 			}
-			root, err := e.Pool.CreateRoot(ti.ID, protoRootSize)
-			if err != nil {
-				return err
-			}
-			e.Vars["root"] = uint64(root)
 			e.Vars["acked"] = 0
 			// One transaction on a word of no interest, so that Mutate
 			// starts on a used, reset, parked log.

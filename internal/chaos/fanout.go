@@ -3,7 +3,6 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"sync"
 
 	"puddles/internal/core"
 	"puddles/internal/daemon"
@@ -40,13 +39,8 @@ func FanoutEquivalence(workers, cellsPerTx int, seed int64) error {
 	if err != nil {
 		return fmt.Errorf("pool: %w", err)
 	}
-	apps := 2
-	cells := apps * workers * cellsPerTx
-	ti, err := owner.RegisterType("chaos.fanoutcells", uint32(cells*8), nil)
-	if err != nil {
-		return err
-	}
-	root, err := pool.CreateRoot(ti.ID, uint32(cells*8))
+	const apps = 2
+	cells, err := newParkedCells(owner, pool, apps*workers, cellsPerTx)
 	if err != nil {
 		return err
 	}
@@ -62,63 +56,17 @@ func FanoutEquivalence(workers, cellsPerTx int, seed int64) error {
 		return fmt.Errorf("second app did not get a writable grant")
 	}
 
-	cell := func(app, w, i int) pmem.Addr {
-		return root + pmem.Addr(((app*workers+w)*cellsPerTx+i)*8)
-	}
-	initial := func(app, w, i int) uint64 {
-		return uint64(app)*100000 + uint64(w)*1000 + uint64(i) + 7
-	}
-	for app := 0; app < apps; app++ {
-		for w := 0; w < workers; w++ {
-			for i := 0; i < cellsPerTx; i++ {
-				dev.StoreU64(cell(app, w, i), initial(app, w, i))
-			}
+	// Park apps×workers transactions mid-flight, `workers` on each
+	// app's log space, so the crash leaves pending logs spread across
+	// both spaces' shard directories.
+	if err := cells.parkThenPowerFail(dev, false, func(t int) *core.Tx {
+		if t < workers {
+			return owner.Begin(pool)
 		}
+		return other.Begin(shared)
+	}); err != nil {
+		return err
 	}
-	dev.Persist(root, cells*8)
-
-	// Park apps×workers transactions mid-flight — every one undo-logs
-	// and overwrites its private cells, never committing, so the crash
-	// leaves pending logs spread across both spaces' shard directories.
-	type appConn struct {
-		c *core.Client
-		p *core.Pool
-	}
-	conns := []appConn{{owner, pool}, {other, shared}}
-	var (
-		wg      sync.WaitGroup
-		ready   sync.WaitGroup
-		abandon = make(chan struct{})
-		txErrs  = make([]error, apps*workers)
-	)
-	ready.Add(apps * workers)
-	for app := 0; app < apps; app++ {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(app, w int) {
-				defer wg.Done()
-				tx := conns[app].c.Begin(conns[app].p)
-				for i := 0; i < cellsPerTx; i++ {
-					if err := tx.SetU64(cell(app, w, i), 0xfa0<<32|uint64(app*workers+w)); err != nil {
-						txErrs[app*workers+w] = err
-						break
-					}
-				}
-				ready.Done()
-				<-abandon // park; never commit or abort
-			}(app, w)
-		}
-	}
-	ready.Wait()
-	close(abandon)
-	wg.Wait()
-	for w, err := range txErrs {
-		if err != nil {
-			return fmt.Errorf("tx %d mutate: %w", w, err)
-		}
-	}
-
-	dev.CrashNow()
 	var img bytes.Buffer
 	if err := dev.Save(&img); err != nil {
 		return fmt.Errorf("saving crash image: %w", err)
@@ -135,24 +83,12 @@ func FanoutEquivalence(workers, cellsPerTx int, seed int64) error {
 		if err != nil {
 			return res, fmt.Errorf("recovery boot: %w", err)
 		}
-		rc := core.ConnectLocal(rd)
-		defer rc.Close()
-		st, err := rc.Stats()
-		if err != nil {
-			return res, err
-		}
+		st := rd.Stats()
 		if st.Recoveries == 0 {
 			return res, fmt.Errorf("dirty image booted without recovery")
 		}
-		for app := 0; app < apps; app++ {
-			for w := 0; w < workers; w++ {
-				for i := 0; i < cellsPerTx; i++ {
-					if got := rdev.LoadU64(cell(app, w, i)); got != initial(app, w, i) {
-						return res, fmt.Errorf("app %d worker %d cell %d = %#x after recovery, want %#x",
-							app, w, i, got, initial(app, w, i))
-					}
-				}
-			}
+		if err := cells.rolledBack(rdev); err != nil {
+			return res, err
 		}
 		res.LogsReplayed = st.LogsReplayed
 		res.EntriesApplied = st.EntriesApplied

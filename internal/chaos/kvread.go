@@ -31,32 +31,19 @@ func kvValue(k uint64, ver, size int) []byte {
 // zero by kvstore.New, which is the whole point: crash consistency
 // comes from the transaction logs alone.
 func KVReadPath(records, updates int, valueSize int) Scenario {
-	return Scenario{
-		Name: "kv-read-path",
-		Setup: func(e *Env) error {
-			lib := puddleslib.Wrap(e.Client, e.Pool)
-			s, err := kvstore.New(lib, kvstore.Options{
-				Buckets: 64, ValueSize: uint32(valueSize), LatchStripes: 8,
-			})
+	open := func(e *Env) (*kvstore.Store, error) {
+		return kvstore.New(puddleslib.Wrap(e.Client, e.Pool), kvstore.Options{
+			Buckets: 64, ValueSize: uint32(valueSize), LatchStripes: 8,
+		})
+	}
+	// put writes versions from..to of every key, version by version.
+	put := func(from, to int) func(*Env) error {
+		return func(e *Env) error {
+			s, err := open(e)
 			if err != nil {
 				return err
 			}
-			for k := 0; k < records; k++ {
-				if err := s.Put(uint64(k), kvValue(uint64(k), 0, valueSize)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Mutate: func(e *Env) error {
-			lib := puddleslib.Wrap(e.Client, e.Pool)
-			s, err := kvstore.New(lib, kvstore.Options{
-				Buckets: 64, ValueSize: uint32(valueSize), LatchStripes: 8,
-			})
-			if err != nil {
-				return err
-			}
-			for ver := 1; ver <= updates; ver++ {
+			for ver := from; ver <= to; ver++ {
 				for k := 0; k < records; k++ {
 					if err := s.Put(uint64(k), kvValue(uint64(k), ver, valueSize)); err != nil {
 						return err
@@ -64,12 +51,14 @@ func KVReadPath(records, updates int, valueSize int) Scenario {
 				}
 			}
 			return nil
-		},
+		}
+	}
+	return Scenario{
+		Name:   "kv-read-path",
+		Setup:  put(0, 0),
+		Mutate: put(1, updates),
 		Check: func(e *Env) error {
-			lib := puddleslib.Wrap(e.Client, e.Pool)
-			s, err := kvstore.New(lib, kvstore.Options{
-				Buckets: 64, ValueSize: uint32(valueSize), LatchStripes: 8,
-			})
+			s, err := open(e)
 			if err != nil {
 				return err
 			}
@@ -85,11 +74,8 @@ func KVReadPath(records, updates int, valueSize int) Scenario {
 					}
 				}
 				ok := false
-				for ver := 0; ver <= updates; ver++ {
-					if b == byte(uint64(k)*31+uint64(ver)*7+1) {
-						ok = true
-						break
-					}
+				for ver := 0; ver <= updates && !ok; ver++ {
+					ok = b == kvValue(uint64(k), ver, 1)[0]
 				}
 				if !ok {
 					return fmt.Errorf("key %d recovered to marker %#x, not any committed version", k, b)

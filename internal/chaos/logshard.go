@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 
 	"puddles/internal/plog"
@@ -9,12 +10,12 @@ import (
 	"puddles/internal/uid"
 )
 
-// ShardedLogChurn is the log-directory counterpart of Sweep: it
-// power-fails AddLog/RemoveLog traffic on a sharded log space and
-// checks the directory's crash atomicity. After each injected failure
-// the space is reopened exactly as daemon recovery would open it
-// (OpenShardedLogSpace) and the recovered registration set must be
-// precisely explainable:
+// ShardedLogChurn is the log-directory counterpart of the application
+// scenarios: it power-fails AddLog/RemoveLog traffic on a sharded log
+// space, formatted on the bare device, and checks the directory's
+// crash atomicity. After each injected failure the space is reopened
+// exactly as daemon recovery would open it (OpenShardedLogSpace) and
+// the recovered registration set must be precisely explainable:
 //
 //   - every acked AddLog that was not acked-removed (and is not the
 //     target of the in-flight operation) is present — recovery will
@@ -23,142 +24,91 @@ import (
 //     invent logs;
 //   - the one in-flight Add or Remove may have landed or not (its slot
 //     publishes with a single 8-byte store), but nothing else moves.
-func ShardedLogChurn(shards int, maxOffset, stride int64) (Result, error) {
-	res := Result{Scenario: fmt.Sprintf("sharded-log-churn-%d", shards)}
-	for off := int64(1); off < maxOffset; off += stride {
-		crashed, err := logChurnOnce(shards, off, &res)
-		if err != nil {
-			return res, fmt.Errorf("chaos sharded-log-churn @%d: %w", off, err)
-		}
-		res.Probes++
-		if !crashed {
-			res.Completed++
-			break
-		}
-	}
-	return res, nil
-}
-
-// logChurnState tracks what the churn acked so the post-crash check
-// can compute the set of registrations that must / may / must-not
-// exist.
-type logChurnState struct {
-	added    map[pmem.Addr]bool // acked AddLog
-	removed  map[pmem.Addr]bool // acked RemoveLog
-	inflight pmem.Addr          // head of the op in progress (0 = none)
-}
-
-func logChurnOnce(shards int, off int64, res *Result) (crashed bool, err error) {
-	dev := pmem.NewChaos(off)
-	const spaceBase = pmem.Addr(2 << 20)
+func ShardedLogChurn(shards int) Scenario {
+	const (
+		spaceBase = pmem.Addr(2 << 20)
+		nLogs     = 12
+	)
 	spaceSize := plog.SpaceSize(shards)
-	// Setup runs crash-free: a log-space puddle plus a pile of small
-	// formatted logs to register.
-	pd, err := puddle.Format(dev, spaceBase, spaceSize, uid.New(), puddle.KindLogSpace, uid.Nil)
-	if err != nil {
-		return false, fmt.Errorf("format space puddle: %w", err)
-	}
-	space, err := plog.FormatShardedLogSpace(pd, shards)
-	if err != nil {
-		return false, fmt.Errorf("format sharded space: %w", err)
-	}
-	const nLogs = 12
-	heads := make([]pmem.Addr, nLogs)
-	logBase := spaceBase + pmem.Addr(spaceSize)
-	for i := range heads {
-		start := logBase + pmem.Addr(i)*0x4000
-		l, err := plog.FormatLog(dev, pmem.Range{Start: start, End: start + 0x4000})
-		if err != nil {
-			return false, fmt.Errorf("format log %d: %w", i, err)
-		}
-		heads[i] = l.Head()
-	}
-
-	st := &logChurnState{added: map[pmem.Addr]bool{}, removed: map[pmem.Addr]bool{}}
-	dev.CrashAtEvent(dev.Events() + off)
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if !pmem.IsCrash(r) {
-					panic(r)
-				}
-				crashed = true
+	var (
+		space    *plog.ShardedLogSpace
+		heads    [nLogs]pmem.Addr
+		added    map[pmem.Addr]bool // acked AddLog
+		removed  map[pmem.Addr]bool // acked RemoveLog
+		inflight pmem.Addr          // head of the op in progress (0 = none)
+	)
+	return Scenario{
+		Name: fmt.Sprintf("sharded-log-churn-%d", shards),
+		Boot: BootDevice,
+		// A log-space puddle plus a pile of small formatted logs to
+		// register.
+		Setup: func(e *Env) error {
+			pd, err := puddle.Format(e.Dev, spaceBase, spaceSize, uid.New(), puddle.KindLogSpace, uid.Nil)
+			if err != nil {
+				return fmt.Errorf("format space puddle: %w", err)
 			}
-		}()
-		// Churn: register everything round-robin across shards, then
+			if space, err = plog.FormatShardedLogSpace(pd, shards); err != nil {
+				return fmt.Errorf("format sharded space: %w", err)
+			}
+			logBase := spaceBase + pmem.Addr(spaceSize)
+			for i := range heads {
+				start := logBase + pmem.Addr(i)*0x4000
+				l, err := plog.FormatLog(e.Dev, pmem.Range{Start: start, End: start + 0x4000})
+				if err != nil {
+					return fmt.Errorf("format log %d: %w", i, err)
+				}
+				heads[i] = l.Head()
+			}
+			added, removed, inflight = map[pmem.Addr]bool{}, map[pmem.Addr]bool{}, 0
+			return nil
+		},
+		// Register everything round-robin across shards, then
 		// unregister a prefix — every persistence event in AddLog and
 		// RemoveLog lands under some crash offset of the sweep.
-		for i, h := range heads {
-			st.inflight = h
-			if err = space.AddLog(i%shards, h, uid.New()); err != nil {
-				return
+		Mutate: func(e *Env) error {
+			for i, h := range heads {
+				inflight = h
+				if err := space.AddLog(i%shards, h, uid.New()); err != nil {
+					return err
+				}
+				added[h] = true
+				inflight = 0
 			}
-			st.added[h] = true
-			st.inflight = 0
-		}
-		for i := 0; i < nLogs/2; i++ {
-			h := heads[i]
-			st.inflight = h
-			if !space.RemoveLog(i%shards, h) {
-				err = fmt.Errorf("acked registration %#x missing before crash", uint64(h))
-				return
+			for i, h := range heads[:nLogs/2] {
+				inflight = h
+				if !space.RemoveLog(i%shards, h) {
+					return fmt.Errorf("acked registration %#x missing before crash", uint64(h))
+				}
+				removed[h] = true
+				inflight = 0
 			}
-			st.removed[h] = true
-			st.inflight = 0
-		}
-	}()
-	if !crashed && err != nil {
-		return false, fmt.Errorf("churn: %w", err)
+			return nil
+		},
+		Check: func(e *Env) error {
+			pd, err := puddle.Open(e.Dev, spaceBase)
+			if err != nil {
+				return fmt.Errorf("reopen puddle: %w", err)
+			}
+			reopened, err := plog.OpenShardedLogSpace(pd)
+			if err != nil {
+				return fmt.Errorf("reopen space: %w", err)
+			}
+			got := map[pmem.Addr]bool{}
+			for _, h := range reopened.Logs() {
+				got[h] = true
+			}
+			var errs []error
+			for _, h := range heads {
+				if want := added[h] && !removed[h]; h != inflight && got[h] != want {
+					errs = append(errs, fmt.Errorf("log %#x registered=%v after recovery, want %v (acked add %v, acked remove %v)",
+						uint64(h), got[h], want, added[h], removed[h]))
+				}
+				delete(got, h)
+			}
+			for h := range got {
+				errs = append(errs, fmt.Errorf("recovered unknown log head %#x", uint64(h)))
+			}
+			return errors.Join(errs...)
+		},
 	}
-	if !crashed {
-		dev.CrashAtEvent(0) // disarm
-		dev.CrashNow()      // still power-fail after completion
-	}
-
-	// "Reboot": reopen the directory the way daemon recovery does.
-	pd2, err := puddle.Open(dev, spaceBase)
-	if err != nil {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("offset %d (crashed=%v): reopen puddle: %v", off, crashed, err))
-		return crashed, nil
-	}
-	reopened, err := plog.OpenShardedLogSpace(pd2)
-	if err != nil {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("offset %d (crashed=%v): reopen space: %v", off, crashed, err))
-		return crashed, nil
-	}
-	got := map[pmem.Addr]bool{}
-	for _, h := range reopened.Logs() {
-		got[h] = true
-	}
-	valid := map[pmem.Addr]bool{}
-	for _, h := range heads {
-		valid[h] = true
-	}
-	violate := func(format string, args ...any) {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("offset %d (crashed=%v): %s", off, crashed, fmt.Sprintf(format, args...)))
-	}
-	for h := range got {
-		if !valid[h] {
-			violate("recovered unknown log head %#x", uint64(h))
-		}
-	}
-	for h := range st.added {
-		mustHave := !st.removed[h] && h != st.inflight
-		mustNot := st.removed[h] && h != st.inflight
-		switch {
-		case mustHave && !got[h]:
-			violate("acked registration %#x lost", uint64(h))
-		case mustNot && got[h]:
-			violate("acked removal %#x came back", uint64(h))
-		}
-	}
-	for h := range got {
-		if !st.added[h] && h != st.inflight {
-			violate("log %#x present but never acked (and not in flight)", uint64(h))
-		}
-	}
-	return crashed, nil
 }
